@@ -62,6 +62,7 @@ from .totient import (
     error_terms,
     farey_cardinality,
     lcm_range,
+    mertens_upto,
     mobius_upto,
     scaled_phi_ratio_sum,
 )

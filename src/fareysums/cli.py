@@ -22,7 +22,7 @@ from random import Random
 
 from . import __version__
 from .arith import Fraction, INFINITY, ONE, ZERO, gcd_triple
-from .errors import FareyError, PreconditionError, TheoremViolation
+from .errors import BudgetError, FareyError, PreconditionError, TheoremViolation
 from .farey import enumerate_window, rank_fast, rank_oracle
 from .franel import (
     dress_scan,
@@ -155,7 +155,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("rank", parents=[common], help="position of a fraction in F_N")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--fraction", type=_fraction_arg, required=True)
-    p.add_argument("--method", choices=["oracle", "fast"], default="oracle")
+    p.add_argument("--method", choices=["oracle", "fast"], default="fast")
 
     p = sub.add_parser("index", parents=[common], help="closed-form position of 1/q")
     p.add_argument("--imax", type=int, required=True)
@@ -219,8 +219,18 @@ def _cmd_enumerate(args, config: Config, out: _Output) -> int:
 
 
 def _cmd_rank(args, config: Config, out: _Output) -> int:
-    fn = rank_oracle if args.method == "oracle" else rank_fast
-    report = fn(args.order, args.fraction)
+    if args.method == "fast":
+        report = rank_fast(args.order, args.fraction)
+    else:
+        # the oracle takes one gcd per h <= d*x for each d <= N: about x*N(N+1)/2
+        n = args.order
+        estimate = min(float(args.fraction), 1.0) * n * (n + 1) / 2
+        if estimate > config.term_budget:
+            raise BudgetError(
+                f"oracle rank at order {n} needs about {estimate:.3g} gcd steps, "
+                f"over budget {config.term_budget}"
+            )
+        report = rank_oracle(n, args.fraction)
     out.stream.write(f"{report.rank}\n")
     return 0
 

@@ -1,8 +1,8 @@
 """Ground-truth enumeration of Farey sequences, rank computation, and neighbor search.
 
 The enumeration path (next-term recurrence seeded by mediant descent) and the
-two rank paths (direct gcd counting, divisor-Mobius counting) are deliberately
-independent of each other so they can cross-check one another.
+two rank paths (direct gcd counting, Mobius identity grouped by Mertens sums)
+are deliberately independent of each other so they can cross-check one another.
 """
 
 from __future__ import annotations
@@ -10,11 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, log
 
-import numpy as np
-
 from .arith import Fraction, ONE, ZERO
 from .errors import BudgetError, PreconditionError
-from .totient import THREE_OVER_PI_SQ, mobius_upto
+from .totient import THREE_OVER_PI_SQ, mertens_upto
 
 DEFAULT_WINDOW_BUDGET = 10_000_000
 
@@ -191,29 +189,61 @@ def rank_oracle(n: int, x: Fraction) -> RankReport:
     return RankReport(n, x, count, METHOD_ORACLE)
 
 
-def rank_fast(n: int, x: Fraction) -> RankReport:
-    """Rank of x in F_n via the divisor-Mobius identity.
+def _floor_sum(m: int, p: int, q: int) -> int:
+    """S(m) = sum of floor(d*p/q) for d = 1..m, in O(log q) plain-int steps.
 
-    #{h <= m : gcd(h, d) = 1} = sum over e | d of mu(e)*floor(m/e); summing over
-    all d <= n and regrouping by e gives rank = 1 + sum over squarefree e <= n
-    of mu(e) * sum over multiples d of e of floor(floor(d*x)/e).  Vectorized
-    over the sieved mu table.
+    Euclid-like reduction of sum_{i<n} floor((a*i + b)/c): peel off the
+    integer parts of a/c and b/c in closed form, then count the lattice points
+    under the line by rows instead of columns, which swaps a and c so that the
+    next pass reduces c mod a, as in Euclid's algorithm.  Python ints keep
+    every step exact for any p, q.
+    """
+    n, a, b, c = m + 1, p, 0, q
+    total = 0
+    while True:
+        if a >= c:
+            total += n * (n - 1) // 2 * (a // c)
+            a %= c
+        if b >= c:
+            total += n * (b // c)
+            b %= c
+        top = a * n + b
+        if top < c:
+            return total
+        n, b = divmod(top, c)
+        a, c = c, a
+
+
+def rank_fast(n: int, x: Fraction) -> RankReport:
+    """Rank of x = p/q in F_n via the Mobius identity grouped by Mertens sums.
+
+    #{h <= d*x : gcd(h, d) = 1} = sum over e | d of mu(e)*floor(d*x/e); summing
+    over d <= n and writing d = e*d' gives
+
+        rank = 1 + sum over e <= n of mu(e) * S(floor(n/e)),
+        S(m) = sum of floor(d*p/q) for d <= m.
+
+    floor(n/e) takes O(sqrt(n)) distinct values, each on a block [l, r] of e,
+    which contributes (M(r) - M(l-1)) * S(floor(n/l)) with M the Mertens
+    prefix sum of mu.  Each S is one O(log q) floor sum, so a call costs
+    O(sqrt(n) log q) after the O(n) sieve that the mu / Mertens cache shares
+    across calls.  Exact for any denominator q.
     """
     if n < 1:
         raise PreconditionError(f"order must be >= 1, got {n}")
     _check_unit_interval(x)
     p, q = x.num, x.den
-    if (n + 1) * p < 2**62:
-        d = np.arange(1, n + 1, dtype=np.int64)
-        m = d * p // q
-    else:
-        # d*p overflows int64 for huge targets; the quotients themselves are <= n
-        m = np.fromiter((d * p // q for d in range(1, n + 1)), dtype=np.int64, count=n)
-    mu = mobius_upto(n)
+    mertens = mertens_upto(n)
     total = 0
-    for e in np.nonzero(mu[1:])[0] + 1:
-        total += int(mu[e]) * int((m[e - 1 :: e] // e).sum())
-    return RankReport(n, x, 1 + int(total), METHOD_MOEBIUS)
+    lo = 1
+    while lo <= n:
+        v = n // lo
+        hi = n // v
+        weight = int(mertens[hi]) - int(mertens[lo - 1])
+        if weight:
+            total += weight * _floor_sum(v, p, q)
+        lo = hi + 1
+    return RankReport(n, x, 1 + total, METHOD_MOEBIUS)
 
 
 def count_in_window(n: int, lo: Fraction, hi: Fraction) -> int:

@@ -157,17 +157,16 @@ def partial_franel_sum_range(
     """Deviation sum over the F_n fractions in [lo, hi], with ranks anchored at lo.
 
     lo must itself belong to F_n and rank_of_lo must be its rank; the anchor is
-    spot-checked against the Mobius rank whenever n is small enough for that
-    to be cheap.  Ranks inside the window are then assigned incrementally.
+    checked against rank_fast at every order (O(sqrt(n) log q) per check).
+    Ranks inside the window are then assigned incrementally.
     """
     if lo.den > n:
         raise PreconditionError(f"lo={lo} is not in F_{n}")
-    if n <= 100_000:
-        expected = rank_fast(n, lo).rank
-        if rank_of_lo != expected:
-            raise PreconditionError(
-                f"anchor rank {rank_of_lo} does not match the rank {expected} of {lo} in F_{n}"
-            )
+    expected = rank_fast(n, lo).rank
+    if rank_of_lo != expected:
+        raise PreconditionError(
+            f"anchor rank {rank_of_lo} does not match the rank {expected} of {lo} in F_{n}"
+        )
     table = _table_for(n, table)
     m = farey_cardinality(n, table)
     return _scan_deviation_range(n, lo, hi, rank_of_lo, m, exact_budget, term_budget)
@@ -226,7 +225,7 @@ def vertex_partial_sum(
     predicted = None
     ratio = None
     if eta > 2:
-        vertex_rank = rank_fast(n, vertex).rank
+        vertex_rank = rank_lo if lo == vertex else rank_fast(n, vertex).rank
         m = farey_cardinality(n, table)
         gap = abs(vertex.num / eta - vertex_rank / m)
         predicted = log(n / eta) * (n / eta) * THREE_OVER_PI_SQ * gap

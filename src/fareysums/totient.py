@@ -194,3 +194,20 @@ def mobius_upto(limit: int) -> np.ndarray:
             mu[p * p :: p * p] = 0
     _mu_cache["mu"] = mu
     return mu
+
+
+def mertens_upto(limit: int) -> np.ndarray:
+    """Mertens M(k) = sum of mu(j) for j <= k, for 0 <= k <= limit, as int64.
+
+    Cached next to the mu array and rebuilt from it whenever that array has
+    grown past the cached prefix sums; callers must treat it as read-only.
+    """
+    mu = mobius_upto(limit)
+    cached = _mu_cache.get("mertens")
+    if cached is None or cached.size <= limit:
+        # sum the whole array the view was cut from, so M grows with the mu
+        # cache; mu is int8, so the accumulator width is stated, not inferred
+        whole = mu if mu.base is None else mu.base
+        cached = np.cumsum(whole, dtype=np.int64)
+        _mu_cache["mertens"] = cached
+    return cached[: limit + 1]

@@ -21,6 +21,27 @@ class TestSingleValueCommands:
         assert code == 0
         assert out == "1523\n"
 
+    def test_rank_defaults_to_fast(self, monkeypatch):
+        def refuse(n, x):
+            raise AssertionError("the oracle ran without --method oracle")
+
+        monkeypatch.setattr(cli, "rank_oracle", refuse)
+        code, out = run_cli(["rank", "--order", "300000", "--fraction", "1/3"])
+        assert code == 0
+        assert out == "9118916219\n"
+
+    def test_rank_oracle_under_budget(self):
+        code, out = run_cli(["rank", "--order", "100", "--fraction", "1/2", "--method", "oracle"])
+        assert code == 0
+        assert out == "1523\n"
+
+    def test_rank_oracle_refused_over_budget(self, capsys):
+        code, out = run_cli(["rank", "--order", "300000", "--fraction", "1/3", "--method", "oracle"])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "1.5e+10 gcd steps" in err and "budget 100000000" in err
+
     def test_index_example(self):
         code, out = run_cli(["index", "--imax", "3", "--q", "6"])
         assert code == 0

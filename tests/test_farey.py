@@ -3,12 +3,14 @@ from math import log
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fareysums.arith import Fraction, INFINITY, ONE, ZERO, det2
 from fareysums.errors import BudgetError, PreconditionError
 from fareysums.farey import (
     METHOD_MOEBIUS,
     METHOD_ORACLE,
+    _floor_sum,
     count_in_window,
     enumerate_window,
     farey_neighbors,
@@ -24,6 +26,17 @@ from oracles import brute_farey, brute_rank, brute_window
 
 def as_rat(f: Fraction) -> Rat:
     return Rat(f.num, f.den)
+
+
+# denominators from 1 to 10^18, with small ones drawn often enough to land on
+# members of the sequence as well as between them
+_denominators = st.one_of(st.integers(1, 400), st.integers(1, 10**18))
+
+
+@st.composite
+def unit_interval_fractions(draw):
+    q = draw(_denominators)
+    return Fraction(draw(st.integers(0, q)), q)  # the constructor reduces
 
 
 class TestNextFarey:
@@ -180,9 +193,34 @@ class TestRank:
             assert rank_oracle(n, x).rank == rank_fast(n, x).rank
 
     def test_huge_denominator_target(self):
-        # targets whose cross products overflow int64 take the big-int path
+        # d*p overflows int64 here; the rank must still be exact
         x = Fraction(123456789012345677, 999999999999999998)
         assert rank_fast(50, x).rank == rank_oracle(50, x).rank == brute_rank(50, Rat(x.num, x.den))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_old_int64_edge(self, offset):
+        # the former vectorized path switched to a big-int path at (n+1)*p = 2^62
+        n = 1000
+        p = 2**62 // (n + 1) + offset
+        assert ((n + 1) * p < 2**62) == (offset < 1)
+        for q in (2 * p + 1, 3 * p - 1):
+            x = Fraction(p, q)
+            assert x.num == p
+            assert rank_fast(n, x).rank == rank_oracle(n, x).rank
+
+    @settings(deadline=None)
+    @given(st.integers(1, 400), unit_interval_fractions())
+    def test_fast_equals_oracle_drawn(self, n, x):
+        assert rank_fast(n, x).rank == rank_oracle(n, x).rank
+
+    @settings(deadline=None)
+    @given(st.integers(1, 60), unit_interval_fractions())
+    def test_fast_equals_brute_drawn(self, n, x):
+        assert rank_fast(n, x).rank == brute_rank(n, as_rat(x))
+
+    @given(st.integers(0, 500), st.integers(0, 10**18), st.integers(1, 10**18))
+    def test_floor_sum_matches_loop(self, m, p, q):
+        assert _floor_sum(m, p, q) == sum(d * p // q for d in range(1, m + 1))
 
     def test_symmetry(self):
         for n in (7, 30, 101):

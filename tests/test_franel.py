@@ -84,6 +84,15 @@ class TestPartialSums:
         with pytest.raises(PreconditionError):
             partial_franel_sum_range(6, Fraction(1, 2), ONE, 3)
 
+    def test_anchor_checked_at_large_orders(self):
+        n = 200_000
+        half = Fraction(1, 2)
+        anchor = rank_fast(n, half).rank
+        result = partial_franel_sum_range(n, half, half, anchor)
+        assert (result.rank_lo, result.term_count) == (anchor, 1)
+        with pytest.raises(PreconditionError, match="anchor rank"):
+            partial_franel_sum_range(n, half, half, anchor + 1)
+
     def test_rejects_anchor_not_in_sequence(self):
         with pytest.raises(PreconditionError):
             partial_franel_sum_range(6, Fraction(1, 7), ONE, 2)

@@ -1,10 +1,14 @@
 from decimal import Decimal, localcontext
 from fractions import Fraction as Rat
+from itertools import accumulate
 from math import lcm
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from fareysums import totient
 from fareysums.errors import BudgetError, PreconditionError
 from fareysums.totient import (
     PI_SQUARED,
@@ -14,6 +18,7 @@ from fareysums.totient import (
     error_terms,
     farey_cardinality,
     lcm_range,
+    mertens_upto,
     mobius_upto,
     scaled_phi_ratio_sum,
 )
@@ -176,3 +181,20 @@ class TestMobius:
         small = mobius_upto(10)
         big = mobius_upto(1000)
         assert np.array_equal(big[:11], small)
+
+
+class TestMertens:
+    def test_spot_values(self):
+        # M(1..10) = 1, 0, -1, -1, -2, -1, -2, -2, -2, -1
+        assert mertens_upto(10).tolist() == [0, 1, 0, -1, -1, -2, -1, -2, -2, -2, -1]
+        assert mertens_upto(10).dtype == np.int64
+
+    @given(st.lists(st.integers(0, 5000), min_size=1, max_size=4))
+    def test_running_sum_of_mu_as_the_cache_grows(self, limits):
+        # a private, empty cache, so the drawn limits decide every growth step
+        with mock.patch.dict(totient._mu_cache, clear=True):
+            for limit in limits:
+                mertens = mertens_upto(limit)
+                running = list(accumulate(int(v) for v in mobius_upto(limit)))
+                assert mertens.tolist() == running
+                mobius_upto(2 * limit + 1)  # grow mu alone; M must follow
