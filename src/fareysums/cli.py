@@ -338,9 +338,8 @@ def _cmd_franel(args, config: Config, out: _Output) -> int:
     else:
         lo = args.lo if args.lo is not None else ZERO
         hi = args.hi if args.hi is not None else ONE
-        anchor = rank_fast(args.order, lo).rank
         result = partial_franel_sum_range(
-            args.order, lo, hi, anchor, table, term_budget=config.term_budget
+            args.order, lo, hi, None, table, term_budget=config.term_budget
         )
     out.table(_FRANEL_HEADER, [_franel_row(result)])
     return 0

@@ -1,23 +1,45 @@
 """Full and partial deviation sums of Farey fractions from evenly spaced points.
 
-The summand at rank j is |F_N(j) - j/|F_N||.  Each term is handled as the exact
-integer pair (|num*M - j*den|, den*M), so the floating accumulation only ever
-rounds a correctly-rounded quotient, and a Neumaier-compensated sum keeps the
-drift around machine epsilon regardless of term count.  An exact rational sum
-is carried alongside while the term count stays within the exact-mode budget.
+The summand at rank j is |F_N(j) - j/|F_N||.  Every scan runs through one
+numpy kernel, `_scan`, over F_N in [lo, hi].  It takes the window's members
+in ascending chunks of at most `_SLICE_TERMS` terms, by whichever of two
+enumerations costs less for the window's order and term count (`_streams`):
+
+- value slices: per denominator k the numerators of a slice come from floor
+  arithmetic on its end points, and one sort by value orders them and merges
+  each h/k with its unreduced multiples.  A slice costs time and memory in
+  every denominator up to N, so it pays off when the slice holds many terms
+  per denominator;
+- streaming by the next-term recurrence (`iter_window`), which costs time in
+  the members alone: narrow windows, and every window at large orders.
+
+Ranks follow from the rank of lo, so each term is the exact integer pair
+(|h*M - j*k|, k*M).  The kernel reduces the terms to:
+
+- the float sum, by `math.fsum` over every term, so it is correctly rounded;
+- the exact maximum and its earliest rank: a float prefilter keeps the terms
+  near the largest float, and Python ints recheck them;
+- when the term count is within the exact-mode budget, the exact sum grouped
+  per denominator, sum_k D_k*(L/k) / (L*M), with D_k the summed integer
+  deviations of denominator k and L the lcm of the denominators seen.
+
+The term count is known from ranks before the scan starts, so budgets are
+checked before any term is enumerated, and the enumeration is checked
+against it afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Rat
-from math import gcd, log
+from itertools import chain, islice
+from math import fsum, gcd, log
 
 import numpy as np
 
 from .arith import Fraction, ONE, ZERO
 from .errors import BudgetError, PreconditionError
-from .farey import iter_window, rank_fast
+from .farey import _check_window_args, iter_window, rank_fast
 from .totient import (
     THREE_OVER_PI_SQ,
     TotientTable,
@@ -29,26 +51,24 @@ from .totient import (
 DEFAULT_TERM_BUDGET = 100_000_000
 EXACT_MODE_BUDGET = 10_000
 
-
-class _NeumaierSum:
-    """Compensated accumulator; relative drift stays near eps even over 1e8 terms."""
-
-    __slots__ = ("total", "comp")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, term: float) -> None:
-        t = self.total + term
-        if abs(self.total) >= abs(term):
-            self.comp += (self.total - t) + term
-        else:
-            self.comp += (term - t) + self.total
-        self.total = t
-
-    def value(self) -> float:
-        return self.total + self.comp
+_SLICE_TERMS = 1 << 16
+# Streaming a member costs about as much as the floor arithmetic of 12
+# denominators in a slice, and a slice's fixed numpy overhead about as much
+# as 768 denominators (0.5 us, 40 ns and 30 us on a 2-core Xeon, Python
+# 3.11, numpy 2.4).  A window is sliced only when that is cheaper, so never
+# at n + 768 > 12*_SLICE_TERMS, and every sliced order is below 2**20.
+_STREAM_COST = 12
+_SLICE_OVERHEAD = 768
+# Every product h*scale and j*k is below n*scale.  At or past this margin
+# (n*|F_n| >= 2**62 at about n = 2.5e6) the deviations are Python ints
+# (dtype=object); below it they are int64.
+_INT64_MARGIN = 1 << 62
+# One term dev/den is within 3u of exact, relatively (u = 2**-53): one
+# rounding each for dev and den as float64 and one for the quotient.  The
+# exact maximum, and every exact tie of it, is then within 6u of the largest
+# float, so every float within 8u of it is rechecked in Python ints.  The
+# sweep's terms are within 3u absolutely, and it uses 8u as an absolute slack.
+_TERM_SLACK = 2.0**-50
 
 
 @dataclass
@@ -80,54 +100,169 @@ def _table_for(n: int, table: TotientTable | None) -> TotientTable:
     return build_totient_table(n)
 
 
-def _scan_deviation_range(
+def _floors(n: int, num: int, den: int, shift: int = 0) -> np.ndarray:
+    """floor((k*num + shift)/den) for k = 1..n as int64, exact for any num and den."""
+    exact_in_int64 = max(n * num + abs(shift), den) < 1 << 63
+    ks = np.arange(1, n + 1, dtype=np.int64 if exact_in_int64 else object)
+    return ((ks * num + shift) // den).astype(np.int64, copy=False)
+
+
+def _cuts(lo: Fraction, hi: Fraction, slices: int):
+    """Upper ends (num, den) of `slices` value slices of [lo, hi]; the last is hi.
+
+    The s-th inner cut is lo + s*(hi - lo)/slices rounded down to a multiple
+    of 1/D, with D a power of two above 2*slices/(hi - lo): the cuts stay
+    strictly increasing inside (lo, hi), and their floors stay small ints.
+    """
+    p, q, r, s = lo.num, lo.den, hi.num, hi.den
+    width_num, width_den = r * q - p * s, q * s
+    if slices > 1:
+        grid = 1 << (2 * slices * width_den // width_num + 1).bit_length()
+        for i in range(1, slices):
+            yield grid * (p * s * slices + i * width_num) // (width_den * slices), grid
+    yield r, s
+
+
+def _streams(n: int, count: int) -> bool:
+    """Whether streaming the count members of a window of F_n costs less than slicing it."""
+    return _STREAM_COST * count < -(-count // _SLICE_TERMS) * (n + _SLICE_OVERHEAD)
+
+
+def _members(n: int, lo: Fraction, hi: Fraction, count: int):
+    """Int64 (h, k) arrays, one pair per member of F_n in [lo, hi], ascending, chunk by chunk."""
+    if _streams(n, count):
+        pairs = iter_window(n, lo, hi)
+        while chunk := list(islice(pairs, _SLICE_TERMS)):
+            hs, ks = np.array(chunk, dtype=np.int64).T
+            yield hs, ks
+    else:
+        yield from _slices(n, lo, hi, count)
+
+
+def _slices(n: int, lo: Fraction, hi: Fraction, count: int):
+    """The members of F_n in [lo, hi] by value slices of about _SLICE_TERMS terms.
+
+    A pair need not be reduced: t*h/t*k stands for h/k.  Its deviation term
+    |t*h*M - j*t*k| / (t*k*M) is the same rational, so every reduction that
+    compares or adds terms as rationals is unchanged.  The sort key is the
+    float h/k: equal values give equal floats (one correctly rounded
+    division), and at the orders that are sliced (below 2**20) distinct
+    members differ by at least 1/n**2 > 2**-40, far above float64 rounding,
+    so the order and the ties of the keys are those of the values.
+    """
+    lower = _floors(n, lo.num, lo.den, -1)  # h <= lower[k-1] iff h/k < lo
+    for num, den in _cuts(lo, hi, -(-count // _SLICE_TERMS)):
+        upper = _floors(n, num, den)  # h <= upper[k-1] iff h/k <= num/den
+        runs = upper - lower
+        ks = np.flatnonzero(runs)
+        runs = runs[ks]
+        total = int(runs.sum())
+        if total:
+            starts = np.cumsum(runs) - runs
+            hs = np.arange(total, dtype=np.int64) + np.repeat(lower[ks] + 1 - starts, runs)
+            ks = np.repeat(ks + 1, runs)
+            # t*h/t*k has the key of h/k, so after the sort each run of equal
+            # keys is one member; the first pair of the run stands for it.
+            key = hs / ks
+            order = np.argsort(key)
+            key = key[order]
+            pick = order[np.concatenate(([True], key[1:] != key[:-1]))]
+            yield hs[pick], ks[pick]
+        lower = upper
+
+
+class _Reduction:
+    """Running reductions of one scan, fed its chunks of members in rank order.
+
+    A term is dev/den with dev = |h*scale - j*k| at rank j, or the signed
+    h*scale - fixed_rank*k when a fixed rank is given (then no maximum is
+    kept).  den is k*scale.
+    """
+
+    def __init__(self, rank_lo: int, scale: int, fixed_rank: int | None, exact: bool, wide: bool):
+        self.next_rank = rank_lo
+        self.scale = scale
+        self.fixed_rank = fixed_rank
+        self.wide = wide
+        self.groups: dict[int, int] | None = {} if exact else None
+        self.best_dev, self.best_den, self.best_rank = 0, 1, rank_lo
+        self.sum_float = 0.0
+
+    def add(self, hs: np.ndarray, ks: np.ndarray) -> memoryview:
+        """Reduce one chunk; return its float terms for the running fsum."""
+        js = np.arange(self.next_rank, self.next_rank + hs.size, dtype=np.int64)
+        if self.wide:
+            hs, ks, js = hs.astype(object), ks.astype(object), js.astype(object)
+        if self.fixed_rank is None:
+            dev = np.abs(hs * self.scale - js * ks)
+        else:
+            dev = hs * self.scale - self.fixed_rank * ks
+        den = ks * self.scale
+        terms = (dev / den).astype(np.float64, copy=False)
+        if self.fixed_rank is None:
+            top = terms.max()
+            for i in np.flatnonzero(terms >= top - top * _TERM_SLACK).tolist():
+                d, q = int(dev[i]), int(den[i])
+                if d * self.best_den > self.best_dev * q:
+                    self.best_dev, self.best_den, self.best_rank = d, q, self.next_rank + i
+        if self.groups is not None:
+            groups = self.groups
+            for k, d in zip(ks.tolist(), dev.tolist()):
+                groups[k] = groups.get(k, 0) + d
+        self.next_rank += hs.size
+        return memoryview(terms)
+
+    def sum_exact(self) -> Rat | None:
+        """sum_k D_k*(L/k) / (L*scale), added pairwise over the lcm of each pair's denominators."""
+        if self.groups is None:
+            return None
+        parts = [(d, k) for k, d in self.groups.items()]
+        while len(parts) > 1:
+            paired = []
+            for (a, b), (c, d) in zip(parts[::2], parts[1::2]):
+                g = gcd(b, d)
+                paired.append((a * (d // g) + c * (b // g), b // g * d))
+            parts = paired + parts[2 * len(paired):]
+        total, common = parts[0]
+        return Rat(total, common * self.scale)
+
+
+def _scan(
     n: int,
     lo: Fraction,
     hi: Fraction,
     rank_lo: int,
-    cardinality: int,
-    exact_budget: int,
-    term_budget: int,
-) -> FranelResult:
-    m = cardinality
-    j = rank_lo
-    acc = _NeumaierSum()
-    exact: Rat | None = Rat(0)
-    best_num, best_den, best_rank = 0, 1, rank_lo
-    count = 0
-    for num, den in iter_window(n, lo, hi):
-        count += 1
-        if count > term_budget:
-            raise BudgetError(
-                f"deviation scan over [{lo}, {hi}] at order {n} exceeded the "
-                f"term budget {term_budget}; use a smaller section"
-            )
-        dev = num * m - j * den
-        if dev < 0:
-            dev = -dev
-        dm = den * m
-        acc.add(dev / dm)
-        if exact is not None:
-            if count <= exact_budget:
-                exact += Rat(dev, dm)
-            else:
-                exact = None
-        if dev * best_den > best_num * dm:
-            best_num, best_den, best_rank = dev, dm, j
-        j += 1
-    if count == 0:
+    count: int,
+    scale: int,
+    exact: bool,
+    fixed_rank: int | None = None,
+) -> _Reduction:
+    """The deviation kernel over the `count` members of F_n in [lo, hi], from rank rank_lo."""
+    if count < 1:
         raise PreconditionError(f"no F_{n} fractions in [{lo}, {hi}]")
+    red = _Reduction(rank_lo, scale, fixed_rank, exact, n * scale >= _INT64_MARGIN)
+    chunks = _members(n, lo, hi, count)
+    red.sum_float = fsum(chain.from_iterable(red.add(hs, ks) for hs, ks in chunks))
+    if red.next_rank - rank_lo != count:
+        raise PreconditionError(
+            f"scan over [{lo}, {hi}] at order {n} enumerated {red.next_rank - rank_lo} "
+            f"terms but the ranks give {count}"
+        )
+    return red
+
+
+def _franel_result(n: int, lo: Fraction, hi: Fraction, rank_lo: int, count: int, red: _Reduction):
     return FranelResult(
         order=n,
         lo=lo,
         hi=hi,
         rank_lo=rank_lo,
-        rank_hi=j - 1,
+        rank_hi=rank_lo + count - 1,
         term_count=count,
-        sum_exact=exact,
-        sum_float=acc.value(),
-        max_term=best_num / best_den,
-        argmax_rank=best_rank,
+        sum_exact=red.sum_exact(),
+        sum_float=red.sum_float,
+        max_term=red.best_dev / red.best_den,
+        argmax_rank=red.best_rank,
     )
 
 
@@ -137,39 +272,49 @@ def full_franel_sum(
     exact_budget: int = EXACT_MODE_BUDGET,
     term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> FranelResult:
-    """Deviation sum over the whole of F_n, ranks assigned by streaming from 0/1."""
+    """Deviation sum over the whole of F_n, ranks counted from 0/1."""
     table = _table_for(n, table)
     m = farey_cardinality(n, table)
     if m > term_budget:
         raise BudgetError(f"|F_{n}| = {m} exceeds the term budget {term_budget}")
-    return _scan_deviation_range(n, ZERO, ONE, 1, m, exact_budget, term_budget)
+    red = _scan(n, ZERO, ONE, 1, m, m, m <= exact_budget)
+    return _franel_result(n, ZERO, ONE, 1, m, red)
 
 
 def partial_franel_sum_range(
     n: int,
     lo: Fraction,
     hi: Fraction,
-    rank_of_lo: int,
+    rank_of_lo: int | None = None,
     table: TotientTable | None = None,
     exact_budget: int = EXACT_MODE_BUDGET,
     term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> FranelResult:
     """Deviation sum over the F_n fractions in [lo, hi], with ranks anchored at lo.
 
-    lo must itself belong to F_n and rank_of_lo must be its rank; the anchor is
-    checked against rank_fast at every order (O(sqrt(n) log q) per check).
-    Ranks inside the window are then assigned incrementally.
+    lo must itself belong to F_n.  Its rank is computed once by rank_fast
+    (O(sqrt(n) log q)); a given rank_of_lo is checked against it.  The term
+    count rank(hi) - rank(lo) + 1 is checked against term_budget before the
+    scan starts.
     """
     if lo.den > n:
         raise PreconditionError(f"lo={lo} is not in F_{n}")
-    expected = rank_fast(n, lo).rank
-    if rank_of_lo != expected:
+    rank_lo = rank_fast(n, lo).rank
+    if rank_of_lo is not None and rank_of_lo != rank_lo:
         raise PreconditionError(
-            f"anchor rank {rank_of_lo} does not match the rank {expected} of {lo} in F_{n}"
+            f"anchor rank {rank_of_lo} does not match the rank {rank_lo} of {lo} in F_{n}"
+        )
+    _check_window_args(n, lo, hi)
+    count = rank_fast(n, hi).rank - rank_lo + 1
+    if count > term_budget:
+        raise BudgetError(
+            f"deviation scan over [{lo}, {hi}] at order {n} holds {count} terms, over the "
+            f"term budget {term_budget}; use a smaller section"
         )
     table = _table_for(n, table)
     m = farey_cardinality(n, table)
-    return _scan_deviation_range(n, lo, hi, rank_of_lo, m, exact_budget, term_budget)
+    red = _scan(n, lo, hi, rank_lo, count, m, count <= exact_budget)
+    return _franel_result(n, lo, hi, rank_lo, count, red)
 
 
 @dataclass
@@ -219,13 +364,12 @@ def vertex_partial_sum(
     endpoint = Fraction(vertex.num * q + co_vertex.num, eta * q + co_vertex.den)
     lo, hi = (vertex, endpoint) if vertex < endpoint else (endpoint, vertex)
     table = _table_for(n, table)
-    rank_lo = rank_fast(n, lo).rank
-    result = partial_franel_sum_range(n, lo, hi, rank_lo, table, term_budget=term_budget)
+    result = partial_franel_sum_range(n, lo, hi, None, table, term_budget=term_budget)
     sum_over_log = result.sum_float / log(n)
     predicted = None
     ratio = None
     if eta > 2:
-        vertex_rank = rank_lo if lo == vertex else rank_fast(n, vertex).rank
+        vertex_rank = result.rank_lo if lo == vertex else result.rank_hi
         m = farey_cardinality(n, table)
         gap = abs(vertex.num / eta - vertex_rank / m)
         predicted = log(n / eta) * (n / eta) * THREE_OVER_PI_SQ * gap
@@ -277,28 +421,17 @@ def kanemitsu_sum(
         raise PreconditionError(f"the prefix sum needs n >= 4, got {n}")
     table = _table_for(n, table)
     m = farey_cardinality(n, table)
-    prefix_rank = rank_fast(n, Fraction(1, 4)).rank
-    acc = _NeumaierSum()
-    exact: Rat | None = Rat(0)
-    count = 0
-    denom = 2 * m
-    for num, den in iter_window(n, ZERO, Fraction(1, 4)):
-        count += 1
-        if count > term_budget:
-            raise BudgetError(f"prefix scan at order {n} exceeded the term budget {term_budget}")
-        dev = num * denom - prefix_rank * den
-        dm = den * denom
-        acc.add(dev / dm)
-        if exact is not None:
-            if count <= exact_budget:
-                exact += Rat(dev, dm)
-            else:
-                exact = None
-    if count != prefix_rank:
-        raise PreconditionError(
-            f"prefix scan counted {count} terms but the rank of 1/4 is {prefix_rank}"
+    quarter = Fraction(1, 4)
+    prefix_rank = rank_fast(n, quarter).rank
+    if prefix_rank > term_budget:
+        raise BudgetError(
+            f"prefix scan at order {n} holds {prefix_rank} terms, "
+            f"over the term budget {term_budget}"
         )
-    return KanemitsuResult(n, prefix_rank, m, exact, acc.value())
+    red = _scan(
+        n, ZERO, quarter, 1, prefix_rank, 2 * m, prefix_rank <= exact_budget, fixed_rank=prefix_rank
+    )
+    return KanemitsuResult(n, prefix_rank, m, red.sum_exact(), red.sum_float)
 
 
 @dataclass
@@ -327,21 +460,10 @@ def dress_scan(
     m = farey_cardinality(n, table)
     if m > term_budget:
         raise BudgetError(f"|F_{n}| = {m} exceeds the term budget {term_budget}")
-    best_num, best_den, best_rank = 0, 1, 1
-    ok = True
-    j = 1
-    for num, den in iter_window(n, ZERO, ONE):
-        dev = num * m - j * den
-        if dev < 0:
-            dev = -dev
-        dm = den * m
-        if dev * best_den > best_num * dm:
-            best_num, best_den, best_rank = dev, dm, j
-        if dev * n > dm:
-            ok = False
-        j += 1
+    red = _scan(n, ZERO, ONE, 1, m, m, exact=False)
+    ok = red.best_dev * n <= red.best_den  # the bound holds for every term iff for the largest
     rank2_term = abs(m - 2 * n) / (n * m) if n >= 1 else 0.0
-    return DressReport(n, best_num / best_den, best_rank, ok, rank2_term)
+    return DressReport(n, red.best_dev / red.best_den, red.best_rank, ok, rank2_term)
 
 
 @dataclass
@@ -358,11 +480,20 @@ class DressSweep:
 def dress_scan_sweep(n_max: int, element_budget: int = 2_000_000) -> DressSweep:
     """Check max_j |F_N(j) - j/|F_N|| <= 1/N for every N <= n_max in one pass.
 
-    Maintains the sorted fraction arrays incrementally (denominator N inserts
-    phi(N) new elements via one vectorized merge), so the whole sweep costs
-    O(|F_N|) vector work per order instead of a fresh enumeration.  The bound
-    test itself is exact int64 arithmetic; worst_ratio reports max over N of
-    N * max_term as a float.
+    F_N is kept as the sorted float values h/k.  Each order merges its
+    phi(N) new members into a second preallocated buffer, and the two
+    buffers swap, so an order costs a few passes over |F_N| and allocates
+    nothing of that size.  The largest deviation is found by a float
+    prefilter and an exact recheck.  Each float |h/k - j/|F_N|| is within 3u
+    of the exact deviation (u = 2**-53): one rounding each for h/k, for
+    j/|F_N| and for their difference, all of them at most 1.  So the exact
+    maximum is within 6u of the largest float, and every term within 8u
+    (absolute) of it is recomputed in Python ints.  Its h/k is recovered
+    exactly as the fraction nearest the float with denominator <= N: the
+    float is within 2**-54 of h/k, and every other such fraction is at least
+    1/N**2 away, which is more than 2**-53 for N < 2**26.  The bound test,
+    the violations, worst_ratio (max over N of N * max_term, rounded once)
+    and worst_order (the first order that reaches it) are exact.
     """
     if n_max < 1:
         raise PreconditionError(f"n_max must be >= 1, got {n_max}")
@@ -372,26 +503,39 @@ def dress_scan_sweep(n_max: int, element_budget: int = 2_000_000) -> DressSweep:
             f"sweep to {n_max} needs about {final_size:.3g} resident elements, "
             f"over budget {element_budget}"
         )
-    vals = np.array([0.0, 1.0])
-    nums = np.array([0, 1], dtype=np.int64)
-    dens = np.array([1, 1], dtype=np.int64)
+    capacity = farey_cardinality(n_max, build_totient_table(n_max))
+    vals, merged = np.empty(capacity), np.empty(capacity)
+    kept = np.empty(capacity, dtype=bool)
+    ranks = np.arange(1, capacity + 1, dtype=np.float64)
+    work = np.empty(capacity)
+    vals[:2] = 0.0, 1.0
+    m = 2
     violations: list[int] = []
-    worst_ratio, worst_order = 0.5, 1  # order 1: terms 1/2 and 0 against the cap 1
+    worst_num, worst_den, worst_order = 1, 2, 1  # order 1: terms 1/2 and 0 against the cap 1
     for n in range(2, n_max + 1):
-        new_h = [h for h in range(1, n) if gcd(h, n) == 1]
-        new_vals = np.array(new_h, dtype=np.float64) / n
-        pos = np.searchsorted(vals, new_vals)
-        vals = np.insert(vals, pos, new_vals)
-        nums = np.insert(nums, pos, new_h)
-        dens = np.insert(dens, pos, np.int64(n))
-        m = nums.size
-        ranks = np.arange(1, m + 1, dtype=np.int64)
-        dev = np.abs(nums * m - ranks * dens)
-        den_m = dens * m
-        if np.any(dev * n > den_m):
+        new_h = np.arange(1, n, dtype=np.int64)
+        new_vals = new_h[np.gcd(new_h, n) == 1] / n
+        dest = np.searchsorted(vals[:m], new_vals) + np.arange(new_vals.size)
+        old_m, m = m, m + new_vals.size
+        slots = kept[:m]
+        slots[:] = True
+        slots[dest] = False
+        merged[:m][slots] = vals[:old_m]
+        merged[dest] = new_vals
+        vals, merged = merged, vals
+        terms = work[:m]
+        np.divide(ranks[:m], m, out=terms)
+        np.subtract(vals[:m], terms, out=terms)
+        np.abs(terms, out=terms)
+        best_dev, best_den = 0, 1
+        for i in np.flatnonzero(terms >= terms.max() - _TERM_SLACK).tolist():
+            x = Rat(float(vals[i])).limit_denominator(n)
+            h, k = x.numerator, x.denominator
+            dev = abs(h * m - (i + 1) * k)
+            if dev * best_den > best_dev * k * m:
+                best_dev, best_den = dev, k * m
+        if best_dev * n > best_den:
             violations.append(n)
-        idx = int(np.argmax(dev / dens))  # m and n are constant factors
-        ratio = float(dev[idx]) * n / float(den_m[idx])
-        if ratio > worst_ratio:
-            worst_ratio, worst_order = ratio, n
-    return DressSweep(n_max, not violations, violations, worst_ratio, worst_order)
+        if best_dev * n * worst_den > worst_num * best_den:
+            worst_num, worst_den, worst_order = best_dev * n, best_den, n
+    return DressSweep(n_max, not violations, violations, worst_num / worst_den, worst_order)

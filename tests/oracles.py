@@ -1,11 +1,15 @@
 """Independent brute-force oracles used across the test suite.
 
 Everything here is built from the stdlib only (math.gcd + fractions.Fraction)
-so that it shares no code path with the package under test.
+so that it shares no code path with the package under test.  The one
+exception is `stream_deviations`, which walks `iter_window` (the next-term
+recurrence) as the reference for the vectorized deviation kernel.
 """
 
 from fractions import Fraction as Rat
-from math import gcd
+from math import fsum, gcd
+
+from fareysums.farey import iter_window
 
 
 def brute_farey(n: int) -> list[Rat]:
@@ -39,3 +43,38 @@ def brute_deviation_sum(n: int, lo: Rat, hi: Rat) -> Rat:
 def brute_phi(n: int) -> int:
     """Euler phi by definition (gcd counting)."""
     return sum(1 for h in range(1, n + 1) if gcd(h, n) == 1)
+
+
+def stream_deviations(n, lo, hi, rank_lo, scale, exact_budget, fixed_rank=None) -> dict:
+    """The deviation scan one term at a time, in plain ints, over iter_window(n, lo, hi).
+
+    The term at rank j (counted up from rank_lo) is |h*scale - j*k| / (k*scale),
+    or the signed (h*scale - fixed_rank*k) / (k*scale) when fixed_rank is given.
+    Returns the term count, the rank of the last term, the exact sum (None when
+    the count passes exact_budget), the fsum of the correctly rounded terms, and
+    the largest term with its earliest rank, compared exactly (absolute terms
+    only).
+    """
+    j = rank_lo
+    terms = []
+    best_num, best_den, best_rank = 0, 1, rank_lo
+    for h, k in iter_window(n, lo, hi):
+        dev = h * scale - (j if fixed_rank is None else fixed_rank) * k
+        if fixed_rank is None:
+            dev = abs(dev)
+        den = k * scale
+        terms.append((dev, den))
+        if dev * best_den > best_num * den:
+            best_num, best_den, best_rank = dev, den, j
+        j += 1
+    count = len(terms)
+    exact = sum((Rat(d, q) for d, q in terms), start=Rat(0)) if count <= exact_budget else None
+    return {
+        "term_count": count,
+        "rank_hi": j - 1,
+        "sum_exact": exact,
+        "sum_float": fsum(d / q for d, q in terms),
+        "max_term": best_num / best_den,
+        "max_pair": (best_num, best_den),
+        "argmax_rank": best_rank,
+    }

@@ -1,13 +1,20 @@
+import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction as Rat
-from math import log
+from itertools import islice
+from math import isclose, log
 from random import Random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fareysums import franel
 from fareysums.arith import Fraction, INFINITY, ONE, ZERO
 from fareysums.errors import BudgetError, PreconditionError
-from fareysums.farey import farey_neighbors, rank_fast
+from fareysums.farey import farey_neighbors, iter_window, rank_fast
 from fareysums.franel import (
+    EXACT_MODE_BUDGET,
     dress_scan,
     dress_scan_sweep,
     full_franel_sum,
@@ -16,7 +23,44 @@ from fareysums.franel import (
     partial_franel_sum_range,
     vertex_partial_sum,
 )
-from oracles import brute_deviation_sum, brute_farey
+from fareysums.totient import build_totient_table
+from oracles import brute_deviation_sum, brute_farey, stream_deviations
+
+# chunk sizes from a few terms, so that chunk boundaries (and exact ties of
+# the maximum across them) fall inside the windows, up to the default
+_slice_sizes = st.sampled_from([1, 2, 3, 7, 64, franel._SLICE_TERMS])
+# the members by value slices (False) or by streaming (True)
+_streamed = st.booleans()
+
+
+def _slice_size(size: int, count: int) -> int:
+    """size, raised so that a window of count terms is cut into at most 64 slices."""
+    return max(size, -(-count // 64))
+
+
+@contextmanager
+def _enumeration(streamed: bool, size: int):
+    """Force the kernel's enumeration, with chunks of at most size terms."""
+    with patch.object(franel, "_SLICE_TERMS", size):
+        with patch.object(franel, "_streams", lambda n, count: streamed):
+            yield
+
+
+@st.composite
+def _fraction(draw, max_den: int, at_least: Fraction = ZERO) -> Fraction:
+    """A fraction in [at_least, 1] with denominator up to max_den (the constructor reduces)."""
+    q = draw(st.integers(1, max_den))
+    return Fraction(draw(st.integers(-(-at_least.num * q // at_least.den), q)), q)
+
+
+def _assert_matches_stream(result, want: dict) -> None:
+    """Every FranelResult field against the streaming oracle: exact, or floats to 1e-12."""
+    assert result.term_count == want["term_count"]
+    assert result.rank_hi == want["rank_hi"] == result.rank_lo + result.term_count - 1
+    assert result.sum_exact == want["sum_exact"]
+    assert isclose(result.sum_float, want["sum_float"], rel_tol=1e-12, abs_tol=0.0)
+    assert isclose(result.max_term, want["max_term"], rel_tol=1e-12, abs_tol=0.0)
+    assert result.argmax_rank == want["argmax_rank"]
 
 
 class TestFullSum:
@@ -92,6 +136,23 @@ class TestPartialSums:
         assert (result.rank_lo, result.term_count) == (anchor, 1)
         with pytest.raises(PreconditionError, match="anchor rank"):
             partial_franel_sum_range(n, half, half, anchor + 1)
+
+    def test_anchor_is_optional(self):
+        for n, lo, hi in ((6, Fraction(1, 2), ONE), (37, Fraction(2, 7), Fraction(5, 9))):
+            anchored = partial_franel_sum_range(n, lo, hi, rank_fast(n, lo).rank)
+            assert partial_franel_sum_range(n, lo, hi) == anchored
+            assert partial_franel_sum_range(n, lo, hi, None) == anchored
+            with pytest.raises(PreconditionError, match="anchor rank"):
+                partial_franel_sum_range(n, lo, hi, anchored.rank_lo - 1)
+
+    def test_over_budget_refused_before_any_term(self):
+        n, lo, hi = 1000, Fraction(1, 3), Fraction(1, 2)
+        count = rank_fast(n, hi).rank - rank_fast(n, lo).rank + 1
+        limit = count - 1
+        with patch.object(franel, "_members", side_effect=AssertionError("enumerated")):
+            with pytest.raises(BudgetError, match=f"holds {count} terms, over the term budget {limit}"):
+                partial_franel_sum_range(n, lo, hi, term_budget=limit)
+        assert partial_franel_sum_range(n, lo, hi, term_budget=count).term_count == count
 
     def test_rejects_anchor_not_in_sequence(self):
         with pytest.raises(PreconditionError):
@@ -249,3 +310,175 @@ class TestDress:
     def test_sweep_budget(self):
         with pytest.raises(BudgetError):
             dress_scan_sweep(100_000)
+
+    def test_sweep_matches_brute_force_to_60(self):
+        violations: list[int] = []
+        worst_ratio, worst_order = Rat(-1), 0
+        for order in range(1, 61):
+            seq = brute_farey(order)
+            m = len(seq)
+            top = max(abs(x - Rat(j, m)) for j, x in enumerate(seq, start=1))
+            if top > Rat(1, order):
+                violations.append(order)
+            if order * top > worst_ratio:
+                worst_ratio, worst_order = order * top, order
+            sweep = dress_scan_sweep(order)
+            assert sweep.violations == violations
+            assert sweep.all_ok == (not violations)
+            assert sweep.worst_ratio == float(worst_ratio)
+            assert sweep.worst_order == worst_order
+
+
+class TestKernelAgainstStream:
+    """The numpy kernel against the per-term loop of tests/oracles.py."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data(), _slice_sizes, _streamed)
+    def test_partial_sums(self, data, size, streamed):
+        n = data.draw(st.integers(1, 300))
+        lo = data.draw(_fraction(n))
+        hi = data.draw(_fraction(3 * n, at_least=lo))
+        count = rank_fast(n, hi).rank - rank_fast(n, lo).rank + 1
+        with _enumeration(streamed, _slice_size(size, count)):
+            result = partial_franel_sum_range(n, lo, hi)
+        assert result.rank_lo == rank_fast(n, lo).rank
+        m = rank_fast(n, ONE).rank
+        want = stream_deviations(n, lo, hi, result.rank_lo, m, EXACT_MODE_BUDGET)
+        _assert_matches_stream(result, want)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data(), _slice_sizes, _streamed)
+    def test_windows_with_ends_between_members(self, data, size, streamed):
+        n = data.draw(st.integers(1, 300))
+        lo = data.draw(_fraction(3 * n))
+        hi = data.draw(_fraction(3 * n, at_least=lo))
+        m = rank_fast(n, ONE).rank
+        rank_lo = rank_fast(n, lo).rank + (lo.den > n)  # the first member >= lo
+        count = rank_fast(n, hi).rank - rank_lo + 1
+        exact = count <= EXACT_MODE_BUDGET
+        with _enumeration(streamed, _slice_size(size, count)):
+            if count == 0:
+                with pytest.raises(PreconditionError, match="no F_"):
+                    franel._scan(n, lo, hi, rank_lo, count, m, exact)
+                return
+            red = franel._scan(n, lo, hi, rank_lo, count, m, exact)
+        result = franel._franel_result(n, lo, hi, rank_lo, count, red)
+        _assert_matches_stream(result, stream_deviations(n, lo, hi, rank_lo, m, EXACT_MODE_BUDGET))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 200), _slice_sizes, _streamed)
+    def test_whole_sequence_scans(self, n, size, streamed):
+        m = rank_fast(n, ONE).rank
+        with _enumeration(streamed, _slice_size(size, m)):
+            full = full_franel_sum(n)
+            report = dress_scan(n)
+        want = stream_deviations(n, ZERO, ONE, 1, m, EXACT_MODE_BUDGET)
+        _assert_matches_stream(full, want)
+        assert (report.max_term, report.argmax_rank) == (full.max_term, full.argmax_rank)
+        dev, den = want["max_pair"]
+        assert report.bound_ok == (dev * n <= den)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(4, 300), _slice_sizes, _streamed)
+    def test_prefix_sums(self, n, size, streamed):
+        count = rank_fast(n, Fraction(1, 4)).rank
+        with _enumeration(streamed, _slice_size(size, count)):
+            got = kanemitsu_sum(n)
+        r, m = got.prefix_rank, got.cardinality
+        assert (r, m) == (rank_fast(n, Fraction(1, 4)).rank, rank_fast(n, ONE).rank)
+        want = stream_deviations(n, ZERO, Fraction(1, 4), 1, 2 * m, EXACT_MODE_BUDGET, fixed_rank=r)
+        assert want["term_count"] == r
+        assert got.sum_exact == want["sum_exact"]
+        assert isclose(got.sum_float, want["sum_float"], rel_tol=1e-12, abs_tol=0.0)
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    @pytest.mark.parametrize("size", [1, 2, 5, franel._SLICE_TERMS])
+    @pytest.mark.parametrize(
+        "n,lo,hi,ranks",
+        [
+            (10, (1, 9), (2, 9), (3, 8)),
+            (14, (1, 13), (6, 13), (3, 32)),
+            (39, (13, 38), (15, 38), (160, 190)),
+        ],
+    )
+    def test_max_ties_go_to_the_earliest_rank(self, streamed, size, n, lo, hi, ranks):
+        # the largest deviation of each window is attained exactly at both ranks
+        seq = brute_farey(n)
+        devs = [abs(x - Rat(j, len(seq))) for j, x in enumerate(seq, start=1)]
+        first, last = ranks
+        assert devs[first - 1] == devs[last - 1] == max(devs[first - 1 : last])
+        with _enumeration(streamed, size):
+            result = partial_franel_sum_range(n, Fraction(*lo), Fraction(*hi))
+        assert (result.rank_lo, result.rank_hi, result.argmax_rank) == (first, last, first)
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_enumeration_is_checked_against_the_ranks(self, streamed):
+        with _enumeration(streamed, franel._SLICE_TERMS):
+            with pytest.raises(PreconditionError, match="enumerated 13 terms but the ranks give 12"):
+                franel._scan(6, ZERO, ONE, 1, 12, 13, True)
+
+
+class TestEnumerationChoice:
+    def test_choice_follows_the_cost_model(self):
+        # narrow windows and tiny orders stream; many terms per denominator slice
+        assert franel._streams(12, 47)
+        assert franel._streams(27_720, 1000)
+        assert not franel._streams(5040, 4500)
+        assert not franel._streams(27_720, rank_fast(27_720, ONE).rank)
+
+    def test_sliced_orders_stay_below_two_to_the_twenty(self):
+        # the slices' float sort key is exact only there
+        size = franel._SLICE_TERMS
+        first_always_streamed = franel._STREAM_COST * size - franel._SLICE_OVERHEAD + 1
+        assert first_always_streamed < 2**20
+        for count in (1, size - 1, size, size + 1, 7 * size, 10**8):
+            assert franel._streams(first_always_streamed, count)
+        assert not franel._streams(first_always_streamed - 1, size)
+
+    def test_tiny_window_at_a_large_order_costs_its_members(self):
+        n = 1_000_000
+        lo = Fraction(1, 3)
+        hi = Fraction(*list(islice(iter_window(n, lo, ONE), 4))[-1])
+        rank_lo, m = rank_fast(n, lo).rank, rank_fast(n, ONE).rank
+        tracemalloc.start()
+        try:
+            with patch.object(franel, "_slices", side_effect=AssertionError("sliced")):
+                red = franel._scan(n, lo, hi, rank_lo, 4, m, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one slice would hold several int64 arrays of n entries (8 MB each)
+        assert peak < 1 << 16
+        result = franel._franel_result(n, lo, hi, rank_lo, 4, red)
+        _assert_matches_stream(result, stream_deviations(n, lo, hi, rank_lo, m, EXACT_MODE_BUDGET))
+
+
+class TestInt64Margin:
+    def test_tiny_windows_either_side_of_the_switch(self):
+        # the first order with n*|F_n| >= 2**62, where deviations leave int64
+        below, above = 2_000_000, 3_000_000
+        while above - below > 1:
+            mid = (below + above) // 2
+            if mid * rank_fast(mid, ONE).rank >= franel._INT64_MARGIN:
+                above = mid
+            else:
+                below = mid
+        assert franel._INT64_MARGIN == 2**62
+        table = build_totient_table(above)
+        reductions = []
+        reduction = franel._Reduction
+
+        def spy(*args):
+            reductions.append(reduction(*args))
+            return reductions[-1]
+
+        for n in (below, above):
+            lo = Fraction(1, 3)
+            hi = Fraction(*list(islice(iter_window(n, lo, ONE), 4))[-1])
+            with patch.object(franel, "_Reduction", side_effect=spy):
+                result = partial_franel_sum_range(n, lo, hi, None, table)
+            assert result.term_count == 4
+            m = rank_fast(n, ONE).rank
+            want = stream_deviations(n, lo, hi, result.rank_lo, m, EXACT_MODE_BUDGET)
+            _assert_matches_stream(result, want)
+        assert [red.wide for red in reductions] == [False, True]
