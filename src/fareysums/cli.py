@@ -25,6 +25,7 @@ from .arith import Fraction, INFINITY, ONE, ZERO, gcd_triple
 from .errors import BudgetError, FareyError, PreconditionError, TheoremViolation
 from .farey import enumerate_window, rank_fast, rank_oracle
 from .franel import (
+    DEFAULT_TERM_BUDGET,
     dress_scan,
     dress_scan_sweep,
     full_franel_sum,
@@ -33,16 +34,20 @@ from .franel import (
     partial_franel_sum_range,
 )
 from .index import asymptotic_index_zero, exact_index_unit_fraction
-from .mapping import MapParams, build_f_prime, cardinality_relation, forward_map, inverse_map, map_window
-from .totient import build_totient_table, error_term_rows, farey_cardinality, lcm_range
+from .mapping import (
+    MapParams, build_f_prime, cardinality_relation, forward_map, inverse_map, make_params, map_window,
+)
+from .totient import (
+    DEFAULT_TABLE_LIMIT, build_totient_table, error_term_rows, farey_cardinality, lcm_range,
+)
 
 
 @dataclass
 class Config:
     """Runtime limits and output shape; env FAREY_* overrides defaults, flags win."""
 
-    table_limit: int = 10_000_000
-    term_budget: int = 100_000_000
+    table_limit: int = DEFAULT_TABLE_LIMIT
+    term_budget: int = DEFAULT_TERM_BUDGET
     output_format: str = "csv"
     precision_digits: int = 12
 
@@ -256,8 +261,10 @@ def _cmd_index(args, config: Config, out: _Output) -> int:
 
 
 def _cmd_map(args, config: Config, out: _Output) -> int:
-    i = args.i if args.i is not None else args.order // (args.q * args.vertex.den)
-    params = MapParams(args.vertex, args.covertex, args.q, i, args.order)
+    if args.i is None:
+        params = make_params(args.vertex, args.covertex, args.q, args.order)
+    else:
+        params = MapParams(args.vertex, args.covertex, args.q, args.i, args.order)
     if args.inverse:
         window = map_window(params)
         rows = [[str(u), str(inverse_map(params, u))] for u in window.fractions]
@@ -280,8 +287,10 @@ def _cmd_gcd_check(args, config: Config, out: _Output) -> int:
             if not (g1 == g2 == g3):
                 bad += 1
     if args.random:
-        rng = Random(args.seed)
         cap = args.max_value
+        if cap < 2:  # below 2 there are no three distinct fractions to draw
+            raise PreconditionError(f"random triples need --max-value >= 2, got {cap}")
+        rng = Random(args.seed)
         produced = 0
         while produced < args.random:
             triple = []

@@ -18,7 +18,6 @@ DEFAULT_WINDOW_BUDGET = 10_000_000
 
 METHOD_ORACLE = "enumeration-oracle"
 METHOD_MOEBIUS = "moebius-rank"
-METHOD_CLOSED_FORM = "closed-form"
 
 
 @dataclass

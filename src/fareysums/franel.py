@@ -40,6 +40,7 @@ import numpy as np
 from .arith import Fraction, ONE, ZERO
 from .errors import BudgetError, PreconditionError
 from .farey import _check_window_args, iter_window, rank_fast
+from .mapping import make_params
 from .totient import (
     THREE_OVER_PI_SQ,
     TotientTable,
@@ -266,6 +267,26 @@ def _franel_result(n: int, lo: Fraction, hi: Fraction, rank_lo: int, count: int,
     )
 
 
+def _window(n: int, lo: Fraction, hi: Fraction, table: TotientTable | None, term_budget: int):
+    """(rank of lo, term count, |F_n|) of a scan over F_n in [lo, hi], checked before any term.
+
+    The table comes first, so that its budget bounds n before rank_fast
+    sieves mu up to n; then lo must be in F_n, and the count within term_budget.
+    """
+    m = farey_cardinality(n, _table_for(n, table))
+    if lo.den > n:
+        raise PreconditionError(f"lo={lo} is not in F_{n}")
+    _check_window_args(n, lo, hi)
+    rank_lo = 1 if lo == ZERO else rank_fast(n, lo).rank
+    count = (m if hi == ONE else rank_fast(n, hi).rank) - rank_lo + 1
+    if count > term_budget:
+        raise BudgetError(
+            f"deviation scan over [{lo}, {hi}] at order {n} holds {count} terms, "
+            f"over the term budget {term_budget}"
+        )
+    return rank_lo, count, m
+
+
 def full_franel_sum(
     n: int,
     table: TotientTable | None = None,
@@ -273,12 +294,9 @@ def full_franel_sum(
     term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> FranelResult:
     """Deviation sum over the whole of F_n, ranks counted from 0/1."""
-    table = _table_for(n, table)
-    m = farey_cardinality(n, table)
-    if m > term_budget:
-        raise BudgetError(f"|F_{n}| = {m} exceeds the term budget {term_budget}")
-    red = _scan(n, ZERO, ONE, 1, m, m, m <= exact_budget)
-    return _franel_result(n, ZERO, ONE, 1, m, red)
+    rank_lo, count, m = _window(n, ZERO, ONE, table, term_budget)
+    red = _scan(n, ZERO, ONE, rank_lo, count, m, count <= exact_budget)
+    return _franel_result(n, ZERO, ONE, rank_lo, count, red)
 
 
 def partial_franel_sum_range(
@@ -297,22 +315,11 @@ def partial_franel_sum_range(
     count rank(hi) - rank(lo) + 1 is checked against term_budget before the
     scan starts.
     """
-    if lo.den > n:
-        raise PreconditionError(f"lo={lo} is not in F_{n}")
-    rank_lo = rank_fast(n, lo).rank
+    rank_lo, count, m = _window(n, lo, hi, table, term_budget)
     if rank_of_lo is not None and rank_of_lo != rank_lo:
         raise PreconditionError(
             f"anchor rank {rank_of_lo} does not match the rank {rank_lo} of {lo} in F_{n}"
         )
-    _check_window_args(n, lo, hi)
-    count = rank_fast(n, hi).rank - rank_lo + 1
-    if count > term_budget:
-        raise BudgetError(
-            f"deviation scan over [{lo}, {hi}] at order {n} holds {count} terms, over the "
-            f"term budget {term_budget}; use a smaller section"
-        )
-    table = _table_for(n, table)
-    m = farey_cardinality(n, table)
     red = _scan(n, lo, hi, rank_lo, count, m, count <= exact_budget)
     return _franel_result(n, lo, hi, rank_lo, count, red)
 
@@ -349,20 +356,16 @@ def vertex_partial_sum(
 
     The order is N = eta * lcm(2..i); with q = N/(eta*i) the section runs from
     chi/eta to (chi*q+a)/(eta*q+b), oriented by the side the co-vertex lies on.
+    The vertex and co-vertex are checked by MapParams, as in the bijection.
     """
     if i < 2:
         raise PreconditionError(f"section index i must be >= 2, got {i}")
-    eta = vertex.den
-    if not vertex.is_finite or vertex.num > eta:
-        raise PreconditionError(f"vertex {vertex} is outside [0/1, 1/1]")
-    if co_vertex.den > eta and co_vertex != Fraction(1, 0):
-        raise PreconditionError(f"co-vertex {co_vertex} is not an F_{eta} neighbor of {vertex}")
-    if abs(vertex.num * co_vertex.den - co_vertex.num * eta) != 1:
-        raise PreconditionError(f"vertex {vertex} and co-vertex {co_vertex} are not adjacent")
-    n = eta * lcm_range(i)
-    q = n // (eta * i)
-    endpoint = Fraction(vertex.num * q + co_vertex.num, eta * q + co_vertex.den)
-    lo, hi = (vertex, endpoint) if vertex < endpoint else (endpoint, vertex)
+    block = lcm_range(i)
+    params = make_params(vertex, co_vertex, block // i, vertex.den * block)
+    n, eta = params.N, params.eta
+    # the q-th mediant is the end of the interval next to the vertex
+    left, right = params.interval()
+    lo, hi = (vertex, left) if params.s == 1 else (right, vertex)
     table = _table_for(n, table)
     result = partial_franel_sum_range(n, lo, hi, None, table, term_budget=term_budget)
     sum_over_log = result.sum_float / log(n)
@@ -419,15 +422,8 @@ def kanemitsu_sum(
     """The signed deviation sum over the F_n prefix up to 1/4 (needs n >= 4)."""
     if n < 4:
         raise PreconditionError(f"the prefix sum needs n >= 4, got {n}")
-    table = _table_for(n, table)
-    m = farey_cardinality(n, table)
     quarter = Fraction(1, 4)
-    prefix_rank = rank_fast(n, quarter).rank
-    if prefix_rank > term_budget:
-        raise BudgetError(
-            f"prefix scan at order {n} holds {prefix_rank} terms, "
-            f"over the term budget {term_budget}"
-        )
+    _, prefix_rank, m = _window(n, ZERO, quarter, table, term_budget)
     red = _scan(
         n, ZERO, quarter, 1, prefix_rank, 2 * m, prefix_rank <= exact_budget, fixed_rank=prefix_rank
     )
@@ -456,10 +452,7 @@ def dress_scan(
     term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> DressReport:
     """Scan every term of F_n for the maximum deviation and the 1/n bound."""
-    table = _table_for(n, table)
-    m = farey_cardinality(n, table)
-    if m > term_budget:
-        raise BudgetError(f"|F_{n}| = {m} exceeds the term budget {term_budget}")
+    _, m, _ = _window(n, ZERO, ONE, table, term_budget)
     red = _scan(n, ZERO, ONE, 1, m, m, exact=False)
     ok = red.best_dev * n <= red.best_den  # the bound holds for every term iff for the largest
     rank2_term = abs(m - 2 * n) / (n * m) if n >= 1 else 0.0

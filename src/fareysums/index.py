@@ -17,7 +17,6 @@ from .totient import (
     TotientTable,
     build_totient_table,
     lcm_range,
-    lcm_upto,
     scaled_phi_ratio_sum,
 )
 
@@ -71,7 +70,7 @@ def general_index_estimate(
     value = base_rank + s*(sum((N/eta)*phi(j)/j, j<=i) - q*Phi(i)).  The caller
     supplies base_rank = rank of the vertex itself (no closed form exists for
     it), typically from rank_fast; N/eta must be a multiple of lcm(2..i) so
-    the scaled sum is exact.
+    the scaled sum is exact, which scaled_phi_ratio_sum checks.
     """
     eta = params.eta
     if eta < 2:
@@ -79,13 +78,8 @@ def general_index_estimate(
     if params.N % eta:
         raise PreconditionError(f"N={params.N} is not a multiple of eta={eta}")
     reduced_n = params.N // eta
-    if reduced_n % lcm_upto(params.i):
-        raise PreconditionError(
-            f"N/eta={reduced_n} is not a multiple of lcm(2..{params.i}); "
-            "the scaled sum would not be exact"
-        )
     if table is None:
-        table = build_totient_table(max(params.i, 1))
+        table = build_totient_table(params.i)
     shift = scaled_phi_ratio_sum(params.i, reduced_n, table) - params.q * table.summatory(params.i)
     return IndexEstimate(base_rank + params.s * shift, ERROR_ORDER_I2, params)
 

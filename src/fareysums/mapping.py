@@ -86,11 +86,13 @@ class MapParams:
 
 
 def make_params(vertex: Fraction, co_vertex: Fraction, q: int, n: int) -> MapParams:
-    """MapParams with i derived from q as floor(N/(q*eta))."""
-    if q < 1 or n < 1:
-        raise PreconditionError("q and N must be positive")
-    i = n // (q * vertex.den)
-    return MapParams(vertex, co_vertex, q, i, n)
+    """MapParams with i derived from q as floor(N/(q*eta)).
+
+    MapParams checks every value; when q*eta is not positive (q < 1, or the
+    vertex 1/0) there is no i to derive, and the 0 passed instead is refused.
+    """
+    step = q * vertex.den
+    return MapParams(vertex, co_vertex, q, n // step if step > 0 else 0, n)
 
 
 def _require_block_aligned(params: MapParams) -> None:

@@ -8,7 +8,8 @@ into Python ints at every public boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
+from itertools import accumulate
 from math import isqrt, lcm
 
 import numpy as np
@@ -33,6 +34,8 @@ THREE_OVER_PI_SQ = float(3 / PI_SQUARED)
 
 # Fixed-point scale for the exact integer accumulation of sum(phi(k)/k).
 _H_SCALE = 10**36
+# E(n) and H(n) are evaluated in this 50-digit context, one rounding per operation.
+_CTX = Context(prec=50)
 
 
 class TotientTable:
@@ -91,11 +94,6 @@ def lcm_range(i: int) -> int:
     return lcm(*range(2, i + 1))
 
 
-def lcm_upto(i: int) -> int:
-    """lcm of {2, ..., i}, with the empty range (i < 2) giving 1."""
-    return 1 if i < 2 else lcm_range(i)
-
-
 def scaled_phi_ratio_sum(i: int, n: int, table: TotientTable) -> int:
     """Exact integer sum of n*phi(j)/j for j = 1..i.
 
@@ -106,7 +104,7 @@ def scaled_phi_ratio_sum(i: int, n: int, table: TotientTable) -> int:
         raise PreconditionError(f"i must be >= 1, got {i}")
     if i > table.limit:
         raise PreconditionError(f"i={i} outside table range [1, {table.limit}]")
-    block = lcm_upto(i)
+    block = lcm(*range(2, i + 1))  # 1 at i = 1
     if n % block:
         raise PreconditionError(
             f"n={n} is not a multiple of lcm(2..{i})={block}; the scaled sum would not be an integer"
@@ -128,42 +126,34 @@ class AsymptoticError:
     h_n: float
 
 
-def _scaled_ratio_accumulate(table: TotientTable, n: int, start: int = 1, carry: int = 0) -> int:
-    """Exact fixed-point accumulator for sum(phi(k)/k): floor(phi(k)*SCALE/k) terms.
+def _scaled_ratios(table: TotientTable, n: int):
+    """Fixed-point terms floor(phi(k)*SCALE/k) of sum(phi(k)/k), for k = 1..n.
 
-    Each floor loses < 1/SCALE, so the total error is below n * 1e-36.
+    Each floor loses < 1/SCALE, so a sum of them is within n * 1e-36 of exact.
     """
-    phi = table.phi
-    total = carry
-    for k in range(start, n + 1):
-        total += int(phi[k]) * _H_SCALE // k
-    return total
+    return (p * _H_SCALE // k for k, p in enumerate(table.phi[1 : n + 1].tolist(), start=1))
+
+
+def _deviations(table: TotientTable, n: int, h_scaled: int) -> tuple[float, float]:
+    """E(n) and H(n) to 50 digits, from Phi(n) and SCALE * sum(phi(k)/k, k<=n)."""
+    e_val = _CTX.subtract(table.summatory(n), _CTX.divide(3 * n * n, PI_SQUARED))
+    h_val = _CTX.subtract(_CTX.divide(h_scaled, _H_SCALE), _CTX.divide(6 * n, PI_SQUARED))
+    return float(e_val), float(h_val)
 
 
 def error_terms(n: int, table: TotientTable) -> AsymptoticError:
     """E(n) and H(n), the quadratic and linear summatory deviations at n."""
     if not 1 <= n <= table.limit:
         raise PreconditionError(f"n={n} outside table range [1, {table.limit}]")
-    h_scaled = _scaled_ratio_accumulate(table, n)
-    with localcontext() as ctx:
-        ctx.prec = 50
-        e_val = Decimal(table.summatory(n)) - 3 * Decimal(n) ** 2 / PI_SQUARED
-        h_val = Decimal(h_scaled) / _H_SCALE - 6 * Decimal(n) / PI_SQUARED
-    return AsymptoticError(n, float(e_val), float(h_val))
+    return AsymptoticError(n, *_deviations(table, n, sum(_scaled_ratios(table, n))))
 
 
 def error_term_rows(n_max: int, table: TotientTable):
     """Yield (n, phi(n), Phi(n), E(n), H(n)) for n = 1..n_max with one incremental pass."""
     if not 1 <= n_max <= table.limit:
         raise PreconditionError(f"n_max={n_max} outside table range [1, {table.limit}]")
-    h_scaled = 0
-    with localcontext() as ctx:
-        ctx.prec = 50
-        for n in range(1, n_max + 1):
-            h_scaled = _scaled_ratio_accumulate(table, n, start=n, carry=h_scaled)
-            e_val = Decimal(table.summatory(n)) - 3 * Decimal(n) ** 2 / PI_SQUARED
-            h_val = Decimal(h_scaled) / _H_SCALE - 6 * Decimal(n) / PI_SQUARED
-            yield n, int(table.phi[n]), table.summatory(n), float(e_val), float(h_val)
+    for n, h_scaled in enumerate(accumulate(_scaled_ratios(table, n_max)), start=1):
+        yield n, int(table.phi[n]), table.summatory(n), *_deviations(table, n, h_scaled)
 
 
 _mu_cache: dict[str, np.ndarray] = {}

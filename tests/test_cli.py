@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from fareysums import cli
 
 
@@ -195,7 +197,35 @@ class TestExitCodes:
         assert out.strip().endswith("among 10 triples")
 
 
+class TestOutOfDomain:
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["enumerate", "--order", "0"], 2),
+            (["rank", "--order", "6", "--fraction", "1/0"], 2),
+            (["index", "--imax", "1", "--q", "1"], 2),
+            (["map", "--vertex", "0/1", "--covertex", "1/0", "--q", "0", "--order", "6"], 2),
+            (["map", "--vertex", "1/0", "--covertex", "0/1", "--q", "2", "--order", "6"], 2),
+            (["gcd-check", "--random", "3", "--max-value", "0"], 2),
+            (["gcd-check", "--random", "3", "--max-value", "1"], 2),
+            (["franel", "--order", "0"], 2),
+            (["growth", "--vertex", "0/1", "--i", "1"], 2),
+            (["dress", "--order", "0"], 2),
+            (["totient", "--upto", "0"], 2),
+            (["selftest", "--table-limit", "-1"], 1),
+        ],
+    )
+    def test_every_subcommand_refuses_without_a_traceback(self, argv, code, capsys):
+        assert run_cli(argv) == (code, "")
+        prefix = "farey: error: " if code == 2 else "farey: usage error: "
+        assert capsys.readouterr().err.startswith(prefix)
+
+
 class TestConfig:
+    def test_defaults_in_the_meta_line(self):
+        _, out = run_cli(["enumerate", "--order", "1"])
+        assert "# config: table_limit=10000000 term_budget=100000000 format=csv precision=12\n" in out
+
     def test_env_controls_precision(self, monkeypatch):
         monkeypatch.setenv("FAREY_PRECISION_DIGITS", "4")
         _, out = run_cli(["index", "--imax", "3", "--q", "6", "--asymptotic"])

@@ -23,7 +23,8 @@ from fareysums.franel import (
     partial_franel_sum_range,
     vertex_partial_sum,
 )
-from fareysums.totient import build_totient_table
+from fareysums.mapping import MapParams
+from fareysums.totient import DEFAULT_TABLE_LIMIT, build_totient_table
 from oracles import brute_deviation_sum, brute_farey, stream_deviations
 
 # chunk sizes from a few terms, so that chunk boundaries (and exact ties of
@@ -102,9 +103,20 @@ class TestFullSum:
         assert result.sum_exact is None
         assert result.sum_float > 0
 
-    def test_term_budget(self):
-        with pytest.raises(BudgetError):
-            full_franel_sum(100, term_budget=100)
+    @pytest.mark.parametrize(
+        "scan,hi", [(full_franel_sum, ONE), (dress_scan, ONE), (kanemitsu_sum, Fraction(1, 4))]
+    )
+    def test_term_budget(self, scan, hi):
+        count = rank_fast(100, hi).rank
+        with patch.object(franel, "_members", side_effect=AssertionError("enumerated")):
+            with pytest.raises(BudgetError, match=f"holds {count} terms, over the term budget 100$"):
+                scan(100, term_budget=100)
+
+    def test_table_budget_refuses_the_order_before_any_rank(self):
+        n = DEFAULT_TABLE_LIMIT + 1
+        with patch.object(franel, "rank_fast", side_effect=AssertionError("ranked")):
+            with pytest.raises(BudgetError, match=f"table limit {n} exceeds budget"):
+                partial_franel_sum_range(n, ZERO, Fraction(1, n))
 
 
 class TestPartialSums:
@@ -225,6 +237,23 @@ class TestVertexSections:
     def test_rejects_non_adjacent(self):
         with pytest.raises(PreconditionError):
             vertex_partial_sum(Fraction(1, 3), Fraction(2, 3), 4)
+
+    @pytest.mark.parametrize(
+        "vertex,co_vertex",
+        [
+            (Fraction(1, 3), Fraction(2, 3)),
+            (Fraction(1, 3), Fraction(1, 5)),
+            (Fraction(1, 2), INFINITY),
+            (INFINITY, ZERO),
+            (ZERO, ONE),  # vertex 0/1 takes the co-vertex 1/0
+        ],
+    )
+    def test_refuses_the_pairs_map_params_refuses(self, vertex, co_vertex):
+        with pytest.raises(PreconditionError) as by_params:
+            MapParams(vertex, co_vertex, 3, 4, 12 * vertex.den)
+        with pytest.raises(PreconditionError) as by_section:
+            vertex_partial_sum(vertex, co_vertex, 4)
+        assert str(by_section.value) == str(by_params.value)
 
 
 class TestGrowthScan:

@@ -105,7 +105,7 @@ class TestGeneralEstimate:
     def test_rejects_misaligned_order(self):
         # N/eta = 9 is not a multiple of lcm(2..2) = 2
         params = MapParams(Fraction(1, 2), ONE, 4, 2, 18)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"not a multiple of lcm\(2..2\)=2"):
             general_index_estimate(params, rank_fast(18, Fraction(1, 2)).rank)
 
 
