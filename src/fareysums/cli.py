@@ -26,6 +26,7 @@ from .errors import BudgetError, FareyError, PreconditionError, TheoremViolation
 from .farey import enumerate_window, rank_fast, rank_oracle
 from .franel import (
     DEFAULT_TERM_BUDGET,
+    _section,
     dress_scan,
     dress_scan_sweep,
     full_franel_sum,
@@ -87,9 +88,12 @@ def _fraction_arg(text: str) -> Fraction:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+        values = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 class _Output:
@@ -275,21 +279,24 @@ def _cmd_map(args, config: Config, out: _Output) -> int:
 
 
 def _cmd_gcd_check(args, config: Config, out: _Output) -> int:
-    if not args.exhaustive and not args.random:
+    if args.exhaustive is None and args.random is None:
         raise _UsageError("gcd-check needs --exhaustive and/or --random")
+    if args.random is not None:
+        if args.random < 1:
+            raise PreconditionError(f"--random needs at least 1 triple, got {args.random}")
+        if args.max_value < 2:  # below 2 there are no three distinct fractions to draw
+            raise PreconditionError(f"random triples need --max-value >= 2, got {args.max_value}")
     checked = 0
     bad = 0
-    if args.exhaustive:
+    if args.exhaustive is not None:
         window = enumerate_window(args.exhaustive, ZERO, ONE, budget=config.term_budget)
         for lo, mid, hi in combinations(window.fractions, 3):
             g1, g2, g3 = gcd_triple(lo, mid, hi)
             checked += 1
             if not (g1 == g2 == g3):
                 bad += 1
-    if args.random:
+    if args.random is not None:
         cap = args.max_value
-        if cap < 2:  # below 2 there are no three distinct fractions to draw
-            raise PreconditionError(f"random triples need --max-value >= 2, got {cap}")
         rng = Random(args.seed)
         produced = 0
         while produced < args.random:
@@ -360,7 +367,10 @@ def _cmd_growth(args, config: Config, out: _Output) -> int:
         if args.vertex != ZERO:
             raise _UsageError("--covertex is required unless the vertex is 0/1")
         co_vertex = INFINITY
-    scan = growth_scan(args.vertex, co_vertex, args.i, term_budget=config.term_budget)
+    # every section is checked before the one table for the largest order is sieved
+    order = max(_section(args.vertex, co_vertex, i).N for i in sorted(set(args.i)))
+    table = build_totient_table(order, budget=config.table_limit)
+    scan = growth_scan(args.vertex, co_vertex, args.i, table, term_budget=config.term_budget)
     rows = [
         [
             row.i,
@@ -388,7 +398,8 @@ def _cmd_dress(args, config: Config, out: _Output) -> int:
         return 0
     if args.order is None:
         raise _UsageError("dress needs --order or --sweep-to")
-    report = dress_scan(args.order, term_budget=config.term_budget)
+    table = build_totient_table(args.order, budget=config.table_limit)
+    report = dress_scan(args.order, table, term_budget=config.term_budget)
     out.table(
         ["order", "max_term", "argmax_rank", "rank2_term", "bound_ok"],
         [[report.order, report.max_term, report.argmax_rank, report.rank2_term, report.bound_ok]],

@@ -40,7 +40,7 @@ import numpy as np
 from .arith import Fraction, ONE, ZERO
 from .errors import BudgetError, PreconditionError
 from .farey import _check_window_args, iter_window, rank_fast
-from .mapping import make_params
+from .mapping import MapParams, make_params
 from .totient import (
     THREE_OVER_PI_SQ,
     TotientTable,
@@ -345,6 +345,14 @@ class SectionSum:
     measured_over_predicted: float | None
 
 
+def _section(vertex: Fraction, co_vertex: Fraction, i: int) -> MapParams:
+    """The checked MapParams of the i-th section: N = eta * lcm(2..i) and q = N/(eta*i)."""
+    if i < 2:
+        raise PreconditionError(f"section index i must be >= 2, got {i}")
+    block = lcm_range(i)
+    return make_params(vertex, co_vertex, block // i, vertex.den * block)
+
+
 def vertex_partial_sum(
     vertex: Fraction,
     co_vertex: Fraction,
@@ -358,10 +366,7 @@ def vertex_partial_sum(
     chi/eta to (chi*q+a)/(eta*q+b), oriented by the side the co-vertex lies on.
     The vertex and co-vertex are checked by MapParams, as in the bijection.
     """
-    if i < 2:
-        raise PreconditionError(f"section index i must be >= 2, got {i}")
-    block = lcm_range(i)
-    params = make_params(vertex, co_vertex, block // i, vertex.den * block)
+    params = _section(vertex, co_vertex, i)
     n, eta = params.N, params.eta
     # the q-th mediant is the end of the interval next to the vertex
     left, right = params.interval()

@@ -38,6 +38,42 @@ _H_SCALE = 10**36
 _CTX = Context(prec=50)
 
 
+# Longest block of _factor_blocks: bounds its temporaries to a few hundred kB.
+_FACTOR_BLOCK = 1 << 14
+
+
+def _smallest_factors(limit: int) -> np.ndarray:
+    """spf(k), the smallest prime factor of k, for 0 <= k <= limit; 0 at 0, 1 and every prime.
+
+    The primes up to sqrt(limit) come from the same sieve one level down.
+    They are written largest first, so the smallest factor is the one left.
+    A stored factor is at most sqrt(limit), so 16 bits hold it below 2^32.
+    """
+    spf = np.zeros(limit + 1, dtype=np.uint16 if limit < 2**32 else np.uint32)
+    if limit >= 4:
+        small = _smallest_factors(isqrt(limit))
+        for p in (np.flatnonzero(small[2:] == 0)[::-1] + 2).tolist():
+            spf[p * p :: p] = p
+    return spf
+
+
+def _factor_blocks(limit: int):
+    """Yield (lo, hi, p, q) with p = spf(k) and q = k // p for k in [lo, hi), over [2, limit].
+
+    A block is at most lo long, so every q is below lo: a recurrence that
+    fills k from its value at q reads only earlier blocks.
+    """
+    spf = _smallest_factors(limit)
+    lo = 2
+    while lo <= limit:
+        hi = min(lo + min(lo, _FACTOR_BLOCK), limit + 1)
+        k = np.arange(lo, hi, dtype=np.int64)
+        p = spf[lo:hi]
+        p = np.where(p == 0, k, p)
+        yield lo, hi, p, k // p
+        lo = hi
+
+
 class TotientTable:
     """phi(k) and its prefix sums Phi(k) for 1 <= k <= limit.
 
@@ -65,18 +101,19 @@ class TotientTable:
 def build_totient_table(limit: int, budget: int = DEFAULT_TABLE_LIMIT) -> TotientTable:
     """Sieve phi up to limit and attach running prefix sums.
 
-    Multiplicative sieve over primes: start phi[k] = k and for each prime p
-    apply phi[m] -= phi[m]/p on its multiples.  All updates are exact integer
-    steps (phi[m] is divisible by p at the moment p is processed).
+    phi(k) follows from phi(k/p) for the smallest prime factor p of k:
+    phi(k) = phi(k/p) * p when p also divides k/p, else phi(k/p) * (p - 1).
+    _factor_blocks hands out the factors in blocks whose k/p all lie in
+    earlier blocks, so each block is one exact int64 numpy step.
     """
     if limit < 1:
         raise PreconditionError(f"limit must be >= 1, got {limit}")
     if limit > budget:
         raise BudgetError(f"table limit {limit} exceeds budget {budget}")
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # untouched so far, hence prime
-            phi[p::p] -= phi[p::p] // p
+    phi = np.empty(limit + 1, dtype=np.int64)
+    phi[:2] = 0, 1
+    for lo, hi, p, q in _factor_blocks(limit):
+        phi[lo:hi] = phi[q] * (p - (q % p != 0))
     phi_sum = np.zeros(limit + 1, dtype=np.int64)
     np.cumsum(phi[1:], out=phi_sum[1:])
     return TotientTable(limit, phi, phi_sum)
@@ -170,18 +207,11 @@ def mobius_upto(limit: int) -> np.ndarray:
     cached = _mu_cache.get("mu")
     if cached is not None and cached.size > limit:
         return cached[: limit + 1]
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    primes = np.nonzero(is_prime)[0]
-    for p in primes:
-        mu[p::p] *= -1
-        if p * p <= limit:
-            mu[p * p :: p * p] = 0
+    mu = np.zeros(limit + 1, dtype=np.int8)
+    mu[1:2] = 1
+    # mu(k) = -mu(k/p) for the smallest prime factor p of k, or 0 when p^2 | k
+    for lo, hi, p, q in _factor_blocks(limit):
+        mu[lo:hi] = np.where(q % p == 0, 0, -mu[q])
     _mu_cache["mu"] = mu
     return mu
 

@@ -45,6 +45,21 @@ def brute_phi(n: int) -> int:
     return sum(1 for h in range(1, n + 1) if gcd(h, n) == 1)
 
 
+def brute_mobius(n: int) -> int:
+    """Mobius mu(n) by trial division: 0 when a square divides n, else (-1)^(prime count)."""
+    if n < 1:
+        return 0
+    value, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            value = -value
+        d += 1
+    return -value if n > 1 else value
+
+
 def stream_deviations(n, lo, hi, rank_lo, scale, exact_budget, fixed_rank=None) -> dict:
     """The deviation scan one term at a time, in plain ints, over iter_window(n, lo, hi).
 

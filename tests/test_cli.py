@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +193,18 @@ class TestExitCodes:
         code, _ = run_cli(["index", "--imax", "3", "--q", "100"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["franel", "--order", "3000", "--table-limit", "100"],
+            ["dress", "--order", "3000", "--table-limit", "100"],
+            ["growth", "--vertex", "0/1", "--i", "6", "--table-limit", "10"],
+        ],
+    )
+    def test_table_limit_bounds_every_table(self, argv, capsys):
+        assert run_cli(argv) == (2, "")
+        assert "exceeds budget" in capsys.readouterr().err
+
     def test_falsified_theorem_exit_code(self, monkeypatch):
         # force the identity check to report unequal gcds to exercise the wiring
         monkeypatch.setattr(cli, "gcd_triple", lambda lo, mid, hi: (1, 2, 3))
@@ -208,8 +224,10 @@ class TestOutOfDomain:
             (["map", "--vertex", "1/0", "--covertex", "0/1", "--q", "2", "--order", "6"], 2),
             (["gcd-check", "--random", "3", "--max-value", "0"], 2),
             (["gcd-check", "--random", "3", "--max-value", "1"], 2),
+            (["gcd-check", "--random", "-3"], 2),
             (["franel", "--order", "0"], 2),
             (["growth", "--vertex", "0/1", "--i", "1"], 2),
+            (["growth", "--vertex", "0/1", "--i", ","], 1),
             (["dress", "--order", "0"], 2),
             (["totient", "--upto", "0"], 2),
             (["selftest", "--table-limit", "-1"], 1),
@@ -252,3 +270,17 @@ class TestSelftest:
         assert code == 0
         assert "selftest passed" in out
         assert "FAIL" not in out
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fareysums", "--help"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: farey")

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fareysums import totient
 from fareysums.errors import BudgetError, PreconditionError
@@ -23,7 +23,7 @@ from fareysums.totient import (
     scaled_phi_ratio_sum,
 )
 
-from oracles import brute_farey, brute_phi
+from oracles import brute_farey, brute_mobius, brute_phi
 
 
 class TestSieve:
@@ -62,6 +62,45 @@ class TestSieve:
     def test_bad_limit(self):
         with pytest.raises(PreconditionError):
             build_totient_table(0)
+
+
+ORACLE_LIMIT = 3000
+
+
+@pytest.fixture(scope="module")
+def sieve_oracles():
+    """phi, Phi and mu for 0 <= k <= ORACLE_LIMIT from gcd counting and trial division."""
+    phi = [0] + [brute_phi(k) for k in range(1, ORACLE_LIMIT + 1)]
+    return phi, list(accumulate(phi)), [brute_mobius(k) for k in range(ORACLE_LIMIT + 1)]
+
+
+def _check_sieves(limit, oracles):
+    phi, big_phi, mu = oracles
+    # an empty mu cache, so that mobius_upto sieves at exactly this limit
+    with mock.patch.dict(totient._mu_cache, clear=True):
+        assert mobius_upto(limit).tolist() == mu[: limit + 1]
+    if limit >= 1:
+        table = build_totient_table(limit)
+        assert table.phi.tolist() == phi[: limit + 1]
+        assert table.phi_sum.tolist() == big_phi[: limit + 1]
+
+
+class TestFactorSieve:
+    """phi, Phi and mu from the smallest-prime-factor blocks, against the oracles."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, ORACLE_LIMIT), st.integers(1, 7))
+    def test_any_block_length(self, sieve_oracles, limit, block):
+        # short blocks put block edges everywhere, at every limit
+        with mock.patch.object(totient, "_FACTOR_BLOCK", block):
+            _check_sieves(limit, sieve_oracles)
+
+    @pytest.mark.parametrize(
+        "limit", [0, 1, 2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 2808, 2809, 2810]
+    )
+    def test_square_edges(self, sieve_oracles, limit):
+        # p^2 - 1, p^2 and p^2 + 1 put a prime square at and next to the sieve's end
+        _check_sieves(limit, sieve_oracles)
 
 
 class TestCardinality:
@@ -162,20 +201,7 @@ class TestMobius:
             assert mu[k] == v
 
     def test_matches_factorization(self):
-        mu = mobius_upto(500)
-        for n in range(1, 501):
-            m, val, x = n, 1, 2
-            while x * x <= m:
-                if m % x == 0:
-                    m //= x
-                    if m % x == 0:
-                        val = 0
-                        break
-                    val = -val
-                x += 1
-            if val and m > 1:
-                val = -val
-            assert mu[n] == val
+        assert mobius_upto(500).tolist() == [brute_mobius(n) for n in range(501)]
 
     def test_cache_growth(self):
         small = mobius_upto(10)
