@@ -14,14 +14,14 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction as Rat
-from itertools import combinations
-from math import gcd
+from itertools import chain, combinations
+from math import comb, pi
 from random import Random
 
 from . import __version__
-from .arith import Fraction, INFINITY, ONE, ZERO, gcd_triple
+from .arith import Fraction, INFINITY, ONE, ZERO, det2, gcd_triple, mediant, shear
 from .errors import BudgetError, FareyError, PreconditionError, TheoremViolation
 from .farey import enumerate_window, rank_fast, rank_oracle
 from .franel import (
@@ -45,7 +45,7 @@ from .totient import (
 
 @dataclass
 class Config:
-    """Runtime limits and output shape; env FAREY_* overrides defaults, flags win."""
+    """Runtime limits and output shape: the default, then env FAREY_<FIELD>, then the flag."""
 
     table_limit: int = DEFAULT_TABLE_LIMIT
     term_budget: int = DEFAULT_TERM_BUDGET
@@ -59,18 +59,16 @@ class Config:
             raise PreconditionError(f"unknown output format {self.output_format!r}")
 
 
-def _config_from_env() -> Config:
-    kwargs = {}
-    env = os.environ
-    if "FAREY_TABLE_LIMIT" in env:
-        kwargs["table_limit"] = int(env["FAREY_TABLE_LIMIT"])
-    if "FAREY_TERM_BUDGET" in env:
-        kwargs["term_budget"] = int(env["FAREY_TERM_BUDGET"])
-    if "FAREY_OUTPUT_FORMAT" in env:
-        kwargs["output_format"] = env["FAREY_OUTPUT_FORMAT"]
-    if "FAREY_PRECISION_DIGITS" in env:
-        kwargs["precision_digits"] = int(env["FAREY_PRECISION_DIGITS"])
-    return Config(**kwargs)
+def _config(args: argparse.Namespace) -> Config:
+    """Each Config field from env FAREY_<FIELD> over its default, and the flag with its dest over both."""
+    values = {}
+    for field in fields(Config):
+        env = os.environ.get(f"FAREY_{field.name.upper()}")
+        if env is not None:
+            values[field.name] = type(field.default)(env)
+        if getattr(args, field.name) is not None:
+            values[field.name] = getattr(args, field.name)
+    return Config(**values)
 
 
 class _UsageError(Exception):
@@ -80,10 +78,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
-
-
-def _fraction_arg(text: str) -> Fraction:
-    return Fraction.parse(text)
 
 
 def _int_list(text: str) -> list[int]:
@@ -96,14 +90,14 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+@dataclass
 class _Output:
     """Emitter for one table: metadata plus rows, as CSV or a single JSON object."""
 
-    def __init__(self, config: Config, command: str, argv: list[str], stream) -> None:
-        self.config = config
-        self.command = command
-        self.argv = argv
-        self.stream = stream
+    config: Config
+    command: str
+    argv: list[str]
+    stream: io.TextIOBase
 
     def fmt(self, value) -> str:
         if value is None:
@@ -150,20 +144,24 @@ class _Output:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="farey", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["csv", "json"], help="output format")
+    # each dest is a Config field, which _config reads the flag by
+    common.add_argument("--format", dest="output_format", choices=["csv", "json"], help="output format")
     common.add_argument("--table-limit", type=int, help="totient table size cap")
     common.add_argument("--term-budget", type=int, help="streamed terms cap")
-    common.add_argument("--precision", type=int, help="significant digits for reals")
+    common.add_argument(
+        "--precision", dest="precision_digits", metavar="PRECISION", type=int,
+        help="significant digits for reals",
+    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("enumerate", parents=[common], help="list F_N fractions in a range")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--lo", type=_fraction_arg, default=ZERO)
-    p.add_argument("--hi", type=_fraction_arg, default=ONE)
+    p.add_argument("--lo", type=Fraction.parse, default=ZERO)
+    p.add_argument("--hi", type=Fraction.parse, default=ONE)
 
     p = sub.add_parser("rank", parents=[common], help="position of a fraction in F_N")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--fraction", type=_fraction_arg, required=True)
+    p.add_argument("--fraction", type=Fraction.parse, required=True)
     p.add_argument("--method", choices=["oracle", "fast"], default="fast")
 
     p = sub.add_parser("index", parents=[common], help="closed-form position of 1/q")
@@ -173,8 +171,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--sweep", action="store_true", help="CSV over every admissible q")
 
     p = sub.add_parser("map", parents=[common], help="bijective subinterval map")
-    p.add_argument("--vertex", type=_fraction_arg, required=True)
-    p.add_argument("--covertex", type=_fraction_arg, required=True)
+    p.add_argument("--vertex", type=Fraction.parse, required=True)
+    p.add_argument("--covertex", type=Fraction.parse, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--order", type=int, required=True)
@@ -188,13 +186,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("franel", parents=[common], help="deviation sum over F_N or a range of it")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--lo", type=_fraction_arg, default=None)
-    p.add_argument("--hi", type=_fraction_arg, default=None)
+    p.add_argument("--lo", type=Fraction.parse, default=None)
+    p.add_argument("--hi", type=Fraction.parse, default=None)
     p.add_argument("--kanemitsu", action="store_true", help="signed prefix sum up to 1/4")
 
     p = sub.add_parser("growth", parents=[common], help="vertex section sums against log N")
-    p.add_argument("--vertex", type=_fraction_arg, required=True)
-    p.add_argument("--covertex", type=_fraction_arg, default=None)
+    p.add_argument("--vertex", type=Fraction.parse, required=True)
+    p.add_argument("--covertex", type=Fraction.parse, default=None)
     p.add_argument("--i", type=_int_list, required=True, help="comma-separated section indices")
 
     p = sub.add_parser("dress", parents=[common], help="largest single deviation versus 1/N")
@@ -208,13 +206,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_flags(config: Config, args: argparse.Namespace) -> Config:
-    return Config(
-        table_limit=args.table_limit or config.table_limit,
-        term_budget=args.term_budget or config.term_budget,
-        output_format=args.format or config.output_format,
-        precision_digits=args.precision or config.precision_digits,
-    )
+def _within_budget(work: str, estimate: float, unit: str, budget: int) -> None:
+    """Refuse work whose estimated size is over its budget, before the work starts."""
+    if estimate > budget:
+        raise BudgetError(f"{work} needs about {estimate:.3g} {unit}, over budget {budget}")
 
 
 def _cmd_enumerate(args, config: Config, out: _Output) -> int:
@@ -233,12 +228,8 @@ def _cmd_rank(args, config: Config, out: _Output) -> int:
     else:
         # the oracle takes one gcd per h <= d*x for each d <= N: about x*N(N+1)/2
         n = args.order
-        estimate = min(float(args.fraction), 1.0) * n * (n + 1) / 2
-        if estimate > config.term_budget:
-            raise BudgetError(
-                f"oracle rank at order {n} needs about {estimate:.3g} gcd steps, "
-                f"over budget {config.term_budget}"
-            )
+        steps = min(float(args.fraction), 1.0) * n * (n + 1) / 2
+        _within_budget(f"oracle rank at order {n}", steps, "gcd steps", config.term_budget)
         report = rank_oracle(n, args.fraction)
     out.stream.write(f"{report.rank}\n")
     return 0
@@ -248,8 +239,10 @@ def _cmd_index(args, config: Config, out: _Output) -> int:
     n = lcm_range(args.imax)
     table = build_totient_table(args.imax, budget=config.table_limit)
     if args.sweep:
+        first = -(-n // args.imax)
+        _within_budget(f"index sweep at order {n}", n - first + 1, "rows", config.term_budget)
         rows = []
-        for q in range(-(-n // args.imax), n + 1):
+        for q in range(first, n + 1):
             exact = exact_index_unit_fraction(args.imax, q, table).value
             approx = asymptotic_index_zero(n, q)
             rows.append([q, exact, approx, exact - approx, (exact - approx) / n])
@@ -278,78 +271,46 @@ def _cmd_map(args, config: Config, out: _Output) -> int:
     return 0
 
 
+def _random_triples(count: int, cap: int, seed: int):
+    """count ascending triples of distinct fractions, each drawn as numerator then denominator."""
+    rng = Random(seed)
+    while count:
+        lo, mid, hi = sorted(Fraction(rng.randint(0, cap), rng.randint(1, cap)) for _ in range(3))
+        if lo < mid < hi:
+            count -= 1
+            yield lo, mid, hi
+
+
 def _cmd_gcd_check(args, config: Config, out: _Output) -> int:
     if args.exhaustive is None and args.random is None:
         raise _UsageError("gcd-check needs --exhaustive and/or --random")
+    exhaustive = random = ()
     if args.random is not None:
         if args.random < 1:
             raise PreconditionError(f"--random needs at least 1 triple, got {args.random}")
         if args.max_value < 2:  # below 2 there are no three distinct fractions to draw
             raise PreconditionError(f"random triples need --max-value >= 2, got {args.max_value}")
-    checked = 0
-    bad = 0
+        random = _random_triples(args.random, args.max_value, args.seed)
     if args.exhaustive is not None:
         window = enumerate_window(args.exhaustive, ZERO, ONE, budget=config.term_budget)
-        for lo, mid, hi in combinations(window.fractions, 3):
-            g1, g2, g3 = gcd_triple(lo, mid, hi)
-            checked += 1
-            if not (g1 == g2 == g3):
-                bad += 1
-    if args.random is not None:
-        cap = args.max_value
-        rng = Random(args.seed)
-        produced = 0
-        while produced < args.random:
-            triple = []
-            while len(triple) < 3:
-                num, den = rng.randint(0, cap), rng.randint(1, cap)
-                g = gcd(num, den)
-                triple.append(Fraction(num // g, den // g))
-            triple.sort()
-            lo, mid, hi = triple
-            if lo < mid < hi:
-                g1, g2, g3 = gcd_triple(lo, mid, hi)
-                checked += 1
-                produced += 1
-                if not (g1 == g2 == g3):
-                    bad += 1
+        triples = comb(len(window.fractions), 3)
+        _within_budget(f"gcd check over F_{args.exhaustive}", triples, "triples", config.term_budget)
+        exhaustive = combinations(window.fractions, 3)
+    checked = bad = 0
+    for triple in chain(exhaustive, random):
+        checked += 1
+        bad += len(set(gcd_triple(*triple))) > 1
     out.stream.write(f"{bad} counterexamples among {checked} triples\n")
     if bad:
         raise TheoremViolation(f"{bad} triple-gcd counterexamples found")
     return 0
 
 
-def _franel_row(result) -> list:
-    return [
-        result.order,
-        str(result.lo),
-        str(result.hi),
-        result.rank_lo,
-        result.rank_hi,
-        result.term_count,
-        result.sum_exact,
-        result.sum_float,
-        result.max_term,
-        result.argmax_rank,
-    ]
-
-
-_FRANEL_HEADER = [
-    "order", "lo", "hi", "rank_lo", "rank_hi", "terms",
-    "sum_exact", "sum_float", "max_term", "argmax_rank",
-]
-
-
 def _cmd_franel(args, config: Config, out: _Output) -> int:
     table = build_totient_table(args.order, budget=config.table_limit)
     if args.kanemitsu:
-        res = kanemitsu_sum(args.order, table, term_budget=config.term_budget)
-        out.table(
-            ["order", "prefix_rank", "cardinality", "sum_exact", "sum_float"],
-            [[res.order, res.prefix_rank, res.cardinality, res.sum_exact, res.sum_float]],
-        )
-        return 0
-    if args.lo is None and args.hi is None:
+        result = kanemitsu_sum(args.order, table, term_budget=config.term_budget)
+    elif args.lo is None and args.hi is None:
         result = full_franel_sum(args.order, table, term_budget=config.term_budget)
     else:
         lo = args.lo if args.lo is not None else ZERO
@@ -357,7 +318,9 @@ def _cmd_franel(args, config: Config, out: _Output) -> int:
         result = partial_franel_sum_range(
             args.order, lo, hi, None, table, term_budget=config.term_budget
         )
-    out.table(_FRANEL_HEADER, [_franel_row(result)])
+    names = [field.name for field in fields(result)]
+    out.table([{"term_count": "terms"}.get(name, name) for name in names],
+              [[getattr(result, name) for name in names]])
     return 0
 
 
@@ -388,7 +351,11 @@ def _cmd_growth(args, config: Config, out: _Output) -> int:
 
 def _cmd_dress(args, config: Config, out: _Output) -> int:
     if args.sweep_to:
-        sweep = dress_scan_sweep(args.sweep_to)
+        n = args.sweep_to
+        # the sweep sieves phi to n and merges about sum_(k <= n) 3k^2/pi^2 = n^3/pi^2 terms
+        _within_budget(f"dress sweep to order {n}", n, "table entries", config.table_limit)
+        _within_budget(f"dress sweep to order {n}", n**3 / pi**2, "merged terms", config.term_budget)
+        sweep = dress_scan_sweep(n)
         out.table(
             ["n_max", "all_ok", "violations", "worst_ratio", "worst_order"],
             [[sweep.n_max, sweep.all_ok, len(sweep.violations), sweep.worst_ratio, sweep.worst_order]],
@@ -416,49 +383,8 @@ def _cmd_totient(args, config: Config, out: _Output) -> int:
     return 0
 
 
-def _cmd_selftest(args, config: Config, out: _Output) -> int:
-    from .arith import det2, mediant, shear
-
-    failures = []
-
-    def check(label: str, ok: bool) -> None:
-        out.stream.write(f"{'ok' if ok else 'FAIL'} - {label}\n")
-        if not ok:
-            failures.append(label)
-
-    check("det2 spot values", det2(Fraction(4, 5), Fraction(1, 5)) == 15
-          and det2(INFINITY, ZERO) == 1 and det2(Fraction(1, 2), Fraction(1, 3)) == 1)
-    check("mediant spot values", mediant(ZERO, INFINITY) == ONE
-          and mediant(Fraction(1, 3), Fraction(1, 2)) == Fraction(2, 5))
-    check("shear spot values", shear(Fraction(2, 3)) == Fraction(2, 5) and shear(ONE) == Fraction(1, 2))
-
-    window = enumerate_window(8, ZERO, ONE)
-    bad = sum(
-        1
-        for lo, mid, hi in combinations(window.fractions, 3)
-        if len(set(gcd_triple(lo, mid, hi))) != 1
-    )
-    check("triple-gcd identity over F_8", bad == 0)
-
-    table = build_totient_table(1000)
-    check("cardinalities", farey_cardinality(5, table) == 11 and farey_cardinality(1, table) == 2)
-
-    spots = {2: 7, 3: 5, 6: 2}
-    ok = True
-    for q, expected in spots.items():
-        ok &= exact_index_unit_fraction(3, q).value == expected
-        ok &= rank_oracle(6, Fraction(1, q)).rank == expected
-        ok &= rank_fast(6, Fraction(1, q)).rank == expected
-    check("closed-form positions in F_6", ok)
-
-    ok = True
-    for i_max in (2, 3, 4, 5):
-        n = lcm_range(i_max)
-        for q in range(-(-n // i_max), n + 1):
-            ok &= exact_index_unit_fraction(i_max, q).value == rank_oracle(n, Fraction(1, q)).rank
-    check("closed form vs oracle through i_max=5", ok)
-
-    ok = True
+def _bijection_holds() -> bool:
+    """Window match and round trip of every section with i <= 3 at five vertices with eta <= 3."""
     for vertex, co_vertex in [(ZERO, INFINITY), (Fraction(1, 2), ONE), (Fraction(1, 2), ZERO),
                               (Fraction(1, 3), Fraction(1, 2)), (ONE, ZERO)]:
         eta = vertex.den
@@ -466,21 +392,54 @@ def _cmd_selftest(args, config: Config, out: _Output) -> int:
             n = eta * i * (i + 1)
             for q in range(n // (eta * (i + 1)) + 1, n // (eta * i) + 1):
                 params = MapParams(vertex, co_vertex, q, i, n)
-                window = map_window(params)
-                brute = enumerate_window(n, *params.interval())
-                ok &= window.fractions == brute.fractions
-                ok &= all(inverse_map(params, forward_map(params, f)) == f
-                          for f in build_f_prime(params).members)
-                cardinality_relation(params)
-    check("bijection round trip / window match (eta <= 3)", ok)
+                cardinality_relation(params)  # raises TheoremViolation itself
+                if map_window(params).fractions != enumerate_window(n, *params.interval()).fractions:
+                    return False
+                members = build_f_prime(params).members
+                if any(inverse_map(params, forward_map(params, f)) != f for f in members):
+                    return False
+    return True
 
-    res3 = full_franel_sum(3)
-    res5 = full_franel_sum(5)
-    check("deviation sums", res3.sum_exact == Rat(1, 2) and res5.sum_exact == Rat(59, 110))
-    check("prefix sums", kanemitsu_sum(5).sum_exact == Rat(9, 220)
-          and kanemitsu_sum(4).sum_exact == Rat(-1, 28))
-    check("deviation bound through order 60", dress_scan_sweep(60).all_ok)
 
+# (label, check) pairs run in order by `farey selftest`; a check returns whether it held
+_SELFTEST_CHECKS = [
+    ("det2 spot values", lambda: det2(Fraction(4, 5), Fraction(1, 5)) == 15
+     and det2(INFINITY, ZERO) == 1 and det2(Fraction(1, 2), Fraction(1, 3)) == 1),
+    ("mediant spot values", lambda: mediant(ZERO, INFINITY) == ONE
+     and mediant(Fraction(1, 3), Fraction(1, 2)) == Fraction(2, 5)),
+    ("shear spot values", lambda: shear(Fraction(2, 3)) == Fraction(2, 5) and shear(ONE) == Fraction(1, 2)),
+    ("triple-gcd identity over F_8", lambda: all(
+        len(set(gcd_triple(*triple))) == 1
+        for triple in combinations(enumerate_window(8, ZERO, ONE).fractions, 3)
+    )),
+    ("cardinalities", lambda: [farey_cardinality(n, build_totient_table(5)) for n in (5, 1)] == [11, 2]),
+    ("closed-form positions in F_6", lambda: all(
+        exact_index_unit_fraction(3, q).value == rank_oracle(6, Fraction(1, q)).rank
+        == rank_fast(6, Fraction(1, q)).rank == expected
+        for q, expected in [(2, 7), (3, 5), (6, 2)]
+    )),
+    ("closed form vs oracle through i_max=5", lambda: all(
+        exact_index_unit_fraction(i_max, q).value == rank_oracle(n, Fraction(1, q)).rank
+        for i_max in (2, 3, 4, 5)
+        for n in [lcm_range(i_max)]
+        for q in range(-(-n // i_max), n + 1)
+    )),
+    ("bijection round trip / window match (eta <= 3)", _bijection_holds),
+    ("deviation sums", lambda: full_franel_sum(3).sum_exact == Rat(1, 2)
+     and full_franel_sum(5).sum_exact == Rat(59, 110)),
+    ("prefix sums", lambda: kanemitsu_sum(5).sum_exact == Rat(9, 220)
+     and kanemitsu_sum(4).sum_exact == Rat(-1, 28)),
+    ("deviation bound through order 60", lambda: dress_scan_sweep(60).all_ok),
+]
+
+
+def _cmd_selftest(args, config: Config, out: _Output) -> int:
+    failures = []
+    for label, check in _SELFTEST_CHECKS:
+        ok = check()
+        out.stream.write(f"{'ok' if ok else 'FAIL'} - {label}\n")
+        if not ok:
+            failures.append(label)
     if failures:
         raise TheoremViolation(f"selftest failures: {failures}")
     out.stream.write("selftest passed\n")
@@ -506,8 +465,8 @@ def run(argv: list[str], stream=None) -> int:
     stream = stream or sys.stdout
     try:
         args = _build_parser().parse_args(argv)
-        config = _apply_flags(_config_from_env(), args)
-    except (_UsageError, PreconditionError, ValueError) as exc:
+        config = _config(args)
+    except (_UsageError, ValueError) as exc:  # PreconditionError is a ValueError
         print(f"farey: usage error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -16,7 +16,9 @@ enumerations costs less for the window's order and term count (`_streams`):
 Ranks follow from the rank of lo, so each term is the exact integer pair
 (|h*M - j*k|, k*M).  The kernel reduces the terms to:
 
-- the float sum, by `math.fsum` over every term, so it is correctly rounded;
+- the float sum, by `math.fsum` over the float terms: each is within 3u of
+  its exact value (u = 2**-53), so the sum is within about 3u*sum|term| plus
+  half an ulp of the exact sum;
 - the exact maximum and its earliest rank: a float prefilter keeps the terms
   near the largest float, and Python ints recheck them;
 - when the term count is within the exact-mode budget, the exact sum grouped
@@ -95,10 +97,12 @@ class FranelResult:
 
 
 def _table_for(n: int, table: TotientTable | None) -> TotientTable:
-    # callers needing more than the default sieve budget must pass their own table
-    if table is not None and table.limit >= n:
-        return table
-    return build_totient_table(n)
+    """The caller's table, which must reach n, or one sieved to n under the default budget."""
+    if table is None:
+        return build_totient_table(n)
+    if table.limit < n:
+        raise BudgetError(f"totient table up to {table.limit} is shorter than the order {n}")
+    return table
 
 
 def _floors(n: int, num: int, den: int, shift: int = 0) -> np.ndarray:
@@ -399,11 +403,15 @@ def growth_scan(
     table: TotientTable | None = None,
     term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> GrowthScan:
-    """vertex_partial_sum for each i, merged in ascending order of i (hence of N)."""
-    rows = [
-        vertex_partial_sum(vertex, co_vertex, i, table, term_budget)
-        for i in sorted(set(i_list))
-    ]
+    """vertex_partial_sum for each i, merged in ascending order of i (hence of N).
+
+    Without a table, one is sieved at the largest section order, after every
+    section has been checked.
+    """
+    i_values = sorted(set(i_list))
+    if table is None and i_values:
+        table = build_totient_table(max(_section(vertex, co_vertex, i).N for i in i_values))
+    rows = [vertex_partial_sum(vertex, co_vertex, i, table, term_budget) for i in i_values]
     return GrowthScan(rows)
 
 

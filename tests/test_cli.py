@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -170,6 +171,15 @@ class TestGcdCheck:
         assert code == 0
         assert out.strip() == "0 counterexamples among 2000 triples"
 
+    def test_random_triples_keep_the_seeded_draw_order(self):
+        # numerator then denominator from Random(seed), three times, as recorded runs drew them
+        triples = [tuple(map(str, t)) for t in cli._random_triples(3, 10_000, 0)]
+        assert triples == [
+            ("663/4243", "6311/6891", "1396/1327"),
+            ("7808/5867", "3317/2485", "3186/1193"),
+            ("1553/4105", "4617/2290", "4134/1141"),
+        ]
+
     def test_needs_a_mode(self):
         code, _ = run_cli(["gcd-check"])
         assert code == 1
@@ -231,12 +241,42 @@ class TestOutOfDomain:
             (["dress", "--order", "0"], 2),
             (["totient", "--upto", "0"], 2),
             (["selftest", "--table-limit", "-1"], 1),
+            (["franel", "--order", "20", "--term-budget", "0"], 1),
+            (["franel", "--order", "20", "--table-limit", "0"], 1),
+            (["franel", "--order", "20", "--precision", "0"], 1),
         ],
     )
     def test_every_subcommand_refuses_without_a_traceback(self, argv, code, capsys):
         assert run_cli(argv) == (code, "")
         prefix = "farey: error: " if code == 2 else "farey: usage error: "
         assert capsys.readouterr().err.startswith(prefix)
+
+
+class TestWorkBudgets:
+    @pytest.mark.parametrize(
+        "argv,estimate,limit",
+        [
+            (["index", "--imax", "20", "--sweep"], "2.21e+08 rows", "budget 100000000"),
+            (["gcd-check", "--exhaustive", "60"], "2.23e+08 triples", "budget 100000000"),
+            (["dress", "--sweep-to", "600", "--table-limit", "10", "--term-budget", "10"],
+             "600 table entries", "budget 10"),
+            (["dress", "--sweep-to", "600", "--term-budget", "10"], "2.19e+07 merged terms", "budget 10"),
+        ],
+    )
+    def test_refused_before_the_work_starts(self, argv, estimate, limit, capsys):
+        assert run_cli(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("farey: error: ")
+        assert estimate in err and limit in err
+
+    def test_exhaustive_triples_are_counted_after_the_window(self, monkeypatch, capsys):
+        def refuse(*triple):
+            raise AssertionError("a triple was checked over the budget")
+
+        monkeypatch.setattr(cli, "gcd_triple", refuse)
+        # F_12 holds 47 fractions: C(47, 3) = 16215 triples
+        assert run_cli(["gcd-check", "--exhaustive", "12", "--term-budget", "16214"]) == (2, "")
+        assert "1.62e+04 triples" in capsys.readouterr().err
 
 
 class TestConfig:
@@ -270,6 +310,33 @@ class TestSelftest:
         assert code == 0
         assert "selftest passed" in out
         assert "FAIL" not in out
+
+
+    def test_a_failing_check_is_reported_and_the_rest_still_run(self, monkeypatch):
+        checks = list(cli._SELFTEST_CHECKS)
+        label, _ = checks[3]
+        checks[3] = (label, lambda: False)
+        monkeypatch.setattr(cli, "_SELFTEST_CHECKS", checks)
+        code, out = run_cli(["selftest"])
+        assert code == 3
+        lines = out.splitlines()
+        assert lines[3] == f"FAIL - {label}"
+        assert lines[4:] == [f"ok - {later}" for later, _ in checks[4:]]
+
+
+_RECORDED = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "cli_sessions.json").read_text()
+)["results"]
+
+
+@pytest.mark.parametrize("command", sorted(_RECORDED))
+def test_recorded_session_output_is_byte_identical(command, monkeypatch):
+    for name in [name for name in os.environ if name.startswith("FAREY_")]:
+        monkeypatch.delenv(name)
+    code, out = run_cli(command.split(" "))
+    want = _RECORDED[command]
+    assert code == want["exit_code"]
+    assert hashlib.sha256(out.encode()).hexdigest() == want["stdout_sha256"]
 
 
 def test_python_m_runs_the_cli():

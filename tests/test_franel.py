@@ -118,6 +118,13 @@ class TestFullSum:
             with pytest.raises(BudgetError, match=f"table limit {n} exceeds budget"):
                 partial_franel_sum_range(n, ZERO, Fraction(1, n))
 
+    def test_a_short_table_is_refused_before_any_rank(self):
+        table = build_totient_table(100, budget=100)
+        with patch.object(franel, "rank_fast", side_effect=AssertionError("ranked")), \
+                patch.object(franel, "build_totient_table", side_effect=AssertionError("sieved")):
+            with pytest.raises(BudgetError, match="table up to 100 is shorter than the order 840"):
+                partial_franel_sum_range(840, Fraction(1, 3), Fraction(1, 2), None, table)
+
 
 class TestPartialSums:
     def test_prefix_example(self):
@@ -267,6 +274,12 @@ class TestGrowthScan:
         scan = growth_scan(ZERO, INFINITY, [6, 4, 6])
         assert [row.i for row in scan.rows] == [4, 6]
         assert scan.rows[0].order < scan.rows[1].order
+
+    def test_sieves_one_table_at_the_largest_order(self):
+        with patch.object(franel, "build_totient_table", wraps=build_totient_table) as sieve:
+            scan = growth_scan(ZERO, INFINITY, [4, 6, 8, 10, 12])
+        assert [call.args for call in sieve.call_args_list] == [(27720,)]
+        assert [row.order for row in scan.rows] == [12, 60, 840, 2520, 27720]
 
     def test_ratio_is_bounded_for_small_sweep(self):
         scan = growth_scan(Fraction(1, 2), ONE, [4, 6, 8])

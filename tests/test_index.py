@@ -32,6 +32,15 @@ class TestExactUnitFraction:
                 exact = exact_index_unit_fraction(i_max, q, table).value
                 assert exact == rank_oracle(n, Fraction(1, q)).rank
 
+    @pytest.mark.parametrize("i_max", range(9, 17))
+    def test_matches_rank_past_the_oracle_orders(self, i_max):
+        # N = lcm(2..i_max) reaches 720 720 at i_max = 16, too far for rank_oracle
+        n = lcm_range(i_max)
+        table = build_totient_table(i_max)
+        for q in (-(-n // i_max), n // (i_max - 1), n // 3, n // 2, n - 1, n):
+            exact = exact_index_unit_fraction(i_max, q, table).value
+            assert exact == rank_fast(n, Fraction(1, q)).rank
+
     def test_rejects_out_of_range(self):
         with pytest.raises(PreconditionError):
             exact_index_unit_fraction(3, 7)   # q > N
