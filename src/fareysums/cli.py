@@ -90,6 +90,14 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction.parse, with its message kept: argparse reports a bare ValueError by type name."""
+    try:
+        return Fraction.parse(text)
+    except PreconditionError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 @dataclass
 class _Output:
     """Emitter for one table: metadata plus rows, as CSV or a single JSON object."""
@@ -156,12 +164,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", parents=[common], help="list F_N fractions in a range")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--lo", type=Fraction.parse, default=ZERO)
-    p.add_argument("--hi", type=Fraction.parse, default=ONE)
+    p.add_argument("--lo", type=_fraction, default=ZERO)
+    p.add_argument("--hi", type=_fraction, default=ONE)
 
     p = sub.add_parser("rank", parents=[common], help="position of a fraction in F_N")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--fraction", type=Fraction.parse, required=True)
+    p.add_argument("--fraction", type=_fraction, required=True)
     p.add_argument("--method", choices=["oracle", "fast"], default="fast")
 
     p = sub.add_parser("index", parents=[common], help="closed-form position of 1/q")
@@ -171,8 +179,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--sweep", action="store_true", help="CSV over every admissible q")
 
     p = sub.add_parser("map", parents=[common], help="bijective subinterval map")
-    p.add_argument("--vertex", type=Fraction.parse, required=True)
-    p.add_argument("--covertex", type=Fraction.parse, required=True)
+    p.add_argument("--vertex", type=_fraction, required=True)
+    p.add_argument("--covertex", type=_fraction, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--order", type=int, required=True)
@@ -186,13 +194,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("franel", parents=[common], help="deviation sum over F_N or a range of it")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--lo", type=Fraction.parse, default=None)
-    p.add_argument("--hi", type=Fraction.parse, default=None)
+    p.add_argument("--lo", type=_fraction, default=None)
+    p.add_argument("--hi", type=_fraction, default=None)
     p.add_argument("--kanemitsu", action="store_true", help="signed prefix sum up to 1/4")
 
     p = sub.add_parser("growth", parents=[common], help="vertex section sums against log N")
-    p.add_argument("--vertex", type=Fraction.parse, required=True)
-    p.add_argument("--covertex", type=Fraction.parse, default=None)
+    p.add_argument("--vertex", type=_fraction, required=True)
+    p.add_argument("--covertex", type=_fraction, default=None)
     p.add_argument("--i", type=_int_list, required=True, help="comma-separated section indices")
 
     p = sub.add_parser("dress", parents=[common], help="largest single deviation versus 1/N")
@@ -290,6 +298,7 @@ def _cmd_gcd_check(args, config: Config, out: _Output) -> int:
             raise PreconditionError(f"--random needs at least 1 triple, got {args.random}")
         if args.max_value < 2:  # below 2 there are no three distinct fractions to draw
             raise PreconditionError(f"random triples need --max-value >= 2, got {args.max_value}")
+        _within_budget("random gcd check", args.random, "triples", config.term_budget)
         random = _random_triples(args.random, args.max_value, args.seed)
     if args.exhaustive is not None:
         window = enumerate_window(args.exhaustive, ZERO, ONE, budget=config.term_budget)
@@ -350,7 +359,7 @@ def _cmd_growth(args, config: Config, out: _Output) -> int:
 
 
 def _cmd_dress(args, config: Config, out: _Output) -> int:
-    if args.sweep_to:
+    if args.sweep_to is not None:
         n = args.sweep_to
         # the sweep sieves phi to n and merges about sum_(k <= n) 3k^2/pi^2 = n^3/pi^2 terms
         _within_budget(f"dress sweep to order {n}", n, "table entries", config.table_limit)

@@ -16,9 +16,11 @@ enumerations costs less for the window's order and term count (`_streams`):
 Ranks follow from the rank of lo, so each term is the exact integer pair
 (|h*M - j*k|, k*M).  The kernel reduces the terms to:
 
-- the float sum, by `math.fsum` over the float terms: each is within 3u of
-  its exact value (u = 2**-53), so the sum is within about 3u*sum|term| plus
-  half an ulp of the exact sum;
+- the float sum: the float terms added exactly in integer limbs per binary
+  exponent (`_fixed_sum`) and rounded once, so it is the correctly rounded sum
+  of the float terms, what `math.fsum` returns.  Each term is within 3u of its
+  exact value (u = 2**-53), so the sum is within about 3u*sum|term| plus half
+  an ulp of the exact sum;
 - the exact maximum and its earliest rank: a float prefilter keeps the terms
   near the largest float, and Python ints recheck them;
 - when the term count is within the exact-mode budget, the exact sum grouped
@@ -27,15 +29,16 @@ Ranks follow from the rank of lo, so each term is the exact integer pair
 
 The term count is known from ranks before the scan starts, so budgets are
 checked before any term is enumerated, and the enumeration is checked
-against it afterwards.
+against it afterwards.  The order sweep of the 1/N bound keeps only the
+members in [0, 1/2] and mirrors them, as F_N is symmetric about 1/2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Rat
-from itertools import chain, islice
-from math import fsum, gcd, log
+from itertools import islice
+from math import gcd, log
 
 import numpy as np
 
@@ -72,6 +75,9 @@ _INT64_MARGIN = 1 << 62
 # float, so every float within 8u of it is rechecked in Python ints.  The
 # sweep's terms are within 3u absolutely, and it uses 8u as an absolute slack.
 _TERM_SLACK = 2.0**-50
+# Exact float sums are ints in units of 2**-1126: a low mantissa limb's unit
+# at the least frexp exponent, -1073 (2**-1074 = 0.5 * 2**-1073).
+_FIXED_POINT = 1073 + 53
 
 
 @dataclass
@@ -139,6 +145,7 @@ def _members(n: int, lo: Fraction, hi: Fraction, count: int):
         pairs = iter_window(n, lo, hi)
         while chunk := list(islice(pairs, _SLICE_TERMS)):
             hs, ks = np.array(chunk, dtype=np.int64).T
+            del chunk  # its tuples would outweigh the arrays across the yield
             yield hs, ks
     else:
         yield from _slices(n, lo, hi, count)
@@ -172,8 +179,32 @@ def _slices(n: int, lo: Fraction, hi: Fraction, count: int):
             order = np.argsort(key)
             key = key[order]
             pick = order[np.concatenate(([True], key[1:] != key[:-1]))]
-            yield hs[pick], ks[pick]
+            hs, ks = hs[pick], ks[pick]
+            del key, order, pick, starts  # only the chunk stays alive across the yield
+            yield hs, ks
         lower = upper
+
+
+def _fixed_sum(terms: np.ndarray) -> int:
+    """The exact sum of float64 terms, as an int in units of 2**-_FIXED_POINT.
+
+    A term is m*2**(e-53) with |m| < 2**53 (np.frexp), and m = hi*2**26 + lo
+    with |hi| <= 2**27 and 0 <= lo < 2**26, both exact in float64.  Summed
+    per exponent by np.bincount, either limb stays an integer below 2**53,
+    so exact, for fewer than 2**26 terms; a chunk holds about _SLICE_TERMS.
+    """
+    mant, exp = np.frexp(terms)
+    np.ldexp(mant, 27, out=mant)  # hi + lo/2**26
+    high = np.floor(mant)
+    mant -= high
+    low = np.ldexp(mant, 26, out=mant)
+    base = int(exp.min())
+    exp -= base
+    total = 0
+    # from the top exponent down, each bin weighs twice the next
+    for h, lo in zip(np.bincount(exp, high)[::-1].tolist(), np.bincount(exp, low)[::-1].tolist()):
+        total = (total << 1) + (int(h) << 26) + int(lo)
+    return total << (base - 53 + _FIXED_POINT)
 
 
 class _Reduction:
@@ -191,10 +222,11 @@ class _Reduction:
         self.wide = wide
         self.groups: dict[int, int] | None = {} if exact else None
         self.best_dev, self.best_den, self.best_rank = 0, 1, rank_lo
+        self.fixed_sum = 0  # the float terms' exact sum, in units of 2**-_FIXED_POINT
         self.sum_float = 0.0
 
-    def add(self, hs: np.ndarray, ks: np.ndarray) -> memoryview:
-        """Reduce one chunk; return its float terms for the running fsum."""
+    def add(self, hs: np.ndarray, ks: np.ndarray) -> None:
+        """Reduce one chunk of members, ranked on from next_rank."""
         js = np.arange(self.next_rank, self.next_rank + hs.size, dtype=np.int64)
         if self.wide:
             hs, ks, js = hs.astype(object), ks.astype(object), js.astype(object)
@@ -204,6 +236,7 @@ class _Reduction:
             dev = hs * self.scale - self.fixed_rank * ks
         den = ks * self.scale
         terms = (dev / den).astype(np.float64, copy=False)
+        self.fixed_sum += _fixed_sum(terms)
         if self.fixed_rank is None:
             top = terms.max()
             for i in np.flatnonzero(terms >= top - top * _TERM_SLACK).tolist():
@@ -215,7 +248,6 @@ class _Reduction:
             for k, d in zip(ks.tolist(), dev.tolist()):
                 groups[k] = groups.get(k, 0) + d
         self.next_rank += hs.size
-        return memoryview(terms)
 
     def sum_exact(self) -> Rat | None:
         """sum_k D_k*(L/k) / (L*scale), added pairwise over the lcm of each pair's denominators."""
@@ -246,8 +278,9 @@ def _scan(
     if count < 1:
         raise PreconditionError(f"no F_{n} fractions in [{lo}, {hi}]")
     red = _Reduction(rank_lo, scale, fixed_rank, exact, n * scale >= _INT64_MARGIN)
-    chunks = _members(n, lo, hi, count)
-    red.sum_float = fsum(chain.from_iterable(red.add(hs, ks) for hs, ks in chunks))
+    for hs, ks in _members(n, lo, hi, count):
+        red.add(hs, ks)
+    red.sum_float = red.fixed_sum / (1 << _FIXED_POINT)  # rounded once
     if red.next_rank - rank_lo != count:
         raise PreconditionError(
             f"scan over [{lo}, {hi}] at order {n} enumerated {red.next_rank - rank_lo} "
@@ -483,23 +516,77 @@ class DressSweep:
     worst_order: int
 
 
+def _sweep_maxima(n_max: int):
+    """(N, the largest deviation of F_N as an exact Rat) for N = 2..n_max.
+
+    As F_N(m+1-j) = 1 - F_N(j) with m = |F_N|, only the members in [0, 1/2]
+    (ranks 1..(m+1)/2) are kept, as sorted floats h/k in two preallocated
+    buffers that swap as each order merges in its new h/N.  With d_j =
+    F_N(j) - j/m the deviation at the mirrored rank m+1-j is |d_j + 1/m|, so
+    the maximum over all ranks is max(max_j d_j + 1/m, -min_j d_j).
+
+    The float of d_j is within 3u of it (u = 2**-53): one rounding each for
+    h/k, for j/m and for their difference, all of them at most 1.  Adding
+    1/m costs two more (of 1/m, and of the sum, at most 1), so the largest
+    float plus 1/m is within 3u + 4u/3 of max_j d_j + 1/m, and minus the
+    smallest float within 3u of -min_j d_j.  An end whose value is below the
+    other's minus 16u, so by more than 15u after one rounding, cannot hold
+    the maximum (15u > 3u + 3u + 4u/3) and is dropped.  A rank whose
+    mirrored deviation is the maximum has the largest d_j, and one whose own
+    deviation is, the smallest; so its float is within 6u of the largest or
+    of the smallest float, and every rank within 8u of a kept end (room for
+    the rounding of the threshold) is rechecked both ways in Python ints.
+    Its h/k is the fraction nearest the float with denominator <= N: the
+    float is within 2**-54 of h/k, and any other such fraction at least
+    1/N**2 > 2**-53 away, for N < 2**26.
+    """
+    capacity = (farey_cardinality(n_max, build_totient_table(n_max)) + 1) // 2
+    vals, merged = np.empty(capacity), np.empty(capacity)
+    kept = np.empty(capacity, dtype=bool)
+    ranks = np.arange(1, capacity + 1, dtype=np.float64)
+    work = np.empty(capacity)
+    vals[0] = 0.0
+    size = 1  # F_1 = {0/1, 1/1}: the half holds 0/1
+    for n in range(2, n_max + 1):
+        new_h = np.arange(1, n // 2 + 1, dtype=np.int64)
+        new_vals = new_h[np.gcd(new_h, n) == 1] / n
+        dest = np.searchsorted(vals[:size], new_vals) + np.arange(new_vals.size)
+        old_size, size = size, size + new_vals.size
+        slots = kept[:size]
+        slots[:] = True
+        slots[dest] = False
+        merged[:size][slots] = vals[:old_size]
+        merged[dest] = new_vals
+        vals, merged = merged, vals
+        m = 2 * size - 1  # 1/2 is the middle member, for n >= 2
+        terms = work[:size]
+        np.divide(ranks[:size], m, out=terms)
+        np.subtract(vals[:size], terms, out=terms)
+        low, high = terms.min(), terms.max()
+        mirrored, direct = high + 1 / m, -low
+        if mirrored < direct - 2 * _TERM_SLACK:
+            near = terms <= low + _TERM_SLACK
+        elif direct < mirrored - 2 * _TERM_SLACK:
+            near = terms >= high - _TERM_SLACK
+        else:
+            near = (terms <= low + _TERM_SLACK) | (terms >= high - _TERM_SLACK)
+        best_dev, best_den = 0, 1
+        for i in np.flatnonzero(near).tolist():
+            x = Rat(float(vals[i])).limit_denominator(n)
+            h, k = x.numerator, x.denominator
+            # rank i+1 holds h/k, and the mirrored rank m-i holds (k-h)/k
+            dev = max(abs(h * m - (i + 1) * k), abs((k - h) * m - (m - i) * k))
+            if dev * best_den > best_dev * k * m:
+                best_dev, best_den = dev, k * m
+        yield n, Rat(best_dev, best_den)
+
+
 def dress_scan_sweep(n_max: int, element_budget: int = 2_000_000) -> DressSweep:
     """Check max_j |F_N(j) - j/|F_N|| <= 1/N for every N <= n_max in one pass.
 
-    F_N is kept as the sorted float values h/k.  Each order merges its
-    phi(N) new members into a second preallocated buffer, and the two
-    buffers swap, so an order costs a few passes over |F_N| and allocates
-    nothing of that size.  The largest deviation is found by a float
-    prefilter and an exact recheck.  Each float |h/k - j/|F_N|| is within 3u
-    of the exact deviation (u = 2**-53): one rounding each for h/k, for
-    j/|F_N| and for their difference, all of them at most 1.  So the exact
-    maximum is within 6u of the largest float, and every term within 8u
-    (absolute) of it is recomputed in Python ints.  Its h/k is recovered
-    exactly as the fraction nearest the float with denominator <= N: the
-    float is within 2**-54 of h/k, and every other such fraction is at least
-    1/N**2 away, which is more than 2**-53 for N < 2**26.  The bound test,
-    the violations, worst_ratio (max over N of N * max_term, rounded once)
-    and worst_order (the first order that reaches it) are exact.
+    From the exact maxima of `_sweep_maxima`, the bound test, the violations,
+    worst_ratio (max over N of N * max_term, rounded once) and worst_order
+    (the first order that reaches it) are exact.
     """
     if n_max < 1:
         raise PreconditionError(f"n_max must be >= 1, got {n_max}")
@@ -509,39 +596,8 @@ def dress_scan_sweep(n_max: int, element_budget: int = 2_000_000) -> DressSweep:
             f"sweep to {n_max} needs about {final_size:.3g} resident elements, "
             f"over budget {element_budget}"
         )
-    capacity = farey_cardinality(n_max, build_totient_table(n_max))
-    vals, merged = np.empty(capacity), np.empty(capacity)
-    kept = np.empty(capacity, dtype=bool)
-    ranks = np.arange(1, capacity + 1, dtype=np.float64)
-    work = np.empty(capacity)
-    vals[:2] = 0.0, 1.0
-    m = 2
-    violations: list[int] = []
-    worst_num, worst_den, worst_order = 1, 2, 1  # order 1: terms 1/2 and 0 against the cap 1
-    for n in range(2, n_max + 1):
-        new_h = np.arange(1, n, dtype=np.int64)
-        new_vals = new_h[np.gcd(new_h, n) == 1] / n
-        dest = np.searchsorted(vals[:m], new_vals) + np.arange(new_vals.size)
-        old_m, m = m, m + new_vals.size
-        slots = kept[:m]
-        slots[:] = True
-        slots[dest] = False
-        merged[:m][slots] = vals[:old_m]
-        merged[dest] = new_vals
-        vals, merged = merged, vals
-        terms = work[:m]
-        np.divide(ranks[:m], m, out=terms)
-        np.subtract(vals[:m], terms, out=terms)
-        np.abs(terms, out=terms)
-        best_dev, best_den = 0, 1
-        for i in np.flatnonzero(terms >= terms.max() - _TERM_SLACK).tolist():
-            x = Rat(float(vals[i])).limit_denominator(n)
-            h, k = x.numerator, x.denominator
-            dev = abs(h * m - (i + 1) * k)
-            if dev * best_den > best_dev * k * m:
-                best_dev, best_den = dev, k * m
-        if best_dev * n > best_den:
-            violations.append(n)
-        if best_dev * n * worst_den > worst_num * best_den:
-            worst_num, worst_den, worst_order = best_dev * n, best_den, n
-    return DressSweep(n_max, not violations, violations, worst_num / worst_den, worst_order)
+    # order 1: terms 1/2 and 0 against the cap 1
+    ratios = [(Rat(1, 2), 1), *((n * top, n) for n, top in _sweep_maxima(n_max))]
+    violations = [n for ratio, n in ratios if ratio > 1]
+    worst, worst_order = max(ratios, key=lambda pair: pair[0])
+    return DressSweep(n_max, not violations, violations, float(worst), worst_order)

@@ -186,9 +186,27 @@ class TestGcdCheck:
 
 
 class TestExitCodes:
-    def test_usage_error_bad_fraction(self):
+    def test_usage_error_bad_fraction(self, capsys):
         code, _ = run_cli(["rank", "--order", "6", "--fraction", "nonsense"])
         assert code == 1
+        assert capsys.readouterr().err == (
+            "farey: usage error: argument --fraction: expected a fraction 'num/den', got 'nonsense'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,text",
+        [
+            (["enumerate", "--order", "6", "--lo", "1/"], "1/"),
+            (["map", "--vertex", "0/1", "--covertex", "x", "--q", "2", "--order", "6"], "x"),
+            (["franel", "--order", "6", "--hi", "2/x"], "2/x"),
+            (["growth", "--vertex", "1.5", "--i", "4"], "1.5"),
+        ],
+    )
+    def test_bad_fraction_keeps_the_parse_message(self, argv, text, capsys):
+        assert run_cli(argv) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("farey: usage error: argument --")
+        assert err.endswith(f"expected a fraction 'num/den', got {text!r}\n")
 
     def test_usage_error_unknown_subcommand(self):
         code, _ = run_cli(["frobnicate"])
@@ -239,6 +257,7 @@ class TestOutOfDomain:
             (["growth", "--vertex", "0/1", "--i", "1"], 2),
             (["growth", "--vertex", "0/1", "--i", ","], 1),
             (["dress", "--order", "0"], 2),
+            (["dress", "--sweep-to", "0"], 2),
             (["totient", "--upto", "0"], 2),
             (["selftest", "--table-limit", "-1"], 1),
             (["franel", "--order", "20", "--term-budget", "0"], 1),
@@ -261,6 +280,7 @@ class TestWorkBudgets:
             (["dress", "--sweep-to", "600", "--table-limit", "10", "--term-budget", "10"],
              "600 table entries", "budget 10"),
             (["dress", "--sweep-to", "600", "--term-budget", "10"], "2.19e+07 merged terms", "budget 10"),
+            (["gcd-check", "--random", "1000", "--term-budget", "999"], "1e+03 triples", "budget 999"),
         ],
     )
     def test_refused_before_the_work_starts(self, argv, estimate, limit, capsys):

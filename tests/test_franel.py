@@ -2,10 +2,11 @@ import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction as Rat
 from itertools import islice
-from math import isclose, log
+from math import fsum, isclose, ldexp, log
 from random import Random
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,11 +56,11 @@ def _fraction(draw, max_den: int, at_least: Fraction = ZERO) -> Fraction:
 
 
 def _assert_matches_stream(result, want: dict) -> None:
-    """Every FranelResult field against the streaming oracle: exact, or floats to 1e-12."""
+    """Every FranelResult field against the streaming oracle: exact, or max_term to 1e-12."""
     assert result.term_count == want["term_count"]
     assert result.rank_hi == want["rank_hi"] == result.rank_lo + result.term_count - 1
     assert result.sum_exact == want["sum_exact"]
-    assert isclose(result.sum_float, want["sum_float"], rel_tol=1e-12, abs_tol=0.0)
+    assert result.sum_float == want["sum_float"]
     assert isclose(result.max_term, want["max_term"], rel_tol=1e-12, abs_tol=0.0)
     assert result.argmax_rank == want["argmax_rank"]
 
@@ -349,6 +350,19 @@ class TestDress:
         report = dress_scan(sweep.worst_order)
         assert report.max_term * sweep.worst_order == pytest.approx(sweep.worst_ratio, rel=1e-9)
 
+    def test_sweep_maxima_are_the_exact_per_order_maxima(self):
+        orders, met_in_lower_half = [], set()
+        for n, top in franel._sweep_maxima(200):
+            orders.append(n)
+            m = rank_fast(n, ONE).rank
+            # dress_scan's scan: the exact maximum over every rank, and its earliest rank
+            red = franel._scan(n, ZERO, ONE, 1, m, m, exact=False)
+            assert top == Rat(red.best_dev, red.best_den)
+            met_in_lower_half.add(2 * red.best_rank <= m + 1)
+        assert orders == list(range(2, 201))
+        # some orders reach their maximum in [0, 1/2], others only by the mirror past 1/2
+        assert met_in_lower_half == {True, False}
+
     def test_sweep_budget(self):
         with pytest.raises(BudgetError):
             dress_scan_sweep(100_000)
@@ -369,6 +383,39 @@ class TestDress:
             assert sweep.all_ok == (not violations)
             assert sweep.worst_ratio == float(worst_ratio)
             assert sweep.worst_order == worst_order
+
+
+# finite floats of every sign and size: zeros, subnormals, and exponents
+# spread over some two thousand binades
+_float_terms = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=-(2.0**1000), max_value=2.0**1000),
+        st.builds(ldexp, st.integers(1 - 2**53, 2**53 - 1), st.integers(-1074, 900)),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+class TestExactFloatSum:
+    @settings(deadline=None, max_examples=300)
+    @given(_float_terms, st.booleans(), _slice_sizes)
+    def test_is_fsum_bit_for_bit(self, terms, signed, size):
+        if not signed:
+            terms = [abs(x) for x in terms]
+        chunks = (np.array(terms[start : start + size]) for start in range(0, len(terms), size))
+        got = sum(map(franel._fixed_sum, chunks)) / (1 << franel._FIXED_POINT)
+        assert got.hex() == fsum(terms).hex()
+
+    def test_ties_round_to_even(self):
+        # x + 2**-53 lies halfway between x and the next float up, whose last
+        # mantissa bit is even; a sticky 2**-1074 either way decides the tie
+        x, up = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+        for tail, want in (([], up), ([2.0**-1074], up), ([-(2.0**-1074)], x)):
+            terms = np.array([x, 2.0**-53, *tail])
+            got = franel._fixed_sum(terms) / (1 << franel._FIXED_POINT)
+            assert got == want == fsum(terms)
 
 
 class TestKernelAgainstStream:
@@ -431,7 +478,7 @@ class TestKernelAgainstStream:
         want = stream_deviations(n, ZERO, Fraction(1, 4), 1, 2 * m, EXACT_MODE_BUDGET, fixed_rank=r)
         assert want["term_count"] == r
         assert got.sum_exact == want["sum_exact"]
-        assert isclose(got.sum_float, want["sum_float"], rel_tol=1e-12, abs_tol=0.0)
+        assert got.sum_float == want["sum_float"]
 
     @pytest.mark.parametrize("streamed", [False, True])
     @pytest.mark.parametrize("size", [1, 2, 5, franel._SLICE_TERMS])
