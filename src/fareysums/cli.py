@@ -361,9 +361,9 @@ def _cmd_growth(args, config: Config, out: _Output) -> int:
 def _cmd_dress(args, config: Config, out: _Output) -> int:
     if args.sweep_to is not None:
         n = args.sweep_to
-        # the sweep sieves phi to n and merges about sum_(k <= n) 3k^2/pi^2 = n^3/pi^2 terms
+        # the sweep sieves phi to n and merges half of F_k for k <= n: about n^3/(2pi^2) terms
         _within_budget(f"dress sweep to order {n}", n, "table entries", config.table_limit)
-        _within_budget(f"dress sweep to order {n}", n**3 / pi**2, "merged terms", config.term_budget)
+        _within_budget(f"dress sweep to order {n}", n**3 / (2 * pi**2), "merged terms", config.term_budget)
         sweep = dress_scan_sweep(n)
         out.table(
             ["n_max", "all_ok", "violations", "worst_ratio", "worst_order"],

@@ -16,11 +16,10 @@ enumerations costs less for the window's order and term count (`_streams`):
 Ranks follow from the rank of lo, so each term is the exact integer pair
 (|h*M - j*k|, k*M).  The kernel reduces the terms to:
 
-- the float sum: the float terms added exactly in integer limbs per binary
-  exponent (`_fixed_sum`) and rounded once, so it is the correctly rounded sum
-  of the float terms, what `math.fsum` returns.  Each term is within 3u of its
-  exact value (u = 2**-53), so the sum is within about 3u*sum|term| plus half
-  an ulp of the exact sum;
+- the float sum: the correctly rounded sum of the float terms, added exactly
+  (`_fixed_sum`) as `math.fsum` would.  Each term is within 3u of its exact
+  value (u = 2**-53), so the sum is within about 3u*sum|term| plus half an
+  ulp of the exact sum;
 - the exact maximum and its earliest rank: a float prefilter keeps the terms
   near the largest float, and Python ints recheck them;
 - when the term count is within the exact-mode budget, the exact sum grouped
@@ -189,9 +188,9 @@ def _fixed_sum(terms: np.ndarray) -> int:
     """The exact sum of float64 terms, as an int in units of 2**-_FIXED_POINT.
 
     A term is m*2**(e-53) with |m| < 2**53 (np.frexp), and m = hi*2**26 + lo
-    with |hi| <= 2**27 and 0 <= lo < 2**26, both exact in float64.  Summed
-    per exponent by np.bincount, either limb stays an integer below 2**53,
-    so exact, for fewer than 2**26 terms; a chunk holds about _SLICE_TERMS.
+    with |hi| <= 2**27 and 0 <= lo < 2**26.  Summed per exponent by
+    np.bincount, either limb stays an integer below 2**53 for fewer than
+    2**26 terms; a chunk holds about _SLICE_TERMS.
     """
     mant, exp = np.frexp(terms)
     np.ldexp(mant, 27, out=mant)  # hi + lo/2**26
@@ -520,25 +519,16 @@ def _sweep_maxima(n_max: int):
     """(N, the largest deviation of F_N as an exact Rat) for N = 2..n_max.
 
     As F_N(m+1-j) = 1 - F_N(j) with m = |F_N|, only the members in [0, 1/2]
-    (ranks 1..(m+1)/2) are kept, as sorted floats h/k in two preallocated
-    buffers that swap as each order merges in its new h/N.  With d_j =
-    F_N(j) - j/m the deviation at the mirrored rank m+1-j is |d_j + 1/m|, so
-    the maximum over all ranks is max(max_j d_j + 1/m, -min_j d_j).
-
-    The float of d_j is within 3u of it (u = 2**-53): one rounding each for
-    h/k, for j/m and for their difference, all of them at most 1.  Adding
-    1/m costs two more (of 1/m, and of the sum, at most 1), so the largest
-    float plus 1/m is within 3u + 4u/3 of max_j d_j + 1/m, and minus the
-    smallest float within 3u of -min_j d_j.  An end whose value is below the
-    other's minus 16u, so by more than 15u after one rounding, cannot hold
-    the maximum (15u > 3u + 3u + 4u/3) and is dropped.  A rank whose
-    mirrored deviation is the maximum has the largest d_j, and one whose own
-    deviation is, the smallest; so its float is within 6u of the largest or
-    of the smallest float, and every rank within 8u of a kept end (room for
-    the rounding of the threshold) is rechecked both ways in Python ints.
+    are kept, as sorted floats h/k in two buffers that swap as each order
+    merges in its new h/N.  With d_j = F_N(j) - j/m the mirrored rank m+1-j
+    deviates by |d_j + 1/m|, so the maximum is max(max d_j + 1/m, -min d_j).
+    The float of d_j is within 3u of it (u = 2**-53: h/k, j/m and their
+    difference round once each), so every largest or smallest d_j, ties
+    included, is within 6u of the largest or smallest float, and every rank
+    within 8u of either is rechecked in Python ints, as itself and mirrored.
     Its h/k is the fraction nearest the float with denominator <= N: the
-    float is within 2**-54 of h/k, and any other such fraction at least
-    1/N**2 > 2**-53 away, for N < 2**26.
+    float is within 2**-54 of h/k, any other at least 1/N**2 > 2**-53 away
+    for N < 2**26.
     """
     capacity = (farey_cardinality(n_max, build_totient_table(n_max)) + 1) // 2
     vals, merged = np.empty(capacity), np.empty(capacity)
@@ -562,14 +552,7 @@ def _sweep_maxima(n_max: int):
         terms = work[:size]
         np.divide(ranks[:size], m, out=terms)
         np.subtract(vals[:size], terms, out=terms)
-        low, high = terms.min(), terms.max()
-        mirrored, direct = high + 1 / m, -low
-        if mirrored < direct - 2 * _TERM_SLACK:
-            near = terms <= low + _TERM_SLACK
-        elif direct < mirrored - 2 * _TERM_SLACK:
-            near = terms >= high - _TERM_SLACK
-        else:
-            near = (terms <= low + _TERM_SLACK) | (terms >= high - _TERM_SLACK)
+        near = (terms <= terms.min() + _TERM_SLACK) | (terms >= terms.max() - _TERM_SLACK)
         best_dev, best_den = 0, 1
         for i in np.flatnonzero(near).tolist():
             x = Rat(float(vals[i])).limit_denominator(n)
@@ -584,13 +567,12 @@ def _sweep_maxima(n_max: int):
 def dress_scan_sweep(n_max: int, element_budget: int = 2_000_000) -> DressSweep:
     """Check max_j |F_N(j) - j/|F_N|| <= 1/N for every N <= n_max in one pass.
 
-    From the exact maxima of `_sweep_maxima`, the bound test, the violations,
-    worst_ratio (max over N of N * max_term, rounded once) and worst_order
-    (the first order that reaches it) are exact.
+    From `_sweep_maxima`, the violations, worst_ratio (max over N of
+    N * max_term, rounded once) and worst_order (its first order) are exact.
     """
     if n_max < 1:
         raise PreconditionError(f"n_max must be >= 1, got {n_max}")
-    final_size = THREE_OVER_PI_SQ * n_max * n_max + 2 * n_max + 16
+    final_size = THREE_OVER_PI_SQ * n_max * n_max / 2 + n_max + 16  # a buffer holds half of F_N
     if final_size > element_budget:
         raise BudgetError(
             f"sweep to {n_max} needs about {final_size:.3g} resident elements, "

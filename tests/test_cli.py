@@ -279,7 +279,7 @@ class TestWorkBudgets:
             (["gcd-check", "--exhaustive", "60"], "2.23e+08 triples", "budget 100000000"),
             (["dress", "--sweep-to", "600", "--table-limit", "10", "--term-budget", "10"],
              "600 table entries", "budget 10"),
-            (["dress", "--sweep-to", "600", "--term-budget", "10"], "2.19e+07 merged terms", "budget 10"),
+            (["dress", "--sweep-to", "600", "--term-budget", "10"], "1.09e+07 merged terms", "budget 10"),
             (["gcd-check", "--random", "1000", "--term-budget", "999"], "1e+03 triples", "budget 999"),
         ],
     )
