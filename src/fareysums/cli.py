@@ -23,7 +23,7 @@ from random import Random
 from . import __version__
 from .arith import Fraction, INFINITY, ONE, ZERO, det2, gcd_triple, mediant, shear
 from .errors import BudgetError, FareyError, PreconditionError, TheoremViolation
-from .farey import enumerate_window, rank_fast, rank_oracle
+from .farey import _size_estimate, enumerate_window, rank_fast, rank_oracle
 from .franel import (
     DEFAULT_TERM_BUDGET,
     _section,
@@ -270,6 +270,8 @@ def _cmd_map(args, config: Config, out: _Output) -> int:
         params = make_params(args.vertex, args.covertex, args.q, args.order)
     else:
         params = MapParams(args.vertex, args.covertex, args.q, args.i, args.order)
+    # either direction enumerates F_i
+    _within_budget(f"map over F_{params.i}", _size_estimate(params.i, 1.0), "terms", config.term_budget)
     if args.inverse:
         window = map_window(params)
         rows = [[str(u), str(inverse_map(params, u))] for u in window.fractions]
@@ -293,18 +295,19 @@ def _cmd_gcd_check(args, config: Config, out: _Output) -> int:
     if args.exhaustive is None and args.random is None:
         raise _UsageError("gcd-check needs --exhaustive and/or --random")
     exhaustive = random = ()
+    triples = 0
     if args.random is not None:
         if args.random < 1:
             raise PreconditionError(f"--random needs at least 1 triple, got {args.random}")
         if args.max_value < 2:  # below 2 there are no three distinct fractions to draw
             raise PreconditionError(f"random triples need --max-value >= 2, got {args.max_value}")
-        _within_budget("random gcd check", args.random, "triples", config.term_budget)
+        triples = args.random
         random = _random_triples(args.random, args.max_value, args.seed)
     if args.exhaustive is not None:
         window = enumerate_window(args.exhaustive, ZERO, ONE, budget=config.term_budget)
-        triples = comb(len(window.fractions), 3)
-        _within_budget(f"gcd check over F_{args.exhaustive}", triples, "triples", config.term_budget)
+        triples += comb(len(window.fractions), 3)
         exhaustive = combinations(window.fractions, 3)
+    _within_budget("gcd check", triples, "triples", config.term_budget)
     checked = bad = 0
     for triple in chain(exhaustive, random):
         checked += 1

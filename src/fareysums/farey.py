@@ -1,7 +1,9 @@
 """Ground-truth enumeration of Farey sequences, rank computation, and neighbor search.
 
-The enumeration path (next-term recurrence seeded by mediant descent) and the
-two rank paths (direct gcd counting, Mobius identity grouped by Mertens sums)
+One mediant descent (`_bracket`) places any fraction between two consecutive
+members: it seeds window enumeration, gives neighbors and recovers members
+from their floats.  The enumeration path (next-term recurrence) and the two
+rank paths (direct gcd counting, Mobius identity grouped by Mertens sums)
 are deliberately independent of each other so they can cross-check one another.
 """
 
@@ -67,61 +69,51 @@ def next_farey(n: int, prev: Fraction, cur: Fraction) -> Fraction:
 
 
 def _bracket(n: int, p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Consecutive F_n pair (a/b, c/d) with a/b < p/q < c/d, for reduced p/q in (0,1), q > n.
+    """Consecutive F_n pair (a/b, c/d) with a/b < p/q <= c/d, for reduced p/q in (0, 1].
 
     Mediant descent with batched steps: at interval (a/b, c/d) the repeated
     mediants toward one side form (a+k*c)/(b+k*d), so the number of steps
     before the comparison flips is a single division.  Denominators are capped
     at n, which keeps both sides inside F_n; the loop ends when the next
-    mediant would leave F_n, at which point the pair is consecutive.
+    mediant would leave F_n, at which point the pair is consecutive.  Once c/d
+    has reached a member p/q, only the cap stops a/b, which climbs to the
+    predecessor of p/q.
     """
     a, b, c, d = 0, 1, 1, 1
     while b + d <= n:
         if p * (b + d) > (a + c) * q:
-            k = (p * b - q * a) // (q * c - p * d)
-            k = min(k, (n - b) // d)
+            k = (n - b) // d
+            if q * c != p * d:
+                k = min(k, (p * b - q * a - 1) // (q * c - p * d))
             a, b = a + k * c, b + k * d
         else:
-            k = (q * c - p * d) // (p * b - q * a)
-            k = min(k, (n - d) // b)
+            k = min((q * c - p * d) // (p * b - q * a), (n - d) // b)
             c, d = c + k * a, d + k * b
     return (a, b), (c, d)
+
+
+def _member_from_float(n: int, v: float) -> tuple[int, int]:
+    """The member h/k of F_n whose float is v, as the nearer end of v's bracket (n < 2**26)."""
+    p, q = v.as_integer_ratio()
+    if not p:
+        return 0, 1
+    (a, b), (c, d) = _bracket(n, p, q)
+    return (a, b) if (p * b - q * a) * d < (q * c - p * d) * b else (c, d)
 
 
 def farey_neighbors(n: int, x: Fraction) -> tuple[Fraction | None, Fraction | None]:
     """Immediate left and right neighbors of x in F_n; None at the 0/1 / 1/1 ends.
 
-    For interior x = h/k the neighbor denominators are the largest s <= n with
-    h*s = -+1 (mod k), found by one modular inverse, so the cost is O(log n).
+    The left neighbor is the lower end of the mediant descent to x and the
+    right one follows by the next-term recurrence, so the cost is O(log n).
     """
     _check_unit_interval(x)
     if x.den > n:
         raise PreconditionError(f"{x} is not in F_{n}")
     if x == ZERO:
         return None, Fraction(1, n)
-    if x == ONE:
-        return (Fraction(n - 1, n) if n > 1 else ZERO), None
-    h, k = x.num, x.den
-    inv = pow(h, -1, k)
-    s_left = inv + k * ((n - inv) // k)
-    s_right = (k - inv) + k * ((n - (k - inv)) // k)
-    left = Fraction((h * s_left - 1) // k, s_left)
-    right = Fraction((h * s_right + 1) // k, s_right)
-    return left, right
-
-
-def _window_seed(n: int, lo: Fraction) -> tuple[tuple[int, int] | None, tuple[int, int]]:
-    """(predecessor, first) raw pairs for streaming F_n upward from the smallest element >= lo."""
-    if lo == ZERO:
-        return None, (0, 1)
-    if lo == ONE:
-        return ((n - 1, n) if n > 1 else (0, 1)), (1, 1)
-    if lo.den <= n:
-        left, _ = farey_neighbors(n, lo)
-        assert left is not None
-        return (left.num, left.den), (lo.num, lo.den)
-    prev, first = _bracket(n, lo.num, lo.den)
-    return prev, first
+    left = Fraction(*_bracket(n, x.num, x.den)[0])
+    return left, (None if x == ONE else next_farey(n, left, x))
 
 
 def _check_window_args(n: int, lo: Fraction, hi: Fraction) -> None:
@@ -140,15 +132,18 @@ def iter_window(n: int, lo: Fraction, hi: Fraction):
     windows can be scanned without materializing Fraction objects.
     """
     _check_window_args(n, lo, hi)
-    prev, cur = _window_seed(n, lo)
+    # -1/n precedes 0/1 in the recurrence, so the first step gives 1/n
+    prev, cur = ((-1, n), (0, 1)) if lo == ZERO else _bracket(n, lo.num, lo.den)
     hn, hd = hi.num, hi.den
     while cur[0] * hd <= hn * cur[1]:
         yield cur
-        if prev is None:
-            prev, cur = cur, (1, n)
-        else:
-            k = (n + prev[1]) // cur[1]
-            prev, cur = cur, (k * cur[0] - prev[0], k * cur[1] - prev[1])
+        k = (n + prev[1]) // cur[1]
+        prev, cur = cur, (k * cur[0] - prev[0], k * cur[1] - prev[1])
+
+
+def _size_estimate(n: int, width: float) -> float:
+    """Upper estimate of the F_n members in a window of the given width, from their density."""
+    return THREE_OVER_PI_SQ * width * n * n + 2 * n * log(n + 2) + 16
 
 
 def enumerate_window(
@@ -156,8 +151,7 @@ def enumerate_window(
 ) -> FareyWindow:
     """Materialize all F_n fractions in [lo, hi] (bounds included when they belong to F_n)."""
     _check_window_args(n, lo, hi)
-    width = float(hi) - float(lo)
-    estimate = THREE_OVER_PI_SQ * width * n * n + 2 * n * log(n + 2) + 16
+    estimate = _size_estimate(n, float(hi) - float(lo))
     if estimate > 1.25 * budget:
         raise BudgetError(
             f"window [{lo}, {hi}] at order {n} holds about {estimate:.3g} fractions, over budget {budget}"

@@ -43,7 +43,7 @@ import numpy as np
 
 from .arith import Fraction, ONE, ZERO
 from .errors import BudgetError, PreconditionError
-from .farey import _check_window_args, iter_window, rank_fast
+from .farey import _check_window_args, _member_from_float, iter_window, rank_fast
 from .mapping import MapParams, make_params
 from .totient import (
     THREE_OVER_PI_SQ,
@@ -526,9 +526,9 @@ def _sweep_maxima(n_max: int):
     difference round once each), so every largest or smallest d_j, ties
     included, is within 6u of the largest or smallest float, and every rank
     within 8u of either is rechecked in Python ints, as itself and mirrored.
-    Its h/k is the fraction nearest the float with denominator <= N: the
-    float is within 2**-54 of h/k, any other at least 1/N**2 > 2**-53 away
-    for N < 2**26.
+    Its h/k is the nearer end of the mediant descent's bracket of the float
+    (`_member_from_float`): the float is within 2**-54 of h/k, and members of
+    F_N are more than 2**-53 apart for N < 2**26.
     """
     capacity = (farey_cardinality(n_max, build_totient_table(n_max)) + 1) // 2
     vals, merged = np.empty(capacity), np.empty(capacity)
@@ -555,8 +555,7 @@ def _sweep_maxima(n_max: int):
         near = (terms <= terms.min() + _TERM_SLACK) | (terms >= terms.max() - _TERM_SLACK)
         best_dev, best_den = 0, 1
         for i in np.flatnonzero(near).tolist():
-            x = Rat(float(vals[i])).limit_denominator(n)
-            h, k = x.numerator, x.denominator
+            h, k = _member_from_float(n, float(vals[i]))
             # rank i+1 holds h/k, and the mirrored rank m-i holds (k-h)/k
             dev = max(abs(h * m - (i + 1) * k), abs((k - h) * m - (m - i) * k))
             if dev * best_den > best_dev * k * m:

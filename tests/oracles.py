@@ -25,6 +25,12 @@ def brute_window(n: int, lo: Rat, hi: Rat) -> list[Rat]:
     return [x for x in brute_farey(n) if lo <= x <= hi]
 
 
+def brute_bracket(n: int, x: Rat) -> tuple[Rat, Rat]:
+    """The largest F_n element below x and the smallest at or above it, for x in (0, 1]."""
+    seq = brute_farey(n)
+    return max(y for y in seq if y < x), min(y for y in seq if y >= x)
+
+
 def brute_rank(n: int, x: Rat) -> int:
     """1-based count of F_n elements <= x, from the sorted brute-force list."""
     return sum(1 for y in brute_farey(n) if y <= x)

@@ -281,6 +281,11 @@ class TestWorkBudgets:
              "600 table entries", "budget 10"),
             (["dress", "--sweep-to", "600", "--term-budget", "10"], "1.09e+07 merged terms", "budget 10"),
             (["gcd-check", "--random", "1000", "--term-budget", "999"], "1e+03 triples", "budget 999"),
+            # F_400 holds about 4.9e4 members, about 5.34e4 by the density estimate
+            (["map", "--vertex", "0/1", "--covertex", "1/0", "--q", "401", "--order", "160400",
+              "--term-budget", "10"], "5.34e+04 terms", "budget 10"),
+            (["map", "--vertex", "0/1", "--covertex", "1/0", "--q", "401", "--order", "160400",
+              "--term-budget", "10", "--inverse"], "5.34e+04 terms", "budget 10"),
         ],
     )
     def test_refused_before_the_work_starts(self, argv, estimate, limit, capsys):
@@ -297,6 +302,21 @@ class TestWorkBudgets:
         # F_12 holds 47 fractions: C(47, 3) = 16215 triples
         assert run_cli(["gcd-check", "--exhaustive", "12", "--term-budget", "16214"]) == (2, "")
         assert "1.62e+04 triples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", [16215, 16224])
+    def test_exhaustive_and_random_triples_are_counted_together(self, budget, monkeypatch, capsys):
+        def refuse(*triple):
+            raise AssertionError("a triple was checked over the budget")
+
+        monkeypatch.setattr(cli, "gcd_triple", refuse)
+        # C(47, 3) = 16215 exhaustive triples plus 10 random ones
+        argv = ["gcd-check", "--exhaustive", "12", "--random", "10", "--term-budget", str(budget)]
+        assert run_cli(argv) == (2, "")
+        assert f"1.62e+04 triples, over budget {budget}" in capsys.readouterr().err
+
+    def test_exhaustive_and_random_triples_within_the_budget(self):
+        argv = ["gcd-check", "--exhaustive", "12", "--random", "10", "--term-budget", "16225"]
+        assert run_cli(argv) == (0, "0 counterexamples among 16225 triples\n")
 
 
 class TestConfig:

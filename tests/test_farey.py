@@ -1,16 +1,19 @@
 from fractions import Fraction as Rat
-from math import log
+from functools import lru_cache
+from math import gcd, log
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fareysums.arith import Fraction, INFINITY, ONE, ZERO, det2
 from fareysums.errors import BudgetError, PreconditionError
 from fareysums.farey import (
     METHOD_MOEBIUS,
     METHOD_ORACLE,
+    _bracket,
     _floor_sum,
+    _member_from_float,
     count_in_window,
     enumerate_window,
     farey_neighbors,
@@ -21,7 +24,7 @@ from fareysums.farey import (
 )
 from fareysums.totient import THREE_OVER_PI_SQ, build_totient_table
 
-from oracles import brute_farey, brute_rank, brute_window
+from oracles import brute_bracket, brute_farey, brute_rank, brute_window
 
 
 def as_rat(f: Fraction) -> Rat:
@@ -248,6 +251,7 @@ class TestNeighbors:
         assert farey_neighbors(7, ZERO) == (None, Fraction(1, 7))
         assert farey_neighbors(7, ONE) == (Fraction(6, 7), None)
         assert farey_neighbors(1, ZERO) == (None, ONE)
+        assert farey_neighbors(1, ONE) == (ZERO, None)
 
     def test_rejects_non_member(self):
         with pytest.raises(PreconditionError):
@@ -267,6 +271,66 @@ class TestNeighbors:
                 if right is not None:
                     assert as_rat(right) == seq[j + 1]
                     assert det2(right, frac) == 1
+
+
+_brute_farey = lru_cache(maxsize=None)(brute_farey)
+
+
+class TestBracket:
+    """The one mediant descent behind neighbors, window seeds and the sweep's members."""
+
+    @staticmethod
+    def assert_matches_brute(n, x):
+        (a, b), (c, d) = _bracket(n, x.num, x.den)
+        assert (Rat(a, b), Rat(c, d)) == brute_bracket(n, as_rat(x))
+
+    @settings(deadline=None)
+    @given(st.data(), st.integers(1, 60))
+    def test_members(self, data, n):
+        k = data.draw(st.integers(1, n))
+        self.assert_matches_brute(n, Fraction(data.draw(st.integers(1, k)), k))
+
+    @settings(deadline=None)
+    @given(st.integers(1, 60), st.integers(61, 10**18), st.data())
+    def test_non_members(self, n, q, data):
+        x = Fraction(data.draw(st.integers(1, q)), q)
+        assume(x.den > n)
+        self.assert_matches_brute(n, x)
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_one(self, n):
+        self.assert_matches_brute(n, ONE)
+
+    @settings(deadline=None)
+    @given(st.data(), st.integers(1, 80))
+    def test_neighbors_match_brute(self, data, n):
+        seq = _brute_farey(n)
+        j = data.draw(st.integers(0, len(seq) - 1))
+        left, right = farey_neighbors(n, Fraction(seq[j].numerator, seq[j].denominator))
+        assert (left and as_rat(left)) == (seq[j - 1] if j else None)
+        assert (right and as_rat(right)) == (seq[j + 1] if j + 1 < len(seq) else None)
+
+    @settings(deadline=None)
+    @given(st.data(), st.integers(1, 80))
+    def test_window_from_a_member(self, data, n):
+        seq = _brute_farey(n)
+        lo = data.draw(st.sampled_from(seq))
+        hi = max(lo, as_rat(data.draw(unit_interval_fractions())))
+        got = iter_window(n, Fraction(lo.numerator, lo.denominator), Fraction(hi.numerator, hi.denominator))
+        assert [Rat(h, k) for h, k in got] == [x for x in seq if lo <= x <= hi]
+
+    @given(st.integers(1, 80))
+    def test_window_from_one(self, n):
+        assert [Rat(h, k) for h, k in iter_window(n, ONE, ONE)] == brute_window(n, Rat(1), Rat(1))
+
+    def test_member_is_the_nearer_end_of_its_float(self):
+        # every member of F_200, and at each order N <= 200 the members of
+        # denominator N and N - 1 (the closest pairs) and the two ends
+        cases = [(200, h, k) for k in range(1, 201) for h in range(k + 1) if gcd(h, k) == 1]
+        cases += [(n, h, k) for n in range(1, 201) for k in {1, n - 1, n} - {0}
+                  for h in range(k + 1) if gcd(h, k) == 1]
+        for n, h, k in cases:
+            assert _member_from_float(n, h / k) == (h, k)
 
 
 class TestWindowCounts:
