@@ -194,8 +194,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("franel", parents=[common], help="deviation sum over F_N or a range of it")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--lo", type=_fraction, default=None)
-    p.add_argument("--hi", type=_fraction, default=None)
+    p.add_argument("--lo", type=_fraction, default=ZERO)
+    p.add_argument("--hi", type=_fraction, default=ONE)
     p.add_argument("--kanemitsu", action="store_true", help="signed prefix sum up to 1/4")
 
     p = sub.add_parser("growth", parents=[common], help="vertex section sums against log N")
@@ -232,6 +232,8 @@ def _cmd_enumerate(args, config: Config, out: _Output) -> int:
 
 def _cmd_rank(args, config: Config, out: _Output) -> int:
     if args.method == "fast":
+        # rank_fast sieves mu and the Mertens sums up to N
+        _within_budget(f"fast rank at order {args.order}", args.order, "sieve entries", config.table_limit)
         report = rank_fast(args.order, args.fraction)
     else:
         # the oracle takes one gcd per h <= d*x for each d <= N: about x*N(N+1)/2
@@ -244,11 +246,15 @@ def _cmd_rank(args, config: Config, out: _Output) -> int:
 
 
 def _cmd_index(args, config: Config, out: _Output) -> int:
-    n = lcm_range(args.imax)
     table = build_totient_table(args.imax, budget=config.table_limit)
     if args.sweep:
+        work = f"index sweep at order lcm(2..{args.imax})"
+        # N >= 2**(I-1), so the N - ceil(N/I) + 1 rows are at least 2**(I-2): refused before N is formed
+        if args.imax - 2 >= config.term_budget.bit_length():
+            raise BudgetError(f"{work} needs at least 2**{args.imax - 2} rows, over budget {config.term_budget}")
+        n = lcm_range(args.imax)
         first = -(-n // args.imax)
-        _within_budget(f"index sweep at order {n}", n - first + 1, "rows", config.term_budget)
+        _within_budget(work, n - first + 1, "rows", config.term_budget)
         rows = []
         for q in range(first, n + 1):
             exact = exact_index_unit_fraction(args.imax, q, table).value
@@ -259,7 +265,7 @@ def _cmd_index(args, config: Config, out: _Output) -> int:
     if args.q is None:
         raise _UsageError("index needs --q or --sweep")
     if args.asymptotic:
-        out.stream.write(out.fmt(asymptotic_index_zero(n, args.q)) + "\n")
+        out.stream.write(out.fmt(asymptotic_index_zero(lcm_range(args.imax), args.q)) + "\n")
     else:
         out.stream.write(f"{exact_index_unit_fraction(args.imax, args.q, table).value}\n")
     return 0
@@ -322,13 +328,9 @@ def _cmd_franel(args, config: Config, out: _Output) -> int:
     table = build_totient_table(args.order, budget=config.table_limit)
     if args.kanemitsu:
         result = kanemitsu_sum(args.order, table, term_budget=config.term_budget)
-    elif args.lo is None and args.hi is None:
-        result = full_franel_sum(args.order, table, term_budget=config.term_budget)
     else:
-        lo = args.lo if args.lo is not None else ZERO
-        hi = args.hi if args.hi is not None else ONE
         result = partial_franel_sum_range(
-            args.order, lo, hi, None, table, term_budget=config.term_budget
+            args.order, args.lo, args.hi, None, table, term_budget=config.term_budget
         )
     names = [field.name for field in fields(result)]
     out.table([{"term_count": "terms"}.get(name, name) for name in names],
@@ -364,10 +366,9 @@ def _cmd_growth(args, config: Config, out: _Output) -> int:
 def _cmd_dress(args, config: Config, out: _Output) -> int:
     if args.sweep_to is not None:
         n = args.sweep_to
-        # the sweep sieves phi to n and merges half of F_k for k <= n: about n^3/(2pi^2) terms
-        _within_budget(f"dress sweep to order {n}", n, "table entries", config.table_limit)
+        # the sweep merges half of F_k for k <= n: about n^3/(2pi^2) terms
         _within_budget(f"dress sweep to order {n}", n**3 / (2 * pi**2), "merged terms", config.term_budget)
-        sweep = dress_scan_sweep(n)
+        sweep = dress_scan_sweep(n, build_totient_table(n, budget=config.table_limit))
         out.table(
             ["n_max", "all_ok", "violations", "worst_ratio", "worst_order"],
             [[sweep.n_max, sweep.all_ok, len(sweep.violations), sweep.worst_ratio, sweep.worst_order]],

@@ -55,6 +55,8 @@ from .totient import (
 
 DEFAULT_TERM_BUDGET = 100_000_000
 EXACT_MODE_BUDGET = 10_000
+# the most members of F_N in [0, 1/2] that the Dress sweep's buffers hold
+SWEEP_MEMBER_BUDGET = 2_000_000
 
 _SLICE_TERMS = 1 << 16
 # Streaming a member costs about as much as the floor arithmetic of 12
@@ -385,6 +387,8 @@ def _section(vertex: Fraction, co_vertex: Fraction, i: int) -> MapParams:
     """The checked MapParams of the i-th section: N = eta * lcm(2..i) and q = N/(eta*i)."""
     if i < 2:
         raise PreconditionError(f"section index i must be >= 2, got {i}")
+    if i >= 64:  # lcm(2..i) >= 2**(i-1) >= 2**63
+        raise BudgetError(f"section index i={i} puts the order at eta*lcm(2..{i}) >= 2**63, past any table")
     block = lcm_range(i)
     return make_params(vertex, co_vertex, block // i, vertex.den * block)
 
@@ -459,10 +463,7 @@ class KanemitsuResult:
 
 
 def kanemitsu_sum(
-    n: int,
-    table: TotientTable | None = None,
-    exact_budget: int = EXACT_MODE_BUDGET,
-    term_budget: int = DEFAULT_TERM_BUDGET,
+    n: int, table: TotientTable | None = None, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> KanemitsuResult:
     """The signed deviation sum over the F_n prefix up to 1/4 (needs n >= 4)."""
     if n < 4:
@@ -470,7 +471,7 @@ def kanemitsu_sum(
     quarter = Fraction(1, 4)
     _, prefix_rank, m = _window(n, ZERO, quarter, table, term_budget)
     red = _scan(
-        n, ZERO, quarter, 1, prefix_rank, 2 * m, prefix_rank <= exact_budget, fixed_rank=prefix_rank
+        n, ZERO, quarter, 1, prefix_rank, 2 * m, prefix_rank <= EXACT_MODE_BUDGET, fixed_rank=prefix_rank
     )
     return KanemitsuResult(n, prefix_rank, m, red.sum_exact(), red.sum_float)
 
@@ -500,7 +501,7 @@ def dress_scan(
     _, m, _ = _window(n, ZERO, ONE, table, term_budget)
     red = _scan(n, ZERO, ONE, 1, m, m, exact=False)
     ok = red.best_dev * n <= red.best_den  # the bound holds for every term iff for the largest
-    rank2_term = abs(m - 2 * n) / (n * m) if n >= 1 else 0.0
+    rank2_term = abs(m - 2 * n) / (n * m)
     return DressReport(n, red.best_dev / red.best_den, red.best_rank, ok, rank2_term)
 
 
@@ -515,7 +516,7 @@ class DressSweep:
     worst_order: int
 
 
-def _sweep_maxima(n_max: int):
+def _sweep_maxima(n_max: int, table: TotientTable | None = None):
     """(N, the largest deviation of F_N as an exact Rat) for N = 2..n_max.
 
     As F_N(m+1-j) = 1 - F_N(j) with m = |F_N|, only the members in [0, 1/2]
@@ -530,7 +531,12 @@ def _sweep_maxima(n_max: int):
     (`_member_from_float`): the float is within 2**-54 of h/k, and members of
     F_N are more than 2**-53 apart for N < 2**26.
     """
-    capacity = (farey_cardinality(n_max, build_totient_table(n_max)) + 1) // 2
+    capacity = (farey_cardinality(n_max, _table_for(n_max, table)) + 1) // 2
+    if capacity > SWEEP_MEMBER_BUDGET:
+        raise BudgetError(
+            f"sweep to {n_max} keeps {capacity} members of F_{n_max} in [0, 1/2], "
+            f"over budget {SWEEP_MEMBER_BUDGET}"
+        )
     vals, merged = np.empty(capacity), np.empty(capacity)
     kept = np.empty(capacity, dtype=bool)
     ranks = np.arange(1, capacity + 1, dtype=np.float64)
@@ -563,22 +569,18 @@ def _sweep_maxima(n_max: int):
         yield n, Rat(best_dev, best_den)
 
 
-def dress_scan_sweep(n_max: int, element_budget: int = 2_000_000) -> DressSweep:
+def dress_scan_sweep(n_max: int, table: TotientTable | None = None) -> DressSweep:
     """Check max_j |F_N(j) - j/|F_N|| <= 1/N for every N <= n_max in one pass.
 
     From `_sweep_maxima`, the violations, worst_ratio (max over N of
     N * max_term, rounded once) and worst_order (its first order) are exact.
+    |F_{n_max}| comes from the table (see `_table_for`), and the half of it in
+    [0, 1/2] must be within SWEEP_MEMBER_BUDGET before any buffer exists.
     """
     if n_max < 1:
         raise PreconditionError(f"n_max must be >= 1, got {n_max}")
-    final_size = THREE_OVER_PI_SQ * n_max * n_max / 2 + n_max + 16  # a buffer holds half of F_N
-    if final_size > element_budget:
-        raise BudgetError(
-            f"sweep to {n_max} needs about {final_size:.3g} resident elements, "
-            f"over budget {element_budget}"
-        )
     # order 1: terms 1/2 and 0 against the cap 1
-    ratios = [(Rat(1, 2), 1), *((n * top, n) for n, top in _sweep_maxima(n_max))]
+    ratios = [(Rat(1, 2), 1), *((n * top, n) for n, top in _sweep_maxima(n_max, table))]
     violations = [n for ratio, n in ratios if ratio > 1]
     worst, worst_order = max(ratios, key=lambda pair: pair[0])
     return DressSweep(n_max, not violations, violations, float(worst), worst_order)

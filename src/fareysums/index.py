@@ -9,6 +9,7 @@ style asymptotics with an O(N) residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, isfinite
 
 from .errors import PreconditionError
 from .mapping import MapParams
@@ -22,7 +23,6 @@ from .totient import (
 
 ERROR_EXACT = "exact"
 ERROR_ORDER_I2 = "O(i^2)"
-ERROR_ORDER_N = "O(N)"
 
 
 @dataclass
@@ -45,16 +45,20 @@ def exact_index_unit_fraction(
     disagree; they are rejected with a dedicated message rather than guessed
     at.
     """
+    below = f"q={q} is below N/i_max for N = lcm(2..{i_max})"
+    # N >= 2**(i_max-1), so q*(i_max+1) < 2**(i_max-1) puts q below N/(i_max+1) without forming N
+    if q > 0 and (q * (i_max + 1)).bit_length() < i_max:
+        raise PreconditionError(below)
     n = lcm_range(i_max)
     if not 1 <= q <= n:
-        raise PreconditionError(f"q={q} is outside [1, N] for N={n}")
+        raise PreconditionError(f"q={q} is outside [1, N] for N = lcm(2..{i_max})")
     if q * i_max < n:
         if q * (i_max + 1) > n:
             raise PreconditionError(
                 f"q={q} falls in the ambiguous band N/(i_max+1) < q < N/i_max "
-                f"(N={n}, i_max={i_max}); pick q >= {-(-n // i_max)} or a larger i_max"
+                f"(N = lcm(2..{i_max})); pick q >= N/i_max or a larger i_max"
             )
-        raise PreconditionError(f"q={q} is below N/i_max = {n}/{i_max}")
+        raise PreconditionError(below)
     i = n // q
     if table is None:
         table = build_totient_table(i_max)
@@ -88,7 +92,13 @@ def asymptotic_index_zero(n: int, q: int) -> float:
     """Leading asymptotic 3*N^2/(pi^2*q) for the rank of 1/q in F_N (residual O(N))."""
     if q < 1:
         raise PreconditionError(f"q must be >= 1, got {q}")
-    return THREE_OVER_PI_SQ * n * n / q
+    try:
+        value = THREE_OVER_PI_SQ * n * n / q
+    except OverflowError:  # n itself is past the float range
+        value = inf
+    if not isfinite(value):
+        raise PreconditionError(f"the asymptotic rank 3*N^2/(pi^2*q) at q={q} is past the float range")
+    return value
 
 
 def asymptotic_index_half(n: int, q: int, cardinality: int) -> float:

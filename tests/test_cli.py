@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fareysums import cli
+from fareysums import cli, franel, index, totient
 
 
 def run_cli(argv):
@@ -131,6 +131,30 @@ class TestTables:
         assert code == 0
         row = json.loads(out)["rows"][0]
         assert float(row["predicted"]) > 0
+
+    @pytest.mark.parametrize("order", [1, 12, 100])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_franel_over_f_n_is_the_range_zero_to_one(self, order, fmt, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("franel took a second path")
+
+        monkeypatch.setattr(cli, "full_franel_sum", refuse)
+        argv = ["franel", "--order", str(order), "--format", fmt]
+        code, out = run_cli([*argv, "--lo", "0/1", "--hi", "1/1"])
+        # byte for byte but for the echoed command
+        assert run_cli(argv) == (0, out.replace(" --lo 0/1 --hi 1/1", "")) and code == 0
+
+    def test_dress_sweep_sieves_one_table(self, monkeypatch):
+        limits = []
+
+        def sieve(limit, *args, **kwargs):
+            limits.append(limit)
+            return totient.build_totient_table(limit, *args, **kwargs)
+
+        for module in (cli, franel):
+            monkeypatch.setattr(module, "build_totient_table", sieve)
+        assert run_cli(["dress", "--sweep-to", "600"])[0] == 0
+        assert limits == [600]
 
     def test_dress_single(self):
         code, out = run_cli(["dress", "--order", "6", "--format", "json"])
@@ -263,12 +287,38 @@ class TestOutOfDomain:
             (["franel", "--order", "20", "--term-budget", "0"], 1),
             (["franel", "--order", "20", "--table-limit", "0"], 1),
             (["franel", "--order", "20", "--precision", "0"], 1),
+            (["index", "--imax", "20000", "--q", "1"], 2),
+            (["index", "--imax", "20000", "--sweep"], 2),
+            (["growth", "--vertex", "0/1", "--i", "60000"], 2),
+            (["index", "--imax", "400", "--q", "1", "--asymptotic"], 2),
         ],
     )
     def test_every_subcommand_refuses_without_a_traceback(self, argv, code, capsys):
         assert run_cli(argv) == (code, "")
         prefix = "farey: error: " if code == 2 else "farey: usage error: "
         assert capsys.readouterr().err.startswith(prefix)
+
+    @pytest.mark.parametrize(
+        "argv,i",
+        [
+            (["index", "--imax", "20000", "--q", "1"], 20000),
+            (["index", "--imax", "20000", "--sweep"], 20000),
+            (["growth", "--vertex", "0/1", "--i", "64"], 64),
+            (["growth", "--vertex", "0/1", "--i", "200000"], 200000),
+        ],
+    )
+    def test_lcm_orders_are_refused_before_they_are_formed(self, argv, i, monkeypatch, capsys):
+        def bounded(k):
+            if k > 63:
+                raise AssertionError(f"lcm(2..{k}) was formed")
+            return totient.lcm_range(k)
+
+        for module in (cli, franel, index):
+            monkeypatch.setattr(module, "lcm_range", bounded)
+        assert run_cli(argv) == (2, "")
+        err = capsys.readouterr().err
+        # the order is named, not printed
+        assert f"lcm(2..{i})" in err and len(err) < 200
 
 
 class TestWorkBudgets:
@@ -277,8 +327,7 @@ class TestWorkBudgets:
         [
             (["index", "--imax", "20", "--sweep"], "2.21e+08 rows", "budget 100000000"),
             (["gcd-check", "--exhaustive", "60"], "2.23e+08 triples", "budget 100000000"),
-            (["dress", "--sweep-to", "600", "--table-limit", "10", "--term-budget", "10"],
-             "600 table entries", "budget 10"),
+            (["dress", "--sweep-to", "600", "--table-limit", "10"], "table limit 600", "budget 10"),
             (["dress", "--sweep-to", "600", "--term-budget", "10"], "1.09e+07 merged terms", "budget 10"),
             (["gcd-check", "--random", "1000", "--term-budget", "999"], "1e+03 triples", "budget 999"),
             # F_400 holds about 4.9e4 members, about 5.34e4 by the density estimate
@@ -293,6 +342,20 @@ class TestWorkBudgets:
         err = capsys.readouterr().err
         assert err.startswith("farey: error: ")
         assert estimate in err and limit in err
+
+    def test_fast_rank_is_bounded_by_the_table_limit(self, monkeypatch, capsys):
+        sieve = totient.mobius_upto
+
+        def bounded(limit):
+            if limit > 1000:
+                raise AssertionError(f"mu was sieved to {limit}")
+            return sieve(limit)
+
+        monkeypatch.setattr(totient, "mobius_upto", bounded)
+        argv = ["rank", "--fraction", "1/3", "--table-limit", "1000", "--order"]
+        assert run_cli([*argv, "1001"]) == (2, "")
+        assert "1e+03 sieve entries, over budget 1000" in capsys.readouterr().err
+        assert run_cli([*argv, "1000"]) == (0, "101401\n")
 
     def test_exhaustive_triples_are_counted_after_the_window(self, monkeypatch, capsys):
         def refuse(*triple):

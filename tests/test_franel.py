@@ -373,11 +373,20 @@ class TestDress:
         # some orders reach their maximum in [0, 1/2], others only by the mirror past 1/2
         assert met_in_lower_half == {True, False}
 
-    def test_sweep_budget(self):
+    def test_sweep_budget(self, monkeypatch):
         with pytest.raises(BudgetError):
             dress_scan_sweep(100_000)
         # a buffer holds the 13 700 members of F_300 in [0, 1/2], not all 27 399
-        assert dress_scan_sweep(300, element_budget=20_000).all_ok
+        monkeypatch.setattr(franel, "SWEEP_MEMBER_BUDGET", 13_700)
+        assert dress_scan_sweep(300).all_ok
+        monkeypatch.setattr(franel, "SWEEP_MEMBER_BUDGET", 13_699)
+        with pytest.raises(BudgetError, match="keeps 13700 members"):
+            dress_scan_sweep(300)
+
+    def test_sweep_refuses_a_short_table(self):
+        with pytest.raises(BudgetError, match="shorter than the order 300"):
+            dress_scan_sweep(300, build_totient_table(299))
+        assert dress_scan_sweep(300, build_totient_table(300)) == dress_scan_sweep(300)
 
     def test_sweep_matches_brute_force_to_60(self):
         violations: list[int] = []

@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+from fareysums import index
 from fareysums.arith import Fraction, ONE, ZERO
 from fareysums.errors import PreconditionError
 from fareysums.farey import farey_neighbors, rank_fast, rank_oracle
@@ -46,6 +47,17 @@ class TestExactUnitFraction:
             exact_index_unit_fraction(3, 7)   # q > N
         with pytest.raises(PreconditionError):
             exact_index_unit_fraction(4, 2)   # q < N/i_max, outside the ambiguous band
+
+    def test_small_q_is_refused_without_forming_n(self, monkeypatch):
+        def refuse(i):
+            raise AssertionError(f"lcm(2..{i}) was formed")
+
+        monkeypatch.setattr(index, "lcm_range", refuse)
+        # N = lcm(2..10) >= 2**9, and q*11 < 2**9 exactly for q <= 46
+        with pytest.raises(PreconditionError, match=r"q=46 is below N/i_max for N = lcm\(2..10\)$"):
+            exact_index_unit_fraction(10, 46)
+        with pytest.raises(AssertionError, match="was formed"):
+            exact_index_unit_fraction(10, 47)
 
     def test_flags_ambiguous_band(self):
         # i_max=5 gives N=60; q=11 has 60/6 < 11 < 60/5, valid under the per-i
@@ -123,6 +135,12 @@ class TestAsymptotics:
         assert asymptotic_index_zero(6, 6) == pytest.approx(1.8238, abs=1e-4)
         n = 240
         assert asymptotic_index_zero(n, n) == pytest.approx(3 * n / 9.8696044010893586, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [lcm_range(400), 2**2000], ids=["lcm(2..400)", "2**2000"])
+    def test_zero_vertex_refuses_a_value_past_the_float_range(self, n):
+        # at lcm(2..400) the float product overflows to inf; 2**2000 is no float at all
+        with pytest.raises(PreconditionError, match="past the float range"):
+            asymptotic_index_zero(n, 1)
 
     def test_zero_vertex_envelope(self):
         table = build_totient_table(12)
