@@ -16,17 +16,18 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction as Rat
-from itertools import chain, combinations
-from math import comb, pi
+from itertools import chain, combinations, islice
+from math import comb
 from random import Random
 
 from . import __version__
 from .arith import Fraction, INFINITY, ONE, ZERO, det2, gcd_triple, mediant, shear
 from .errors import BudgetError, FareyError, PreconditionError, TheoremViolation
-from .farey import _size_estimate, enumerate_window, rank_fast, rank_oracle
+from .farey import _size_estimate, _window_pairs, enumerate_window, rank_fast, rank_oracle
 from .franel import (
     DEFAULT_TERM_BUDGET,
     _section,
+    _sweep_block,
     dress_scan,
     dress_scan_sweep,
     full_franel_sum,
@@ -39,7 +40,7 @@ from .mapping import (
     MapParams, build_f_prime, cardinality_relation, forward_map, inverse_map, make_params, map_window,
 )
 from .totient import (
-    DEFAULT_TABLE_LIMIT, build_totient_table, error_term_rows, farey_cardinality, lcm_range,
+    DEFAULT_TABLE_LIMIT, THREE_OVER_PI_SQ, build_totient_table, error_term_rows, farey_cardinality, lcm_range,
 )
 
 
@@ -98,6 +99,10 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+# rows formatted into one string per write: a write per row costs more on a pipe
+_ROWS_PER_WRITE = 4096
+
+
 @dataclass
 class _Output:
     """Emitter for one table: metadata plus rows, as CSV or a single JSON object."""
@@ -128,24 +133,34 @@ class _Output:
             "version": f"fareysums {__version__}",
         }
 
-    def table(self, header: list[str], rows: list[list]) -> None:
+    def table(self, header: list[str], rows) -> None:
+        """Write the header and the rows, drawn from an iterable _ROWS_PER_WRITE at a time."""
+        cells = ([self.fmt(cell) for cell in row] for row in rows)
+        chunks = iter(lambda: list(islice(cells, _ROWS_PER_WRITE)), [])
         if self.config.output_format == "json":
-            body = {
-                "meta": self._meta(),
-                "rows": [
-                    {name: self.fmt(cell) for name, cell in zip(header, row)} for row in rows
-                ],
-            }
-            self.stream.write(json.dumps(body, indent=2, sort_keys=True))
-            self.stream.write("\n")
+            # the bytes of json.dumps({"meta": ..., "rows": [...]}, indent=2, sort_keys=True)
+            skeleton = json.dumps({"meta": self._meta(), "rows": [0]}, indent=2, sort_keys=True)
+            head, tail = skeleton.split("\n    0")
+            order = sorted(range(len(header)), key=header.__getitem__)  # sort_keys
+            keys = [(f"\n      {json.dumps(header[i])}: ", i) for i in order]
+            self.stream.write(head)
+            sep = ""
+            for chunk in chunks:
+                bodies = (",".join(key + json.dumps(row[i]) for key, i in keys) for row in chunk)
+                self.stream.write(sep + ",".join(f"\n    {{{body}\n    }}" for body in bodies))
+                sep = ","
+            self.stream.write((tail if sep else "]\n}") + "\n")
             return
         for key, value in self._meta().items():
             self.stream.write(f"# {key}: {value}\n")
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([self.fmt(cell) for cell in row])
+        for chunk in chunks:
+            writer.writerows(chunk)
+            self.stream.write(buffer.getvalue())
+            buffer.seek(0)
+            buffer.truncate()
         self.stream.write(buffer.getvalue())
 
 
@@ -221,11 +236,16 @@ def _within_budget(work: str, estimate: float, unit: str, budget: int) -> None:
 
 
 def _cmd_enumerate(args, config: Config, out: _Output) -> int:
-    window = enumerate_window(args.order, args.lo, args.hi, budget=config.term_budget)
-    start = rank_fast(args.order, window.fractions[0]).rank if window.fractions else 0
-    rows = [
-        [start + k, str(f), f.num, f.den] for k, f in enumerate(window.fractions)
-    ]
+    n = args.order
+    pairs = _window_pairs(n, args.lo, args.hi, config.term_budget)
+    first = next(pairs, None)
+    rows = []
+    if first is not None:
+        start = rank_fast(n, Fraction(*first)).rank
+        # the rows are streamed, so their count from ranks is checked before the first is written
+        count = rank_fast(n, args.hi).rank - start + 1
+        _within_budget(f"window [{args.lo}, {args.hi}] at order {n}", count, "rows", config.term_budget)
+        rows = ([start + j, f"{h}/{k}", h, k] for j, (h, k) in enumerate(chain([first], pairs)))
     out.table(["index", "fraction", "num", "den"], rows)
     return 0
 
@@ -265,6 +285,13 @@ def _cmd_index(args, config: Config, out: _Output) -> int:
     if args.q is None:
         raise _UsageError("index needs --q or --sweep")
     if args.asymptotic:
+        # N >= 2**(I-1) puts 3N^2/(pi^2*q) above 2**(2I-4-bit_length(q)): past the float range
+        # from 2**1024 on, refused before N is formed
+        if args.q >= 1 and 2 * args.imax - 4 - args.q.bit_length() >= 1024:
+            raise PreconditionError(
+                f"the asymptotic rank 3*N^2/(pi^2*q) at q={args.q} for N = lcm(2..{args.imax}) "
+                "is past the float range"
+            )
         out.stream.write(out.fmt(asymptotic_index_zero(lcm_range(args.imax), args.q)) + "\n")
     else:
         out.stream.write(f"{exact_index_unit_fraction(args.imax, args.q, table).value}\n")
@@ -366,8 +393,11 @@ def _cmd_growth(args, config: Config, out: _Output) -> int:
 def _cmd_dress(args, config: Config, out: _Output) -> int:
     if args.sweep_to is not None:
         n = args.sweep_to
-        # the sweep merges half of F_k for k <= n: about n^3/(2pi^2) terms
-        _within_budget(f"dress sweep to order {n}", n**3 / (2 * pi**2), "merged terms", config.term_budget)
+        # the sweep holds the about 3n^2/(2pi^2) members of F_n in [0, 1/2] and passes over
+        # their blocks of _sweep_block(n) once per order
+        held = THREE_OVER_PI_SQ * n * n / 2
+        steps = held + (n - 1) * held / _sweep_block(n)
+        _within_budget(f"dress sweep to order {n}", steps, "block steps", config.term_budget)
         sweep = dress_scan_sweep(n, build_totient_table(n, budget=config.table_limit))
         out.table(
             ["n_max", "all_ok", "violations", "worst_ratio", "worst_order"],

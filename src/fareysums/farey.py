@@ -1,10 +1,10 @@
 """Ground-truth enumeration of Farey sequences, rank computation, and neighbor search.
 
 One mediant descent (`_bracket`) places any fraction between two consecutive
-members: it seeds window enumeration, gives neighbors and recovers members
-from their floats.  The enumeration path (next-term recurrence) and the two
-rank paths (direct gcd counting, Mobius identity grouped by Mertens sums)
-are deliberately independent of each other so they can cross-check one another.
+members: it seeds window enumeration and gives neighbors.  The enumeration
+path (next-term recurrence) and the two rank paths (direct gcd counting,
+Mobius identity grouped by Mertens sums) are deliberately independent of
+each other so they can cross-check one another.
 """
 
 from __future__ import annotations
@@ -92,15 +92,6 @@ def _bracket(n: int, p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (a, b), (c, d)
 
 
-def _member_from_float(n: int, v: float) -> tuple[int, int]:
-    """The member h/k of F_n whose float is v, as the nearer end of v's bracket (n < 2**26)."""
-    p, q = v.as_integer_ratio()
-    if not p:
-        return 0, 1
-    (a, b), (c, d) = _bracket(n, p, q)
-    return (a, b) if (p * b - q * a) * d < (q * c - p * d) * b else (c, d)
-
-
 def farey_neighbors(n: int, x: Fraction) -> tuple[Fraction | None, Fraction | None]:
     """Immediate left and right neighbors of x in F_n; None at the 0/1 / 1/1 ends.
 
@@ -146,18 +137,23 @@ def _size_estimate(n: int, width: float) -> float:
     return THREE_OVER_PI_SQ * width * n * n + 2 * n * log(n + 2) + 16
 
 
-def enumerate_window(
-    n: int, lo: Fraction, hi: Fraction, budget: int = DEFAULT_WINDOW_BUDGET
-) -> FareyWindow:
-    """Materialize all F_n fractions in [lo, hi] (bounds included when they belong to F_n)."""
+def _window_pairs(n: int, lo: Fraction, hi: Fraction, budget: int):
+    """iter_window over [lo, hi], once the window's estimated size is within 1.25*budget."""
     _check_window_args(n, lo, hi)
     estimate = _size_estimate(n, float(hi) - float(lo))
     if estimate > 1.25 * budget:
         raise BudgetError(
             f"window [{lo}, {hi}] at order {n} holds about {estimate:.3g} fractions, over budget {budget}"
         )
+    return iter_window(n, lo, hi)
+
+
+def enumerate_window(
+    n: int, lo: Fraction, hi: Fraction, budget: int = DEFAULT_WINDOW_BUDGET
+) -> FareyWindow:
+    """Materialize all F_n fractions in [lo, hi] (bounds included when they belong to F_n)."""
     out: list[Fraction] = []
-    for num, den in iter_window(n, lo, hi):
+    for num, den in _window_pairs(n, lo, hi, budget):
         out.append(Fraction(num, den))
         if len(out) > budget:
             raise BudgetError(f"window [{lo}, {hi}] at order {n} exceeded budget {budget}")

@@ -28,8 +28,13 @@ Ranks follow from the rank of lo, so each term is the exact integer pair
 
 The term count is known from ranks before the scan starts, so budgets are
 checked before any term is enumerated, and the enumeration is checked
-against it afterwards.  The order sweep of the 1/N bound keeps only the
-members in [0, 1/2] and mirrors them, as F_N is symmetric about 1/2.
+against it afterwards.
+
+The order sweep of the 1/N bound builds the members of F_{n_max} in
+[0, 1/2] once and mirrors them, as F_N is symmetric about 1/2.  It cuts them
+into fixed blocks; at each order, per-block counts give every block's ranks,
+hence float bounds on its members' deviations, and only the few blocks whose
+bounds reach the extremes are evaluated.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import numpy as np
 
 from .arith import Fraction, ONE, ZERO
 from .errors import BudgetError, PreconditionError
-from .farey import _check_window_args, _member_from_float, iter_window, rank_fast
+from .farey import _check_window_args, iter_window, rank_fast
 from .mapping import MapParams, make_params
 from .totient import (
     THREE_OVER_PI_SQ,
@@ -74,7 +79,8 @@ _INT64_MARGIN = 1 << 62
 # rounding each for dev and den as float64 and one for the quotient.  The
 # exact maximum, and every exact tie of it, is then within 6u of the largest
 # float, so every float within 8u of it is rechecked in Python ints.  The
-# sweep's terms are within 3u absolutely, and it uses 8u as an absolute slack.
+# sweep's terms are within 3u absolutely, and it uses 8u as an absolute slack,
+# both for its members and for the float bounds of its blocks.
 _TERM_SLACK = 2.0**-50
 # Exact float sums are ints in units of 2**-1126: a low mantissa limb's unit
 # at the least frexp exponent, -1073 (2**-1074 = 0.5 * 2**-1073).
@@ -516,20 +522,68 @@ class DressSweep:
     worst_order: int
 
 
+def _sweep_block(n_max: int) -> int:
+    """Members per block of the Dress sweep to n_max.
+
+    B consecutive members of F_{n_max} bound their deviations to within
+    about 2B/|F_{n_max}|, which must stay well below the 1/n_max scale of
+    the extremes for the bounds to prune: n_max//32 does, while at n_max//12
+    the sweep to 2000 ran 13 times slower.
+    """
+    return max(1, n_max // 32)
+
+
+def _half_members(n_max: int, count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced int32 (h, k) of the count members of F_{n_max} in [0, 1/2], ascending.
+
+    The arrays are padded to whole blocks of `width` with 0/(n_max+1), which
+    no order keeps.
+    """
+    hs = np.zeros(-(-count // width) * width, dtype=np.int32)  # n_max < 2**31 under the budget
+    ks = np.full(hs.size, n_max + 1, dtype=np.int32)
+    filled = 0
+    for h, k in _members(n_max, ZERO, Fraction(1, 2), count):
+        g = np.gcd(h, k)  # a value slice may give t*h/t*k for h/k
+        hs[filled:filled + h.size] = h // g
+        ks[filled:filled + h.size] = k // g
+        filled += h.size
+    return hs, ks
+
+
+def _reaching_blocks(v_lo: np.ndarray, v_hi: np.ndarray, edges: np.ndarray, m: int) -> np.ndarray:
+    """The blocks that can hold a term within _TERM_SLACK of the largest or smallest term.
+
+    At |F_N| = m, the kept members of block b hold the ranks edges[b]+1 ..
+    edges[b+1] and floats in [v_lo[b], v_hi[b]] (NaN when it holds none, so
+    that no fmax, fmin or comparison picks it).  Rounding is monotone, so
+    each of their terms fl(fl(h/k) - fl(r/m)) lies in
+    [fl(v_lo - fl(edges[b+1]/m)), fl(v_hi - fl(edges[b]/m))].  The largest
+    lower bound is then at most the largest term, and the smallest upper
+    bound at least the smallest term: a block whose bounds come within the
+    slack of neither holds no term the float filter keeps.
+    """
+    cuts = edges / m
+    lower, upper = v_lo - cuts[1:], v_hi - cuts[:-1]
+    top, bottom = np.fmax.reduce(lower), np.fmin.reduce(upper)
+    return np.flatnonzero((upper >= top - _TERM_SLACK) | (lower <= bottom + _TERM_SLACK))
+
+
 def _sweep_maxima(n_max: int, table: TotientTable | None = None):
     """(N, the largest deviation of F_N as an exact Rat) for N = 2..n_max.
 
-    As F_N(m+1-j) = 1 - F_N(j) with m = |F_N|, only the members in [0, 1/2]
-    are kept, as sorted floats h/k in two buffers that swap as each order
-    merges in its new h/N.  With d_j = F_N(j) - j/m the mirrored rank m+1-j
-    deviates by |d_j + 1/m|, so the maximum is max(max d_j + 1/m, -min d_j).
-    The float of d_j is within 3u of it (u = 2**-53: h/k, j/m and their
-    difference round once each), so every largest or smallest d_j, ties
-    included, is within 6u of the largest or smallest float, and every rank
-    within 8u of either is rechecked in Python ints, as itself and mirrored.
-    Its h/k is the nearer end of the mediant descent's bracket of the float
-    (`_member_from_float`): the float is within 2**-54 of h/k, and members of
-    F_N are more than 2**-53 apart for N < 2**26.
+    As F_N(m+1-r) = 1 - F_N(r) with m = |F_N|, only the members in [0, 1/2]
+    are kept; with d_r = F_N(r) - r/m the mirrored rank m+1-r deviates by
+    |d_r + 1/m|, so the maximum is max(max d_r + 1/m, -min d_r).  The float
+    t_r = fl(fl(h/k) - fl(r/m)) is within 3u of d_r (u = 2**-53), so every
+    largest or smallest d_r, ties included, is within 6u of the largest or
+    smallest t_r, and every member within _TERM_SLACK = 8u of either is
+    rechecked in Python ints, as itself and mirrored.
+
+    The members of F_{n_max} in [0, 1/2] are built once, as exact (h, k), and
+    cut into fixed blocks of `_sweep_block(n_max)`.  Order N counts each
+    block's members with k <= N; the running counts rank them, and give
+    float bounds on their terms (`_reaching_blocks`).  Only the kept members
+    of the few blocks whose bounds reach an extreme are ranked and evaluated.
     """
     capacity = (farey_cardinality(n_max, _table_for(n_max, table)) + 1) // 2
     if capacity > SWEEP_MEMBER_BUDGET:
@@ -537,33 +591,42 @@ def _sweep_maxima(n_max: int, table: TotientTable | None = None):
             f"sweep to {n_max} keeps {capacity} members of F_{n_max} in [0, 1/2], "
             f"over budget {SWEEP_MEMBER_BUDGET}"
         )
-    vals, merged = np.empty(capacity), np.empty(capacity)
-    kept = np.empty(capacity, dtype=bool)
-    ranks = np.arange(1, capacity + 1, dtype=np.float64)
-    work = np.empty(capacity)
-    vals[0] = 0.0
-    size = 1  # F_1 = {0/1, 1/1}: the half holds 0/1
-    for n in range(2, n_max + 1):
-        new_h = np.arange(1, n // 2 + 1, dtype=np.int64)
-        new_vals = new_h[np.gcd(new_h, n) == 1] / n
-        dest = np.searchsorted(vals[:size], new_vals) + np.arange(new_vals.size)
-        old_size, size = size, size + new_vals.size
-        slots = kept[:size]
-        slots[:] = True
-        slots[dest] = False
-        merged[:size][slots] = vals[:old_size]
-        merged[dest] = new_vals
-        vals, merged = merged, vals
-        m = 2 * size - 1  # 1/2 is the middle member, for n >= 2
-        terms = work[:size]
-        np.divide(ranks[:size], m, out=terms)
-        np.subtract(vals[:size], terms, out=terms)
-        near = (terms <= terms.min() + _TERM_SLACK) | (terms >= terms.max() - _TERM_SLACK)
+    width = min(_sweep_block(n_max), capacity)
+    hs, ks = _half_members(n_max, capacity, width)
+    vals = hs / ks
+    # the floats of each block's first and last member
+    v_lo = vals[::width]
+    v_hi = vals[np.minimum(np.arange(width, hs.size + 1, width), capacity) - 1]
+    # the slots of the members of denominator k are by_k[firsts[k-1]:firsts[k]]
+    # (a stable sort of k below 2**16 is a radix sort)
+    by_k = np.argsort(ks[:capacity].astype(np.min_scalar_type(n_max)), kind="stable")
+    firsts = np.cumsum(np.bincount(ks[:capacity], minlength=n_max + 1))
+    block_of = (by_k // width).astype(np.int32)
+    del by_k
+    hs, ks, vals = (a.reshape(-1, width) for a in (hs, ks, vals))
+    count = np.zeros(v_lo.size, dtype=np.int64)
+    edges = np.zeros(v_lo.size + 1, dtype=np.int64)
+    # v_lo and v_hi of the blocks holding a member of F_n, NaN for the others
+    live_lo, live_hi = np.full(v_lo.size, np.nan), np.full(v_lo.size, np.nan)
+    for n in range(1, n_max + 1):
+        born = block_of[firsts[n - 1]:firsts[n]]
+        np.add.at(count, born, 1)
+        live_lo[born], live_hi[born] = v_lo[born], v_hi[born]
+        if n == 1:
+            continue
+        np.cumsum(count, out=edges[1:])
+        m = 2 * int(edges[-1]) - 1  # 1/2 is the middle member, for n >= 2
+        picks = _reaching_blocks(live_lo, live_hi, edges, m)
+        kept = ks[picks] <= n
+        ranks = edges[picks, None] + np.cumsum(kept, axis=1)
+        terms = np.where(kept, vals[picks] - ranks / m, np.nan)
+        least, most = np.fmin.reduce(terms, axis=None), np.fmax.reduce(terms, axis=None)
+        rows, cols = np.nonzero((terms <= least + _TERM_SLACK) | (terms >= most - _TERM_SLACK))
+        slots = picks[rows], cols
         best_dev, best_den = 0, 1
-        for i in np.flatnonzero(near).tolist():
-            h, k = _member_from_float(n, float(vals[i]))
-            # rank i+1 holds h/k, and the mirrored rank m-i holds (k-h)/k
-            dev = max(abs(h * m - (i + 1) * k), abs((k - h) * m - (m - i) * k))
+        for h, k, r in zip(hs[slots].tolist(), ks[slots].tolist(), ranks[rows, cols].tolist()):
+            # rank r holds h/k, and the mirrored rank m+1-r holds (k-h)/k
+            dev = max(abs(h * m - r * k), abs((k - h) * m - (m + 1 - r) * k))
             if dev * best_den > best_dev * k * m:
                 best_dev, best_den = dev, k * m
         yield n, Rat(best_dev, best_den)

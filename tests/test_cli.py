@@ -79,6 +79,56 @@ class TestTables:
         assert set(body) == {"meta", "rows"}
         assert [row["fraction"] for row in body["rows"]] == ["1/3", "2/5", "1/2"]
 
+    @pytest.mark.parametrize(
+        "argv,csv_sha256,json_sha256",
+        [
+            (["--order", "1"], "2b2f8c479389e40fa2af20ac27abcbb2db8cd66e305ffc8f53b26c1f00b8b941",
+             "22adaf73dbeb86f9aaca5270de1e2451ca62e8d0af73aadb60da6503a2916ee5"),
+            (["--order", "12"], "ce936644e348ac001015222151931c4cb3b1541fadb5fc1742d2a86a641e57f9",
+             "8c5795e5e7c47dc35b11af9693d117b108afaf9b35c5f631047785abd4553da5"),
+            (["--order", "100"], "b12c94dd67d4f71cca828196b7050ae6a7a683cdf1122ff9d6cc46e11471745a",
+             "d2e419e85a7b69619ef0e8e9da830bb3a7f0069260ec6ddaa918aeabacddf24b"),
+            # an empty window: the header alone, and "rows": []
+            (["--order", "2", "--lo", "1/3", "--hi", "2/5"],
+             "f23379a4f7e7364a5a9eaadcf33cf5b72830e93d9d080b66c32e244b3708f687",
+             "57fac5ebc32fbc415b697c1f29ba6642f6d9a6548cf7cc95e23c8e9cf14d5686"),
+        ],
+    )
+    def test_streamed_enumerate_keeps_the_held_rows_bytes(self, argv, csv_sha256, json_sha256, monkeypatch):
+        # the digests of the output written when every row was held in a list first
+        for name in [name for name in os.environ if name.startswith("FAREY_")]:
+            monkeypatch.delenv(name)
+        monkeypatch.setattr(cli, "enumerate_window", None)  # no list of the members is built
+        for rows_per_write in (7, cli._ROWS_PER_WRITE):
+            monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
+            for fmt, want in (("csv", csv_sha256), ("json", json_sha256)):
+                code, out = run_cli(["enumerate", *argv, "--format", fmt])
+                assert code == 0
+                assert hashlib.sha256(out.encode()).hexdigest() == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_are_written_as_they_are_drawn(self, fmt, monkeypatch):
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 2)
+        stream = io.StringIO()
+        out = cli._Output(cli.Config(output_format=fmt), "enumerate", [], stream)
+
+        def rows():
+            yield [1, "first"]
+            yield [2, "second"]
+            assert "second" in stream.getvalue()
+            yield [3, "third"]
+
+        out.table(["index", "fraction"], rows())
+        assert "third" in stream.getvalue()
+
+    def test_enumerate_refuses_past_the_budget_before_a_row(self, capsys):
+        # F_300 has 27 399 members, and its size estimate (about 3.08e4) is within 1.25 budgets:
+        # the count from ranks decides, before any output
+        assert run_cli(["enumerate", "--order", "300", "--term-budget", "27398"]) == (2, "")
+        assert "2.74e+04 rows, over budget 27398" in capsys.readouterr().err
+        code, out = run_cli(["enumerate", "--order", "300", "--term-budget", "27399"])
+        assert code == 0 and out.endswith("\n27399,1/1,1,1\n")
+
     def test_map_forward_pairs(self):
         code, out = run_cli(["map", "--vertex", "0/1", "--covertex", "1/0",
                              "--q", "3", "--i", "2", "--order", "6", "--format", "json"])
@@ -305,6 +355,9 @@ class TestOutOfDomain:
             (["index", "--imax", "20000", "--sweep"], 20000),
             (["growth", "--vertex", "0/1", "--i", "64"], 64),
             (["growth", "--vertex", "0/1", "--i", "200000"], 200000),
+            # 2*515 - 4 - 1 >= 1024: the asymptotic rank is past the float range
+            (["index", "--imax", "515", "--q", "1", "--asymptotic"], 515),
+            (["index", "--imax", "50000", "--q", "1", "--asymptotic"], 50000),
         ],
     )
     def test_lcm_orders_are_refused_before_they_are_formed(self, argv, i, monkeypatch, capsys):
@@ -328,7 +381,8 @@ class TestWorkBudgets:
             (["index", "--imax", "20", "--sweep"], "2.21e+08 rows", "budget 100000000"),
             (["gcd-check", "--exhaustive", "60"], "2.23e+08 triples", "budget 100000000"),
             (["dress", "--sweep-to", "600", "--table-limit", "10"], "table limit 600", "budget 10"),
-            (["dress", "--sweep-to", "600", "--term-budget", "10"], "1.09e+07 merged terms", "budget 10"),
+            # about 5.47e4 members of F_600 in [0, 1/2], and 599 passes over their 3.04e3 blocks
+            (["dress", "--sweep-to", "600", "--term-budget", "10"], "1.88e+06 block steps", "budget 10"),
             (["gcd-check", "--random", "1000", "--term-budget", "999"], "1e+03 triples", "budget 999"),
             # F_400 holds about 4.9e4 members, about 5.34e4 by the density estimate
             (["map", "--vertex", "0/1", "--covertex", "1/0", "--q", "401", "--order", "160400",

@@ -1,6 +1,6 @@
 from fractions import Fraction as Rat
 from functools import lru_cache
-from math import gcd, log
+from math import log
 from random import Random
 
 import pytest
@@ -13,7 +13,6 @@ from fareysums.farey import (
     METHOD_ORACLE,
     _bracket,
     _floor_sum,
-    _member_from_float,
     count_in_window,
     enumerate_window,
     farey_neighbors,
@@ -277,7 +276,7 @@ _brute_farey = lru_cache(maxsize=None)(brute_farey)
 
 
 class TestBracket:
-    """The one mediant descent behind neighbors, window seeds and the sweep's members."""
+    """The one mediant descent behind neighbors and window seeds."""
 
     @staticmethod
     def assert_matches_brute(n, x):
@@ -322,15 +321,6 @@ class TestBracket:
     @given(st.integers(1, 80))
     def test_window_from_one(self, n):
         assert [Rat(h, k) for h, k in iter_window(n, ONE, ONE)] == brute_window(n, Rat(1), Rat(1))
-
-    def test_member_is_the_nearer_end_of_its_float(self):
-        # every member of F_200, and at each order N <= 200 the members of
-        # denominator N and N - 1 (the closest pairs) and the two ends
-        cases = [(200, h, k) for k in range(1, 201) for h in range(k + 1) if gcd(h, k) == 1]
-        cases += [(n, h, k) for n in range(1, 201) for k in {1, n - 1, n} - {0}
-                  for h in range(k + 1) if gcd(h, k) == 1]
-        for n, h, k in cases:
-            assert _member_from_float(n, h / k) == (h, k)
 
 
 class TestWindowCounts:

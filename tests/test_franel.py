@@ -373,6 +373,45 @@ class TestDress:
         # some orders reach their maximum in [0, 1/2], others only by the mirror past 1/2
         assert met_in_lower_half == {True, False}
 
+    @pytest.mark.parametrize("block", [1, 10**9])
+    def test_sweep_maxima_do_not_depend_on_the_block_size(self, block, monkeypatch):
+        want = list(franel._sweep_maxima(300))
+        # one member per block, and one block for all 13 700 members
+        monkeypatch.setattr(franel, "_sweep_block", lambda n_max: block)
+        assert list(franel._sweep_maxima(300)) == want
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 17])
+    def test_reaching_blocks_hold_every_term_near_an_extreme(self, width):
+        n_max = 40
+        half = [x for x in brute_farey(n_max) if 2 * x <= 1]
+        hs = np.array([x.numerator for x in half])
+        ks = np.array([x.denominator for x in half])
+        vals = hs / ks
+        blocks = range(0, len(half), width)
+        for n in range(2, n_max + 1):
+            kept = ks <= n
+            m = 2 * int(kept.sum()) - 1
+            # the sweep's float terms, and the ones its filter keeps
+            terms = np.where(kept, vals - np.cumsum(kept) / m, np.nan)
+            near = (terms <= np.nanmin(terms) + franel._TERM_SLACK) | (
+                terms >= np.nanmax(terms) - franel._TERM_SLACK
+            )
+            edges = np.cumsum([0] + [int(kept[b:b + width].sum()) for b in blocks])
+            live = np.diff(edges) > 0
+            v_lo = np.where(live, [vals[b] for b in blocks], np.nan)
+            v_hi = np.where(live, [vals[min(b + width, len(half)) - 1] for b in blocks], np.nan)
+            picks = franel._reaching_blocks(v_lo, v_hi, edges, m)
+            assert set(np.flatnonzero(near) // width) <= set(picks.tolist())
+            if width <= 2 and n >= 20:
+                # blocks well below 1/n_max wide prune: n_max//32 is 1 here
+                assert 4 * picks.size < live.sum()
+
+    @pytest.mark.parametrize("n_max,worst_ratio", [(1000, 0.9967126133737463), (2000, 0.9983560594416027)])
+    def test_sweep_worst_ratio(self, n_max, worst_ratio):
+        sweep = dress_scan_sweep(n_max)
+        assert sweep.all_ok and sweep.violations == []
+        assert (sweep.worst_ratio, sweep.worst_order) == (worst_ratio, n_max)
+
     def test_sweep_budget(self, monkeypatch):
         with pytest.raises(BudgetError):
             dress_scan_sweep(100_000)
