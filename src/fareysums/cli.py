@@ -241,6 +241,8 @@ def _cmd_enumerate(args, config: Config, out: _Output) -> int:
     first = next(pairs, None)
     rows = []
     if first is not None:
+        # rank_fast sieves mu and the Mertens sums up to N
+        _within_budget(f"fast rank at order {n}", n, "sieve entries", config.table_limit)
         start = rank_fast(n, Fraction(*first)).rank
         # the rows are streamed, so their count from ranks is checked before the first is written
         count = rank_fast(n, args.hi).rank - start + 1

@@ -16,10 +16,10 @@ enumerations costs less for the window's order and term count (`_streams`):
 Ranks follow from the rank of lo, so each term is the exact integer pair
 (|h*M - j*k|, k*M).  The kernel reduces the terms to:
 
-- the float sum: the correctly rounded sum of the float terms, added exactly
-  (`_fixed_sum`) as `math.fsum` would.  Each term is within 3u of its exact
-  value (u = 2**-53), so the sum is within about 3u*sum|term| plus half an
-  ulp of the exact sum;
+- the float sum, when the caller wants it: the correctly rounded sum of the
+  float terms, added exactly (`_fixed_sum`) as `math.fsum` would, so in any
+  order.  Each term is within 3u of its exact value (u = 2**-53), so the sum
+  is within about 3u*sum|term| plus half an ulp of the exact sum;
 - the exact maximum and its earliest rank: a float prefilter keeps the terms
   near the largest float, and Python ints recheck them;
 - when the term count is within the exact-mode budget, the exact sum grouped
@@ -30,11 +30,16 @@ The term count is known from ranks before the scan starts, so budgets are
 checked before any term is enumerated, and the enumeration is checked
 against it afterwards.
 
-The order sweep of the 1/N bound builds the members of F_{n_max} in
-[0, 1/2] once and mirrors them, as F_N is symmetric about 1/2.  It cuts them
-into fixed blocks; at each order, per-block counts give every block's ranks,
-hence float bounds on its members' deviations, and only the few blocks whose
-bounds reach the extremes are evaluated.
+F_N is symmetric about 1/2: F_N(m+1-j) = 1 - F_N(j) with m = |F_N|.  A scan
+of the whole of F_N enumerates only its (m+1)//2 members in [0, 1/2] and
+reduces each h/k at rank j twice, as itself and as (k-h)/k at rank m+1-j
+(1/2 once).  The mirror's integer pair is the one a direct enumeration
+would give, so every term, and so every reduction, is the same.  The order
+sweep of the 1/N bound builds the members of F_{n_max} in [0, 1/2] once and
+mirrors them too.  It cuts them into fixed blocks; at each order, per-block
+counts give every block's ranks, hence float bounds on its members'
+deviations, and only the few blocks whose bounds reach the extremes are
+evaluated.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ EXACT_MODE_BUDGET = 10_000
 SWEEP_MEMBER_BUDGET = 2_000_000
 
 _SLICE_TERMS = 1 << 16
+_HALF = Fraction(1, 2)
 # Streaming a member costs about as much as the floor arithmetic of 12
 # denominators in a slice, and a slice's fixed numpy overhead about as much
 # as 768 denominators (0.5 us, 40 ns and 30 us on a 2-core Xeon, Python
@@ -219,42 +225,76 @@ class _Reduction:
 
     A term is dev/den with dev = |h*scale - j*k| at rank j, or the signed
     h*scale - fixed_rank*k when a fixed rank is given (then no maximum is
-    kept).  den is k*scale.
+    kept).  den is k*scale.  A mirrored scan is fed the members of F_n in
+    [0, 1/2], with scale = |F_n|: each h/k at rank j also stands for its
+    mirror (k-h)/k at rank scale+1-j, whose signed deviation
+    (k-h)*scale - (scale+1-j)*k is -(h*scale - j*k) - k.
     """
 
-    def __init__(self, rank_lo: int, scale: int, fixed_rank: int | None, exact: bool, wide: bool):
+    def __init__(
+        self,
+        rank_lo: int,
+        scale: int,
+        fixed_rank: int | None,
+        exact: bool,
+        wide: bool,
+        mirrored: bool,
+        float_sum: bool,
+    ):
         self.next_rank = rank_lo
+        self.terms = 0
         self.scale = scale
         self.fixed_rank = fixed_rank
         self.wide = wide
+        self.mirrored = mirrored
         self.groups: dict[int, int] | None = {} if exact else None
         self.best_dev, self.best_den, self.best_rank = 0, 1, rank_lo
-        self.fixed_sum = 0  # the float terms' exact sum, in units of 2**-_FIXED_POINT
-        self.sum_float = 0.0
+        # the float terms' exact sum, in units of 2**-_FIXED_POINT, when it is wanted
+        self.fixed_sum: int | None = 0 if float_sum else None
+        self.sum_float: float | None = None
 
     def add(self, hs: np.ndarray, ks: np.ndarray) -> None:
-        """Reduce one chunk of members, ranked on from next_rank."""
-        js = np.arange(self.next_rank, self.next_rank + hs.size, dtype=np.int64)
+        """Reduce one chunk of members, ranked on from next_rank, then their mirrors.
+
+        The mirrors are a second reduction of the chunk's size, not a
+        concatenation: that would double the chunk's peak memory.  1/2, which
+        can only end a chunk (as h/k with 2*h == k, reduced or not), is its
+        own mirror and is reduced once.
+        """
+        first = self.next_rank
+        self.next_rank += hs.size
+        js = np.arange(first, self.next_rank, dtype=np.int64)
         if self.wide:
             hs, ks, js = hs.astype(object), ks.astype(object), js.astype(object)
-        if self.fixed_rank is None:
-            dev = np.abs(hs * self.scale - js * ks)
-        else:
-            dev = hs * self.scale - self.fixed_rank * ks
+        if self.fixed_rank is not None:
+            self._reduce(ks, hs * self.scale - self.fixed_rank * ks)
+            return
+        signed = hs * self.scale - js * ks
+        self._reduce(ks, np.abs(signed), first, 1)
+        if self.mirrored:
+            keep = hs.size - int(2 * hs[-1] == ks[-1])
+            if keep:
+                signed += ks
+                self._reduce(ks[:keep], np.abs(signed[:keep]), self.scale + 1 - first, -1)
+
+    def _reduce(self, ks: np.ndarray, dev: np.ndarray, first_rank: int = 0, step: int = 0) -> None:
+        """Fold the terms dev/(k*scale) in, the i-th at rank first_rank + step*i."""
+        self.terms += dev.size
         den = ks * self.scale
         terms = (dev / den).astype(np.float64, copy=False)
-        self.fixed_sum += _fixed_sum(terms)
+        if self.fixed_sum is not None:
+            self.fixed_sum += _fixed_sum(terms)
         if self.fixed_rank is None:
             top = terms.max()
             for i in np.flatnonzero(terms >= top - top * _TERM_SLACK).tolist():
-                d, q = int(dev[i]), int(den[i])
-                if d * self.best_den > self.best_dev * q:
-                    self.best_dev, self.best_den, self.best_rank = d, q, self.next_rank + i
+                d, q, rank = int(dev[i]), int(den[i]), first_rank + step * i
+                # exact ties go to the earliest rank, whatever order the ranks come in
+                if (d * self.best_den, self.best_rank) > (self.best_dev * q, rank):
+                    self.best_dev, self.best_den, self.best_rank = d, q, rank
         if self.groups is not None:
             groups = self.groups
             for k, d in zip(ks.tolist(), dev.tolist()):
                 groups[k] = groups.get(k, 0) + d
-        self.next_rank += hs.size
 
     def sum_exact(self) -> Rat | None:
         """sum_k D_k*(L/k) / (L*scale), added pairwise over the lcm of each pair's denominators."""
@@ -280,17 +320,26 @@ def _scan(
     scale: int,
     exact: bool,
     fixed_rank: int | None = None,
+    float_sum: bool = True,
 ) -> _Reduction:
-    """The deviation kernel over the `count` members of F_n in [lo, hi], from rank rank_lo."""
+    """The deviation kernel over the `count` members of F_n in [lo, hi], from rank rank_lo.
+
+    Over the whole of F_n without a fixed rank (then scale = count = |F_n|),
+    only the (count+1)//2 members in [0, 1/2] are enumerated, and each is
+    reduced as itself and as its mirror.  Without float_sum, sum_float stays None.
+    """
     if count < 1:
         raise PreconditionError(f"no F_{n} fractions in [{lo}, {hi}]")
-    red = _Reduction(rank_lo, scale, fixed_rank, exact, n * scale >= _INT64_MARGIN)
-    for hs, ks in _members(n, lo, hi, count):
+    mirrored = fixed_rank is None and lo == ZERO and hi == ONE
+    red = _Reduction(rank_lo, scale, fixed_rank, exact, n * scale >= _INT64_MARGIN, mirrored, float_sum)
+    top, members = (_HALF, (count + 1) // 2) if mirrored else (hi, count)
+    for hs, ks in _members(n, lo, top, members):
         red.add(hs, ks)
-    red.sum_float = red.fixed_sum / (1 << _FIXED_POINT)  # rounded once
-    if red.next_rank - rank_lo != count:
+    if red.fixed_sum is not None:
+        red.sum_float = red.fixed_sum / (1 << _FIXED_POINT)  # rounded once
+    if red.terms != count:
         raise PreconditionError(
-            f"scan over [{lo}, {hi}] at order {n} enumerated {red.next_rank - rank_lo} "
+            f"scan over [{lo}, {hi}] at order {n} enumerated {red.terms} "
             f"terms but the ranks give {count}"
         )
     return red
@@ -505,7 +554,7 @@ def dress_scan(
 ) -> DressReport:
     """Scan every term of F_n for the maximum deviation and the 1/n bound."""
     _, m, _ = _window(n, ZERO, ONE, table, term_budget)
-    red = _scan(n, ZERO, ONE, 1, m, m, exact=False)
+    red = _scan(n, ZERO, ONE, 1, m, m, exact=False, float_sum=False)
     ok = red.best_dev * n <= red.best_den  # the bound holds for every term iff for the largest
     rank2_term = abs(m - 2 * n) / (n * m)
     return DressReport(n, red.best_dev / red.best_den, red.best_rank, ok, rank2_term)
@@ -542,7 +591,7 @@ def _half_members(n_max: int, count: int, width: int) -> tuple[np.ndarray, np.nd
     hs = np.zeros(-(-count // width) * width, dtype=np.int32)  # n_max < 2**31 under the budget
     ks = np.full(hs.size, n_max + 1, dtype=np.int32)
     filled = 0
-    for h, k in _members(n_max, ZERO, Fraction(1, 2), count):
+    for h, k in _members(n_max, ZERO, _HALF, count):
         g = np.gcd(h, k)  # a value slice may give t*h/t*k for h/k
         hs[filled:filled + h.size] = h // g
         ks[filled:filled + h.size] = k // g

@@ -389,6 +389,9 @@ class TestWorkBudgets:
               "--term-budget", "10"], "5.34e+04 terms", "budget 10"),
             (["map", "--vertex", "0/1", "--covertex", "1/0", "--q", "401", "--order", "160400",
               "--term-budget", "10", "--inverse"], "5.34e+04 terms", "budget 10"),
+            # ranking the window's first member would sieve mu to N
+            (["enumerate", "--order", "3000000", "--lo", "1/3", "--hi", "1/3", "--table-limit", "1000"],
+             "3e+06 sieve entries", "budget 1000"),
         ],
     )
     def test_refused_before_the_work_starts(self, argv, estimate, limit, capsys):

@@ -567,6 +567,70 @@ class TestKernelAgainstStream:
                 franel._scan(6, ZERO, ONE, 1, 12, 13, True)
 
 
+class TestMirroredScans:
+    """Scans of the whole of F_n enumerate F_n in [0, 1/2] and reduce each member twice."""
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 300])
+    def test_only_the_lower_half_is_enumerated(self, n, monkeypatch):
+        asked, enumerated = [], []
+        members = franel._members
+
+        def spy(order, lo, hi, count):
+            asked.append((lo, hi, count))
+            for hs, ks in members(order, lo, hi, count):
+                enumerated.append(hs.size)
+                yield hs, ks
+
+        monkeypatch.setattr(franel, "_members", spy)
+        m = rank_fast(n, ONE).rank
+        full, report = full_franel_sum(n), dress_scan(n)
+        half = (m + 1) // 2
+        assert asked == [(ZERO, Fraction(1, 2), half)] * 2
+        assert sum(enumerated) == 2 * half
+        _assert_matches_stream(full, stream_deviations(n, ZERO, ONE, 1, m, EXACT_MODE_BUDGET))
+        assert (report.max_term, report.argmax_rank) == (full.max_term, full.argmax_rank)
+
+    def test_ranks_run_on_across_chunks(self):
+        # the 151 324 members of F_997 in [0, 1/2] take three chunks, and the
+        # largest deviation is at the mirrored rank |F_997| - 1
+        assert 302_648 // 2 > 2 * franel._SLICE_TERMS
+        full = full_franel_sum(997)
+        assert (full.rank_lo, full.rank_hi, full.term_count, full.sum_exact) == (1, 302_647, 302_647, None)
+        assert full.sum_float == float.fromhex("0x1.4abe8417edaa8p+2")
+        assert full.max_term == float.fromhex("0x1.06110e813ab64p-10")
+        assert full.argmax_rank == 302_646
+        rank2_term = float.fromhex("0x1.053351224c574p-10")
+        assert dress_scan(997) == franel.DressReport(997, full.max_term, 302_646, True, rank2_term)
+
+    def test_max_ties_go_to_the_earliest_rank_in_any_arrival_order(self):
+        # a chunk's mirrors arrive at descending ranks, before the next chunk's
+        # members at lower ranks; no whole-sequence maximum ties below n = 1200
+        red = franel._Reduction(1, 10, None, False, False, True, True)
+        ks = np.ones(2, dtype=np.int64)
+        red._reduce(ks, np.array([3, 3]), 9, -1)
+        assert red.best_rank == 8
+        red._reduce(ks, np.array([3, 2]), 4, 1)
+        assert (red.best_dev, red.best_den, red.best_rank) == (3, 10, 4)
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 12, 60])
+    def test_python_int_deviations(self, n, streamed):
+        # past the int64 margin the deviations, mirrored ones too, are Python ints
+        m = rank_fast(n, ONE).rank
+        with _enumeration(streamed, 5), patch.object(franel, "_INT64_MARGIN", 0):
+            full = full_franel_sum(n)
+        _assert_matches_stream(full, stream_deviations(n, ZERO, ONE, 1, m, EXACT_MODE_BUDGET))
+
+    def test_dress_scan_takes_no_float_sum(self):
+        def refuse(terms):
+            raise AssertionError("dress_scan reports no sum")
+
+        full = full_franel_sum(300)
+        with patch.object(franel, "_fixed_sum", refuse):
+            report = dress_scan(300)
+        assert (report.max_term, report.argmax_rank) == (full.max_term, full.argmax_rank)
+
+
 class TestEnumerationChoice:
     def test_choice_follows_the_cost_model(self):
         # narrow windows and tiny orders stream; many terms per denominator slice
