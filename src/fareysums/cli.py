@@ -9,7 +9,6 @@ domain), 3 falsified-theorem assertion.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -112,15 +111,26 @@ class _Output:
     argv: list[str]
     stream: io.TextIOBase
 
+    def __post_init__(self) -> None:
+        digits = self.config.precision_digits
+        # a cell's formatter by its exact type; any other type (numpy scalars) takes _fmt_other
+        self._formats = {
+            int: str,
+            str: str,
+            float: lambda value: f"{value:.{digits}g}",
+            bool: lambda value: "true" if value else "false",
+            type(None): lambda value: "",
+            Rat: lambda value: f"{value.numerator}/{value.denominator}",
+        }
+
     def fmt(self, value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return f"{value:.{self.config.precision_digits}g}"
-        if isinstance(value, Rat):
-            return f"{value.numerator}/{value.denominator}"
+        return self._formats.get(type(value), self._fmt_other)(value)
+
+    def _fmt_other(self, value) -> str:
+        """A cell of any other type: formatted as the first of bool, float, Rat it is an instance of."""
+        for kind in (bool, float, Rat):
+            if isinstance(value, kind):
+                return self._formats[kind](value)
         return str(value)
 
     def _meta(self) -> dict:
@@ -135,7 +145,8 @@ class _Output:
 
     def table(self, header: list[str], rows) -> None:
         """Write the header and the rows, drawn from an iterable _ROWS_PER_WRITE at a time."""
-        cells = ([self.fmt(cell) for cell in row] for row in rows)
+        formats, other = self._formats, self._fmt_other
+        cells = ([formats.get(type(cell), other)(cell) for cell in row] for row in rows)
         chunks = iter(lambda: list(islice(cells, _ROWS_PER_WRITE)), [])
         if self.config.output_format == "json":
             # the bytes of json.dumps({"meta": ..., "rows": [...]}, indent=2, sort_keys=True)
@@ -153,15 +164,10 @@ class _Output:
             return
         for key, value in self._meta().items():
             self.stream.write(f"# {key}: {value}\n")
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
+        # no cell holds a comma, a quote or a line break, so no CSV field needs quoting
+        self.stream.write(",".join(header) + "\n")
         for chunk in chunks:
-            writer.writerows(chunk)
-            self.stream.write(buffer.getvalue())
-            buffer.seek(0)
-            buffer.truncate()
-        self.stream.write(buffer.getvalue())
+            self.stream.write("".join(",".join(row) + "\n" for row in chunk))
 
 
 def _build_parser() -> _Parser:
@@ -423,8 +429,7 @@ def _cmd_dress(args, config: Config, out: _Output) -> int:
 
 def _cmd_totient(args, config: Config, out: _Output) -> int:
     table = build_totient_table(args.upto, budget=config.table_limit)
-    rows = [list(row) for row in error_term_rows(args.upto, table)]
-    out.table(["n", "phi", "Phi", "E", "H"], rows)
+    out.table(["n", "phi", "Phi", "E", "H"], error_term_rows(args.upto, table))
     return 0
 
 

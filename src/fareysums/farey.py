@@ -10,7 +10,9 @@ each other so they can cross-check one another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, log
+from math import gcd, isqrt, log
+
+import numpy as np
 
 from .arith import Fraction, ONE, ZERO
 from .errors import BudgetError, PreconditionError
@@ -178,29 +180,62 @@ def rank_oracle(n: int, x: Fraction) -> RankReport:
     return RankReport(n, x, count, METHOD_ORACLE)
 
 
-def _floor_sum(m: int, p: int, q: int) -> int:
-    """S(m) = sum of floor(d*p/q) for d = 1..m, in O(log q) plain-int steps.
+# np.divmod has no loop for dtype=object
+_object_divmod = np.frompyfunc(divmod, 2, 2)
+
+
+def _floor_sums(ms: np.ndarray, p: int, q: int) -> np.ndarray:
+    """S(m) = sum of floor(d*p/q) for d = 1..m, for every m in ms at once.
 
     Euclid-like reduction of sum_{i<n} floor((a*i + b)/c): peel off the
     integer parts of a/c and b/c in closed form, then count the lattice points
     under the line by rows instead of columns, which swaps a and c so that the
-    next pass reduces c mod a, as in Euclid's algorithm.  Python ints keep
-    every step exact for any p, q.
+    next pass reduces c mod a, as in Euclid's algorithm.  The (a, c) pairs are
+    Euclid's on p/q whatever m is, so only n and b are arrays, and a pass
+    costs four array operations for all of ms; the peeled terms
+    n*(n - 1)/2*(a//c) + n*(b//c) of every pass are summed in one go at the
+    end.  An element whose n reaches 0 adds nothing more, so every element
+    runs to Euclid's end.
+
+    After its reduction, a*n + b never grows past its first value below
+    q*(m + 2), and every other value is at most 2*S(m) <= m(m + 1) when
+    p <= q, so the arrays are int64 while p <= q and
+    max(q, m + 1)*(m + 2) < 2^62 for the largest m, and Python ints
+    (dtype=object) otherwise: exact for any p, q.
     """
-    n, a, b, c = m + 1, p, 0, q
-    total = 0
-    while True:
-        if a >= c:
-            total += n * (n - 1) // 2 * (a // c)
-            a %= c
-        if b >= c:
-            total += n * (b // c)
-            b %= c
-        top = a * n + b
-        if top < c:
-            return total
-        n, b = divmod(top, c)
+    m_max = int(ms.max(initial=0))
+    exact_in_int64 = p <= q and max(q, m_max + 1) * (m_max + 2) < 1 << 62
+    dtype = np.int64 if exact_in_int64 else object
+    split = np.divmod if exact_in_int64 else _object_divmod
+    n = np.add(ms, 1, dtype=dtype)
+    k, a = divmod(p, q)
+    b, c = 0, q
+    ns, ks, kbs = [n], [k], [np.zeros_like(n)]
+    while a:  # at a = 0, a*n + b = b < c: no lattice point is left under the line
+        n, b = split(a * n + b, c)
         a, c = c, a
+        k, a = divmod(a, c)
+        kb, b = split(b, c)
+        ns.append(n)
+        ks.append(k)
+        kbs.append(kb)
+    n, kb, k = np.array(ns), np.array(kbs), np.array(ks, dtype=dtype)[:, None]
+    return (n * ((n - 1) * k + 2 * kb)).sum(axis=0) // 2
+
+
+def _quotient_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct v = floor(n/e) for e <= n, and the block ends of e that share each v.
+
+    Returns (vs, ends): e in (ends[i], ends[i + 1]] gives floor(n/e) = vs[i].
+    The isqrt(n) = r heads e = 1..r have distinct quotients and blocks of one
+    e each; the tail is v = t..1 on the blocks (floor(n/(v+1)), floor(n/v)],
+    with t = r - 1 when floor(n/r) = r already heads the list, and t = r
+    otherwise.
+    """
+    r = isqrt(n)
+    t = r - 1 if n // r == r else r
+    ends = np.concatenate((np.arange(r + 1), n // np.arange(t, 0, -1)))
+    return n // ends[1:], ends
 
 
 def rank_fast(n: int, x: Fraction) -> RankReport:
@@ -212,27 +247,28 @@ def rank_fast(n: int, x: Fraction) -> RankReport:
         rank = 1 + sum over e <= n of mu(e) * S(floor(n/e)),
         S(m) = sum of floor(d*p/q) for d <= m.
 
-    floor(n/e) takes O(sqrt(n)) distinct values, each on a block [l, r] of e,
-    which contributes (M(r) - M(l-1)) * S(floor(n/l)) with M the Mertens
-    prefix sum of mu.  Each S is one O(log q) floor sum, so a call costs
-    O(sqrt(n) log q) after the O(n) sieve that the mu / Mertens cache shares
-    across calls.  Exact for any denominator q.
+    floor(n/e) takes about 2*sqrt(n) distinct values, each on a block of e
+    (`_quotient_blocks`), which contributes (M(hi) - M(lo-1)) * S(floor(n/e))
+    with M the Mertens prefix sum of mu, all gathered in one index.  A target
+    with q > n is first replaced by its lower F_n neighbour from `_bracket`
+    (O(log q) steps): floor(d*x) is the same for both at every d <= n, so
+    the rank is too, and q <= n after that.  `_floor_sums` then runs one
+    Euclid-like pass over all the blocks together, so a call costs O(log q)
+    for the bracket plus about 2*sqrt(n) array elements per step of Euclid's
+    algorithm on p/q, after the O(n) sieve that the mu / Mertens cache shares
+    across calls.  Since sum over e of S(floor(n/e)) <= n^2, every step and
+    the weighted sum are exact in int64 while (n + 1)(n + 2) < 2^62; past that
+    the arrays hold Python ints.  Exact for any denominator q.
     """
     if n < 1:
         raise PreconditionError(f"order must be >= 1, got {n}")
     _check_unit_interval(x)
     p, q = x.num, x.den
-    mertens = mertens_upto(n)
-    total = 0
-    lo = 1
-    while lo <= n:
-        v = n // lo
-        hi = n // v
-        weight = int(mertens[hi]) - int(mertens[lo - 1])
-        if weight:
-            total += weight * _floor_sum(v, p, q)
-        lo = hi + 1
-    return RankReport(n, x, 1 + total, METHOD_MOEBIUS)
+    if q > n:
+        p, q = _bracket(n, p, q)[0]
+    vs, ends = _quotient_blocks(n)
+    weights = np.diff(mertens_upto(n)[ends])
+    return RankReport(n, x, 1 + int(np.dot(weights, _floor_sums(vs, p, q))), METHOD_MOEBIUS)
 
 
 def count_in_window(n: int, lo: Fraction, hi: Fraction) -> int:

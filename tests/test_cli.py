@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as Rat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fareysums import cli, franel, index, totient
@@ -105,6 +107,13 @@ class TestTables:
                 code, out = run_cli(["enumerate", *argv, "--format", fmt])
                 assert code == 0
                 assert hashlib.sha256(out.encode()).hexdigest() == want
+
+    def test_cells_of_other_types_format_as_their_kind(self):
+        out = cli._Output(cli.Config(precision_digits=7), "enumerate", [], io.StringIO())
+        cells = [None, True, 3, 1 / 7, Rat(3, 7), "1/2", np.int64(5), np.float64(1 / 7), np.int8(-3)]
+        assert [out.fmt(cell) for cell in cells] == ["", "true", "3", "0.1428571", "3/7", "1/2", "5", "0.1428571", "-3"]
+        out.table(["a", "b", "c"], [cells[:3], cells[3:6], cells[6:]])
+        assert out.stream.getvalue().splitlines()[3:] == ["a,b,c", ",true,3", "0.1428571,3/7,1/2", "5,0.1428571,-3"]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_are_written_as_they_are_drawn(self, fmt, monkeypatch):

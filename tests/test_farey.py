@@ -1,10 +1,12 @@
+from bisect import bisect_right
 from fractions import Fraction as Rat
 from functools import lru_cache
-from math import log
+from math import gcd, log
 from random import Random
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fareysums.arith import Fraction, INFINITY, ONE, ZERO, det2
 from fareysums.errors import BudgetError, PreconditionError
@@ -12,7 +14,8 @@ from fareysums.farey import (
     METHOD_MOEBIUS,
     METHOD_ORACLE,
     _bracket,
-    _floor_sum,
+    _floor_sums,
+    _quotient_blocks,
     count_in_window,
     enumerate_window,
     farey_neighbors,
@@ -220,9 +223,67 @@ class TestRank:
     def test_fast_equals_brute_drawn(self, n, x):
         assert rank_fast(n, x).rank == brute_rank(n, as_rat(x))
 
-    @given(st.integers(0, 500), st.integers(0, 10**18), st.integers(1, 10**18))
-    def test_floor_sum_matches_loop(self, m, p, q):
-        assert _floor_sum(m, p, q) == sum(d * p // q for d in range(1, m + 1))
+    @given(st.lists(st.integers(0, 500), min_size=1, max_size=6), st.integers(0, 10**18), st.integers(1, 10**18))
+    @example([500, 3], 10**18, 7)  # p > q: n*(n - 1)/2*(p//q) alone passes 2^63
+    def test_floor_sum_matches_loop(self, ms, p, q):
+        got = _floor_sums(np.array(ms), p, q)
+        assert list(got) == [sum(d * p // q for d in range(1, m + 1)) for m in ms]
+
+    @pytest.mark.parametrize("offset,exact_in_int64", [(-1, True), (0, False)])
+    def test_floor_sums_int64_edge(self, offset, exact_in_int64):
+        # int64 while q*(max m + 2) < 2^62 (q > max m here): 2^53 * 512 = 2^62 exactly
+        ms = np.array([0, 1, 255, 509, 510])
+        q = 2**53 + offset
+        assert (q * (int(ms.max()) + 2) < 2**62) == exact_in_int64
+        for p in (1, q // 3, q - 1, q):
+            got = _floor_sums(ms, p, q)
+            assert (got.dtype == np.int64) == exact_in_int64
+            assert list(got) == [sum(d * p // q for d in range(1, m + 1)) for m in ms]
+
+    @pytest.mark.parametrize("m,exact_in_int64", [(2**31 - 2, True), (2**31 - 1, False)])
+    def test_floor_sums_int64_edge_in_m(self, m, exact_in_int64):
+        # for q <= m the bound is (max m + 1)*(max m + 2) < 2^62; S has closed forms at q = 1, 2
+        assert ((m + 1) * (m + 2) < 2**62) == exact_in_int64
+        for p, q, expected in [(1, 1, m * (m + 1) // 2), (1, 2, m * m // 4), (0, 3, 0)]:
+            got = _floor_sums(np.array([m, 1]), p, q)
+            assert (got.dtype == np.int64) == exact_in_int64
+            assert list(got) == [expected, p // q]
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 7, 10, 31, 100, 1000])
+    def test_quotient_blocks_match_walk(self, r):
+        for n in sorted({r * r, r * r - 1, r * (r + 1)} - {0}):
+            walk = []
+            lo = 1
+            while lo <= n:
+                v = n // lo
+                hi = n // v
+                walk.append((lo, hi, v))
+                lo = hi + 1
+            vs, ends = _quotient_blocks(n)
+            assert ends[0] == 0
+            assert [(int(ends[i]) + 1, int(ends[i + 1]), int(v)) for i, v in enumerate(vs)] == walk
+
+    @settings(deadline=None)
+    @given(st.integers(1, 2000), st.data())
+    def test_non_member_has_its_lower_neighbours_rank(self, n, data):
+        q = data.draw(st.one_of(st.integers(n + 1, 3 * n), st.integers(10**17, 10**18)))
+        x = Fraction(data.draw(st.integers(1, q - 1)), q)
+        assume(x.den > n)
+        # the largest fraction with denominator <= n below x, found by trying every denominator
+        h, k = max(((d * x.num // x.den, d) for d in range(1, n + 1)), key=lambda hk: Rat(*hk))
+        assert rank_fast(n, x).rank == rank_fast(n, Fraction(h, k)).rank
+
+    @pytest.mark.parametrize("n", range(1, 120))
+    def test_fast_equals_brute_past_the_order(self, n):
+        # every p/q with q <= n + 2: the members of F_n at their positions, then the non-members
+        # with q = n + 1, n + 2, at the count of members below them
+        seq = brute_farey(n)
+        for j, x in enumerate(seq, start=1):
+            assert rank_fast(n, Fraction(x.numerator, x.denominator)).rank == j
+        for q in (n + 1, n + 2):
+            for p in range(1, q):
+                if gcd(p, q) == 1:
+                    assert rank_fast(n, Fraction(p, q)).rank == bisect_right(seq, Rat(p, q))
 
     def test_symmetry(self):
         for n in (7, 30, 101):
