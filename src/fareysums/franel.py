@@ -23,8 +23,16 @@ Ranks follow from the rank of lo, so each term is the exact integer pair
 - the exact maximum and its earliest rank: a float prefilter keeps the terms
   near the largest float, and Python ints recheck them;
 - when the term count is within the exact-mode budget, the exact sum grouped
-  per denominator, sum_k D_k*(L/k) / (L*M), with D_k the summed integer
-  deviations of denominator k and L the lcm of the denominators seen.
+  per denominator: each chunk is merged into running sums D_k of the integer
+  deviations of denominator k, one per k seen (one sort by k and
+  np.add.reduceat; int64 while a bound on sum|dev| stays below 2**63, Python
+  ints past it).  The sum is (W + sum_k r_k/k)/M with D_k = W_k*k + r_k,
+  0 <= r_k < k and W the sum of the W_k.  The r_k/k are added pairwise in a
+  tree whose leaves are ordered by k // gcd(k, lcm(1..40)), so denominators
+  that share a prime above 40 meet early and their lcms stay small.  A level
+  runs in int64 while 2*max(den)**2 < 2**63, carrying each pair's whole part
+  out so every numerator stays below its denominator; the top levels run in
+  Python ints.
 
 The term count is known from ranks before the scan starts, so budgets are
 checked before any term is enumerated, and the enumeration is checked
@@ -53,7 +61,7 @@ import numpy as np
 
 from .arith import Fraction, ONE, ZERO
 from .errors import BudgetError, PreconditionError
-from .farey import _check_window_args, iter_window, rank_fast
+from .farey import _check_window_args, _object_divmod, iter_window, rank_fast
 from .mapping import MapParams, make_params
 from .totient import (
     THREE_OVER_PI_SQ,
@@ -91,6 +99,9 @@ _TERM_SLACK = 2.0**-50
 # Exact float sums are ints in units of 2**-1126: a low mantissa limb's unit
 # at the least frexp exponent, -1073 (2**-1074 = 0.5 * 2**-1073).
 _FIXED_POINT = 1073 + 53
+# lcm(1..40): k // gcd(k, _SMOOTH) is 1 when k divides it, and otherwise
+# keeps k's primes above 40 (and its prime powers past 40).
+_SMOOTH = 5_342_931_457_063_200
 
 
 @dataclass
@@ -229,6 +240,14 @@ class _Reduction:
     [0, 1/2], with scale = |F_n|: each h/k at rank j also stands for its
     mirror (k-h)/k at rank scale+1-j, whose signed deviation
     (k-h)*scale - (scale+1-j)*k is -(h*scale - j*k) - k.
+
+    With the exact sum, groups is (K, D): the denominators seen, ascending,
+    and their summed deviations, int64 while dev_bound (at least the sum of
+    every |dev| merged) is below 2**63 and Python ints (dtype=object) after.
+    The state grows with the distinct denominators, not the term count.
+    sum_exact adds the remainders r_k/k of D_k/k pairwise, the leaves
+    ordered by k // gcd(k, lcm(1..40)): in int64 while 2*max(den)**2 < 2**63,
+    then in Python ints.
     """
 
     def __init__(
@@ -247,7 +266,10 @@ class _Reduction:
         self.fixed_rank = fixed_rank
         self.wide = wide
         self.mirrored = mirrored
-        self.groups: dict[int, int] | None = {} if exact else None
+        self.groups: tuple[np.ndarray, np.ndarray] | None = None
+        if exact:
+            self.groups = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        self.dev_bound = 0
         self.best_dev, self.best_den, self.best_rank = 0, 1, rank_lo
         # the float terms' exact sum, in units of 2**-_FIXED_POINT, when it is wanted
         self.fixed_sum: int | None = 0 if float_sum else None
@@ -292,23 +314,56 @@ class _Reduction:
                 if (d * self.best_den, self.best_rank) > (self.best_dev * q, rank):
                     self.best_dev, self.best_den, self.best_rank = d, q, rank
         if self.groups is not None:
-            groups = self.groups
-            for k, d in zip(ks.tolist(), dev.tolist()):
-                groups[k] = groups.get(k, 0) + d
+            self._group(ks, dev)
+
+    def _group(self, ks: np.ndarray, dev: np.ndarray) -> None:
+        """Merge the terms into the per-denominator sums (K, D): one sort by k, one reduceat."""
+        group_ks, sums = self.groups
+        if sums.dtype != object and dev.dtype != object:
+            self.dev_bound += int(np.abs(dev).max(initial=0)) * dev.size
+            if self.dev_bound >= 1 << 63:
+                sums = sums.astype(object)
+        ks = np.concatenate((group_ks, ks.astype(np.int64, copy=False)))
+        devs = np.concatenate((sums, dev))  # dtype=object if either is
+        order = np.argsort(ks)
+        ks, devs = ks[order], devs[order]
+        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
+        self.groups = ks[starts], np.add.reduceat(devs, starts)
 
     def sum_exact(self) -> Rat | None:
-        """sum_k D_k*(L/k) / (L*scale), added pairwise over the lcm of each pair's denominators."""
+        """(W + sum_k r_k/k) / scale with D_k = W_k*k + r_k, added pairwise over lcms."""
         if self.groups is None:
             return None
-        parts = [(d, k) for k, d in self.groups.items()]
+        ks, sums = self.groups
+        if sums.dtype == object:
+            whole, rems = _object_divmod(sums, ks)
+            rems = rems.astype(np.int64)  # 0 <= r_k < k
+        else:
+            whole, rems = np.divmod(sums, ks)
+        whole = int(whole.sum())
+        live = np.flatnonzero(rems)
+        nums, dens = rems[live], ks[live]
+        order = np.argsort(dens // np.gcd(dens, _SMOOTH), kind="stable")
+        nums, dens = nums[order], dens[order]
+        # Each pair a/b + c/d becomes num/l with l = lcm(b, d) and num < 2*l,
+        # exact in int64 while 2*l <= 2*max(den)**2 < 2**63; the carry keeps num < l.
+        while dens.size > 1 and 2 * int(dens.max()) ** 2 < 1 << 63:
+            a, b, c, d = nums[:-1:2], dens[:-1:2], nums[1::2], dens[1::2]
+            g = np.gcd(b, d)
+            num, den = a * (d // g) + c * (b // g), b // g * d
+            carry = num >= den
+            whole += int(np.count_nonzero(carry))
+            num -= den * carry
+            nums, dens = np.append(num, nums[2 * b.size:]), np.append(den, dens[2 * b.size:])
+        parts = list(zip(nums.tolist(), dens.tolist()))
         while len(parts) > 1:
             paired = []
             for (a, b), (c, d) in zip(parts[::2], parts[1::2]):
                 g = gcd(b, d)
                 paired.append((a * (d // g) + c * (b // g), b // g * d))
             parts = paired + parts[2 * len(paired):]
-        total, common = parts[0]
-        return Rat(total, common * self.scale)
+        num, den = parts[0] if parts else (0, 1)
+        return Rat(whole * den + num, den * self.scale)
 
 
 def _scan(
@@ -404,9 +459,10 @@ def partial_franel_sum_range(
     """Deviation sum over the F_n fractions in [lo, hi], with ranks anchored at lo.
 
     lo must itself belong to F_n.  Its rank is computed once by rank_fast
-    (O(sqrt(n) log q)); a given rank_of_lo is checked against it.  The term
-    count rank(hi) - rank(lo) + 1 is checked against term_budget before the
-    scan starts.
+    (O(log q) Euclid steps, each over about 2*sqrt(n) array elements); a
+    given rank_of_lo is checked against it.  The term count
+    rank(hi) - rank(lo) + 1 is checked against term_budget before the scan
+    starts.
     """
     rank_lo, count, m = _window(n, lo, hi, table, term_budget)
     if rank_of_lo is not None and rank_of_lo != rank_lo:

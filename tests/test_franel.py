@@ -2,7 +2,7 @@ import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction as Rat
 from itertools import islice
-from math import fsum, isclose, ldexp, log
+from math import fsum, isclose, lcm, ldexp, log
 from random import Random
 from unittest.mock import patch
 
@@ -629,6 +629,84 @@ class TestMirroredScans:
         with patch.object(franel, "_fixed_sum", refuse):
             report = dress_scan(300)
         assert (report.max_term, report.argmax_rank) == (full.max_term, full.argmax_rank)
+
+
+class TestExactSum:
+    """The per-denominator exact sum, fed to _Reduction directly, against sum(Rat(d, k*scale))."""
+
+    @staticmethod
+    def _fed(chunks, scale=1, fixed_rank=None, wide=False):
+        """A reduction keeping the exact sum, fed (ks, devs) chunks, and the sum of its terms."""
+        red = franel._Reduction(1, scale, fixed_rank, True, wide, False, True)
+        dtype = object if wide else np.int64
+        for ks, devs in chunks:
+            red._reduce(np.array(ks, dtype=dtype), np.array(devs, dtype=dtype))
+        want = sum((Rat(d, k * scale) for ks, devs in chunks for k, d in zip(ks, devs)), start=Rat(0))
+        return red, want
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_int64_deviations_summing_past_two_to_the_63(self, chunked):
+        # D_3 = 2**63 + 16 wraps in int64; the sums must turn to Python ints first
+        terms = [(3, 2**62), (7, 2**62 - 1), (3, 2**62 + 5), (3, 11)]
+        chunks = [([k], [d]) for k, d in terms] if chunked else [tuple(zip(*terms))]
+        red, want = self._fed(chunks)
+        assert red.sum_exact() == want
+        assert red.groups[1].dtype == object
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_signed_deviations_with_a_negative_whole_part(self, wide):
+        # D_7 = -75 = -11*7 + 2: floor division keeps every remainder in [0, k)
+        chunks = [([7, 4, 9], [-30, 3, -100]), ([7, 1], [-45, -9])]
+        red, want = self._fed(chunks, scale=10, fixed_rank=3, wide=wide)
+        assert want < -1
+        assert red.sum_exact() == want
+
+    @pytest.mark.parametrize(
+        "primes",
+        [
+            # 2*p*q < 2**63: one int64 level adds p-1/p and q-1/q with a carry
+            (2_147_483_629, 2_147_483_647),
+            # p*q < 2**63 <= 2*p*q: an int64 level would wrap their numerator sum
+            (3_037_000_453, 3_037_000_493),
+            # 2*r**2 >= 2**63: every level is in Python ints
+            (2_147_483_629, 2_147_483_647, 2_147_483_659),
+        ],
+    )
+    def test_lcms_across_the_int64_level_bound(self, primes):
+        assert franel._SMOOTH == lcm(*range(1, 41))
+        ks = [3, 5, 7, 64, *primes]  # in the key's order: (3, 5), (7, 64), (p, q) pair first
+        red, want = self._fed([(ks, [2 * k - 1 for k in ks])])
+        assert red.sum_exact() == want
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_one_term_chunks_sharing_a_few_denominators(self, streamed):
+        n, m = 20, 129
+        seq = brute_farey(n)
+        want = sum((abs(x - Rat(j, m)) for j, x in enumerate(seq, start=1)), start=Rat(0))
+        with _enumeration(streamed, 1):
+            red = franel._scan(n, ZERO, ONE, 1, m, m, True)
+        assert red.sum_exact() == want
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_state_holds_one_entry_per_denominator(self, streamed, monkeypatch):
+        n = 200
+        m = rank_fast(n, ONE).rank
+        assert m > EXACT_MODE_BUDGET
+        seen, sizes = set(), []
+        group = franel._Reduction._group
+
+        def spy(red, ks, dev):
+            seen.update(ks.tolist())
+            group(red, ks, dev)
+            sizes.append((red.groups[0].size, red.groups[1].size, len(seen)))
+
+        monkeypatch.setattr(franel._Reduction, "_group", spy)
+        with _enumeration(streamed, 64):
+            result = full_franel_sum(n, exact_budget=m)
+        assert len(sizes) > 150  # about two merges per chunk of 64 members in [0, 1/2]
+        assert all(keys == sums == distinct for keys, sums, distinct in sizes)
+        assert sizes[-1][0] <= n  # a value slice may stand for h/k by t*h/t*k
+        assert result.sum_exact == stream_deviations(n, ZERO, ONE, 1, m, m)["sum_exact"]
 
 
 class TestEnumerationChoice:
