@@ -2,19 +2,33 @@
 
 The summand at rank j is |F_N(j) - j/|F_N||.  Every scan runs through one
 numpy kernel, `_scan`, over F_N in [lo, hi].  It takes the window's members
-in ascending chunks of at most `_SLICE_TERMS` terms, by whichever of two
-enumerations costs less for the window's order and term count (`_streams`):
+in ascending chunks of at most about `_SLICE_TERMS` terms, each with its
+position in the window, by whichever of three enumerations costs less for
+the window's order and term count (`_path`, one cost model):
 
+- streaming by the next-term recurrence (`iter_window`), which costs time in
+  the members alone: narrow windows, and every window at large orders
+  (`_streams`);
 - value slices: per denominator k the numerators of a slice come from floor
   arithmetic on its end points, and one sort by value orders them and merges
   each h/k with its unreduced multiples.  A slice costs time and memory in
   every denominator up to N, so it pays off when the slice holds many terms
   per denominator;
-- streaming by the next-term recurrence (`iter_window`), which costs time in
-  the members alone: narrow windows, and every window at large orders.
+- rows of the paper's map, for prefixes [0/1, 1/M] with M >= 2: whole
+  mirrored scans (M = 2), the Kanemitsu prefix (M = 4) and the vertex-0/1
+  sections (M = N/i).  For m >= 2, F_N in (1/(m+1), 1/m] is
+  {k/(m*k + h) : h/k in F_{N//m} in [0, 1), m*k + h <= N}, so rows of m
+  against one preimage, the half F_{N//M} in [0, 1/2] built by the same
+  rows recursively and mirrored, give reduced pairs with no float and no
+  sort (`_rows`).  Their chunks come from 1/M down, so their ranks are
+  counted down from the last.  The pairs are int32, as every denominator of
+  a row is below 2N; the kernel widens them to int64 before any product
+  with |F_N|.  Rows serve only windows whose preimage half holds at most
+  about _ROW_CAP = 2**20 pairs (8 MB as int32).
 
 Ranks follow from the rank of lo, so each term is the exact integer pair
-(|h*M - j*k|, k*M).  The kernel reduces the terms to:
+(|h*M - j*k|, k*M).  The kernel reduces the terms, chunk by chunk in any
+order and in work arrays kept across chunks, to:
 
 - the float sum, when the caller wants it: the correctly rounded sum of the
   float terms, added exactly (`_fixed_sum`) as `math.fsum` would, so in any
@@ -85,6 +99,17 @@ _HALF = Fraction(1, 2)
 # at n + 768 > 12*_SLICE_TERMS, and every sliced order is below 2**20.
 _STREAM_COST = 12
 _SLICE_OVERHEAD = 768
+# In the same unit, a member costs a slice about 2 (80 ns: its share of the
+# sort and run expansion) and the rows about 1 (40 ns, as does a member of
+# their preimage), and each level of the rows' recursion about 2500 (0.1 ms:
+# its bands, shrinks and joins), measured on the enumerations alone on the
+# same machine.  Rows hold their preimage half as int32 pairs, and twice
+# that while building it (its chunks and their join), so they serve only
+# windows whose preimage half holds at most about _ROW_CAP pairs (8 MB).
+_SLICE_MEMBER_COST = 2
+_ROW_MEMBER_COST = 1
+_ROW_LEVEL_COST = 2500
+_ROW_CAP = 1 << 20
 # Every product h*scale and j*k is below n*scale.  At or past this margin
 # (n*|F_n| >= 2**62 at about n = 2.5e6) the deviations are Python ints
 # (dtype=object); below it they are int64.
@@ -163,16 +188,137 @@ def _streams(n: int, count: int) -> bool:
     return _STREAM_COST * count < -(-count // _SLICE_TERMS) * (n + _SLICE_OVERHEAD)
 
 
-def _members(n: int, lo: Fraction, hi: Fraction, count: int):
-    """Int64 (h, k) arrays, one pair per member of F_n in [lo, hi], ascending, chunk by chunk."""
+def _path(n: int, lo: Fraction, hi: Fraction, count: int) -> str:
+    """The enumeration of the count members of F_n in [lo, hi]: "stream", "slices" or "rows".
+
+    A window streams when `_streams` says so.  Otherwise rows serve the
+    windows [0/1, 1/M] with M >= 2 whose preimage half F_{n//M} in [0, 1/2]
+    holds at most about _ROW_CAP members (|F_K| is about 3*K**2/pi**2), and
+    where they cost less than slices: the members and the preimage's, plus
+    a fixed cost per level of the recursion, against the members' sort and
+    each slice's floor arithmetic over every denominator.
+    """
     if _streams(n, count):
+        return "stream"
+    if lo == ZERO and hi.num == 1 and hi.den >= 2:
+        order = n // hi.den
+        preimage = THREE_OVER_PI_SQ * order * order
+        rows = _ROW_MEMBER_COST * (count + preimage) + _ROW_LEVEL_COST * order.bit_length()
+        slices = _SLICE_MEMBER_COST * count + -(-count // _SLICE_TERMS) * (n + _SLICE_OVERHEAD)
+        if preimage / 2 <= _ROW_CAP and rows < slices:
+            return "rows"
+    return "slices"
+
+
+def _members(n: int, lo: Fraction, hi: Fraction, count: int):
+    """The members of F_n in [lo, hi], as (position, h, k) chunks of at most about _SLICE_TERMS.
+
+    Each chunk is ascending, and position is its first member's 0-based
+    position in the window.  Streams and slices give int64 arrays, chunk
+    after chunk from lo up; rows give reduced int32 arrays, chunk after chunk
+    from hi down (see `_rows`).
+    """
+    path = _path(n, lo, hi, count)
+    if path == "rows":
+        position = count
+        for hs, ks in _rows(n, hi.den):
+            position -= hs.size
+            yield position, hs, ks
+        return
+    position = 0
+    if path == "stream":
         pairs = iter_window(n, lo, hi)
         while chunk := list(islice(pairs, _SLICE_TERMS)):
             hs, ks = np.array(chunk, dtype=np.int64).T
             del chunk  # its tuples would outweigh the arrays across the yield
-            yield hs, ks
+            yield position, hs, ks
+            position += hs.size
     else:
-        yield from _slices(n, lo, hi, count)
+        for hs, ks in _slices(n, lo, hi, count):
+            yield position, hs, ks
+            position += hs.size
+
+
+def _half(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Int32 (h, k) of F_n in [0, 1/2], ascending, by `_rows` (none for n < 1)."""
+    if n < 1:
+        return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32)
+    return _joined(list(_rows(n, 2)))
+
+
+def _joined(pieces: list) -> tuple[np.ndarray, np.ndarray]:
+    """One ascending int32 chunk from (h, k) pieces gathered from the top down."""
+    pieces = pieces[::-1]
+    return (
+        np.concatenate([h for h, _ in pieces], dtype=np.int32),
+        np.concatenate([k for _, k in pieces], dtype=np.int32),
+    )
+
+
+def _rows(n: int, top: int):
+    """Reduced int32 (h, k) of F_n in [0, 1/top] (top >= 2) by rows of the paper's map.
+
+    For m >= 2, F_n in (1/(m+1), 1/m] is {k/(m*k + h) : h/k in F_{n//m} in
+    [0, 1), m*k + h <= n}, ascending as h/k descends; the filter alone
+    implies k <= n//m.  The preimage is kept as its half F_{n//top} in
+    [0, 1/2] (this function at order n//top, recursively), shrunk to
+    F_{n//m} by k <= n//m as m grows.  Descending, F_{n//m} in [0, 1) is the
+    mirrors (k-h)/k of the half's members strictly between 0/1 and 1/2,
+    ascending, then the half descending; so a row is a mirror segment, with
+    denominators (m+1)*k - h, below a half segment.
+
+    A band of rows m..last, with last < 2*m and at most _SLICE_TERMS cells,
+    is one 2-D block, its rows in descending m so that the row-major compress
+    comes out ascending.  A row wider than _SLICE_TERMS // 2 is a band of its
+    own, taken segment by segment in column pieces of at most _SLICE_TERMS.
+    Every denominator is below last*k + k <= 2*m*(n//m) <= 2*n, so int32
+    holds it while n <= 2**30.  No pair needs a gcd: the map keeps h/k
+    reduced.
+
+    The bands run in ascending m, so chunks come from 1/top down, each
+    ascending and of at most _SLICE_TERMS members; 0/1 ends the last chunk.
+    """
+    if n > 1 << 30:
+        raise PreconditionError(f"rows at order {n} would pass int32: the order must be at most 2**30")
+    half_h, half_k = _half(n // top)
+    pieces, held = [], 0
+    m = top
+    while m <= n and half_k.size:
+        keep = half_k <= n // m
+        if not keep.all():
+            half_h, half_k = half_h[keep], half_k[keep]
+        inner = slice(1, half_k.size - (half_k.size > 1))  # F_1 holds no 1/2
+        segments = [(half_h[inner], half_k[inner], True), (half_h[::-1], half_k[::-1], False)]
+        width = half_k[inner].size + half_k.size
+        last = min(n, 2 * m - 1, m - 1 + max(1, _SLICE_TERMS // width))
+        if last > m:  # whole rows of one block: the preimage in one segment
+            segments = [(
+                np.concatenate((half_k[inner] - half_h[inner], half_h[::-1])),
+                np.concatenate((half_k[inner], half_k[::-1])),
+                False,
+            )]
+        ms = np.arange(last, m - 1, -1, dtype=np.int32)[:, None]
+        for pre_h, pre_k, mirrored in segments[::-1]:
+            for stop in range(pre_k.size, 0, -_SLICE_TERMS):
+                cols = slice(max(0, stop - _SLICE_TERMS), stop)
+                dens = ms * pre_k[cols]
+                dens += pre_k[cols] - pre_h[cols] if mirrored else pre_h[cols]
+                kept = dens <= n
+                piece = np.broadcast_to(pre_k[cols], dens.shape)[kept], dens[kept]
+                del dens, kept
+                if piece[0].size:
+                    if held + piece[0].size > _SLICE_TERMS:
+                        chunk, pieces, held = _joined(pieces), [], 0
+                        yield chunk
+                        del chunk
+                    pieces.append(piece)
+                    held += piece[0].size
+        m = last + 1
+    if held + 1 > _SLICE_TERMS:
+        chunk, pieces = _joined(pieces), []
+        yield chunk
+    pieces.append((np.zeros(1, dtype=np.int32), np.ones(1, dtype=np.int32)))
+    yield _joined(pieces)
 
 
 def _slices(n: int, lo: Fraction, hi: Fraction, count: int):
@@ -209,17 +355,19 @@ def _slices(n: int, lo: Fraction, hi: Fraction, count: int):
         lower = upper
 
 
-def _fixed_sum(terms: np.ndarray) -> int:
+def _fixed_sum(terms: np.ndarray, work: tuple | None = None) -> int:
     """The exact sum of float64 terms, as an int in units of 2**-_FIXED_POINT.
 
     A term is m*2**(e-53) with |m| < 2**53 (np.frexp), and m = hi*2**26 + lo
     with |hi| <= 2**27 and 0 <= lo < 2**26.  Summed per exponent by
     np.bincount, either limb stays an integer below 2**53 for fewer than
-    2**26 terms; a chunk holds about _SLICE_TERMS.
+    2**26 terms; a chunk holds about _SLICE_TERMS.  work, when given, is a
+    float64 and an int32 array of the terms' size to compute in; then the
+    terms themselves are overwritten.
     """
-    mant, exp = np.frexp(terms)
+    mant, exp = np.frexp(terms, out=work or (None, None))
     np.ldexp(mant, 27, out=mant)  # hi + lo/2**26
-    high = np.floor(mant)
+    high = np.floor(mant, out=terms if work else None)
     mant -= high
     low = np.ldexp(mant, 26, out=mant)
     base = int(exp.min())
@@ -260,13 +408,19 @@ class _Reduction:
         mirrored: bool,
         float_sum: bool,
     ):
-        self.next_rank = rank_lo
         self.terms = 0
         self.scale = scale
         self.fixed_rank = fixed_rank
         self.wide = wide
         self.mirrored = mirrored
         self.groups: tuple[np.ndarray, np.ndarray] | None = None
+        # int64 and float64 arrays that chunk after chunk is reduced in.  Rows
+        # and streams free little between chunks, so fresh arrays per chunk
+        # would be freed at the heap's top, trimmed, and faulted in again by
+        # the next chunk.  A value slice frees several chunk-sized arrays of
+        # its own just before each chunk, so `_scan` drops these after each
+        # sliced chunk, and its fresh ones fit in that room.
+        self.work: list[np.ndarray] = []
         if exact:
             self.groups = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         self.dev_bound = 0
@@ -275,37 +429,55 @@ class _Reduction:
         self.fixed_sum: int | None = 0 if float_sum else None
         self.sum_float: float | None = None
 
-    def add(self, hs: np.ndarray, ks: np.ndarray) -> None:
-        """Reduce one chunk of members, ranked on from next_rank, then their mirrors.
+    def add(self, first: int, hs: np.ndarray, ks: np.ndarray) -> None:
+        """Reduce one ascending chunk of int64 members, ranked first.., then their mirrors.
 
-        The mirrors are a second reduction of the chunk's size, not a
-        concatenation: that would double the chunk's peak memory.  1/2, which
-        can only end a chunk (as h/k with 2*h == k, reduced or not), is its
-        own mirror and is reduced once.
+        Chunks may come in any order.  The mirrors are a second reduction of
+        the chunk's size, not a concatenation: that would double the chunk's
+        peak memory.  1/2, which can only end a chunk (as h/k with 2*h == k,
+        reduced or not), is its own mirror and is reduced once.
         """
-        first = self.next_rank
-        self.next_rank += hs.size
-        js = np.arange(first, self.next_rank, dtype=np.int64)
-        if self.wide:
-            hs, ks, js = hs.astype(object), ks.astype(object), js.astype(object)
+        size = hs.size
+        if self.wide:  # Python ints, in fresh arrays
+            hs, ks = hs.astype(object), ks.astype(object)
+            js = np.arange(first, first + size, dtype=np.int64).astype(object)
+            signed = dev = work = None
+        else:
+            if not self.work or self.work[0].size < size:
+                # 0, 1, 2, ...; ranks, then denominators; signed and absolute
+                # deviations; terms; `_fixed_sum`'s mantissas and exponents
+                self.work = [np.arange(size, dtype=np.int64)] + [
+                    np.empty(size, dtype=dtype) for dtype in (np.int64,) * 3 + (float,) * 2 + (np.intc,)
+                ]
+            steps, js, signed, dev, terms, mant, exps = (a[:size] for a in self.work)
+            np.add(steps, first, out=js)
+            work = [js, terms, mant, exps]  # js takes the denominators once the ranks are used
+        signed = np.multiply(hs, self.scale, out=signed)
         if self.fixed_rank is not None:
-            self._reduce(ks, hs * self.scale - self.fixed_rank * ks)
+            signed -= np.multiply(ks, self.fixed_rank, out=js)
+            self._reduce(ks, signed, work=work)
             return
-        signed = hs * self.scale - js * ks
-        self._reduce(ks, np.abs(signed), first, 1)
+        signed -= np.multiply(js, ks, out=js)
+        self._reduce(ks, np.abs(signed, out=dev), first, 1, work)
         if self.mirrored:
-            keep = hs.size - int(2 * hs[-1] == ks[-1])
+            keep = size - int(2 * hs[-1] == ks[-1])
             if keep:
                 signed += ks
-                self._reduce(ks[:keep], np.abs(signed[:keep]), self.scale + 1 - first, -1)
+                dev = np.abs(signed[:keep], out=None if dev is None else dev[:keep])
+                self._reduce(ks[:keep], dev, self.scale + 1 - first, -1, work and [a[:keep] for a in work])
 
-    def _reduce(self, ks: np.ndarray, dev: np.ndarray, first_rank: int = 0, step: int = 0) -> None:
-        """Fold the terms dev/(k*scale) in, the i-th at rank first_rank + step*i."""
+    def _reduce(
+        self, ks: np.ndarray, dev: np.ndarray, first_rank: int = 0, step: int = 0, work: list | None = None
+    ) -> None:
+        """Fold the terms dev/(k*scale) in, the i-th at rank first_rank + step*i.
+
+        work, when given, is an int64, two float64 and an int32 array of dev's
+        size to compute the denominators, the terms and their exact sum in.
+        """
         self.terms += dev.size
-        den = ks * self.scale
-        terms = (dev / den).astype(np.float64, copy=False)
-        if self.fixed_sum is not None:
-            self.fixed_sum += _fixed_sum(terms)
+        den_out, terms_out, *sum_work = work or (None, None)
+        den = np.multiply(ks, self.scale, out=den_out)
+        terms = np.divide(dev, den, out=terms_out).astype(np.float64, copy=False)
         if self.fixed_rank is None:
             top = terms.max()
             for i in np.flatnonzero(terms >= top - top * _TERM_SLACK).tolist():
@@ -315,6 +487,8 @@ class _Reduction:
                     self.best_dev, self.best_den, self.best_rank = d, q, rank
         if self.groups is not None:
             self._group(ks, dev)
+        if self.fixed_sum is not None:
+            self.fixed_sum += _fixed_sum(terms, tuple(sum_work) or None)  # last: it overwrites the terms
 
     def _group(self, ks: np.ndarray, dev: np.ndarray) -> None:
         """Merge the terms into the per-denominator sums (K, D): one sort by k, one reduceat."""
@@ -388,8 +562,12 @@ def _scan(
     mirrored = fixed_rank is None and lo == ZERO and hi == ONE
     red = _Reduction(rank_lo, scale, fixed_rank, exact, n * scale >= _INT64_MARGIN, mirrored, float_sum)
     top, members = (_HALF, (count + 1) // 2) if mirrored else (hi, count)
-    for hs, ks in _members(n, lo, top, members):
-        red.add(hs, ks)
+    sliced = _path(n, lo, top, members) == "slices"
+    for position, hs, ks in _members(n, lo, top, members):
+        # rows come as int32, where hs * scale would wrap silently
+        red.add(rank_lo + position, hs.astype(np.int64, copy=False), ks.astype(np.int64, copy=False))
+        if sliced:  # the next slice's own arrays take the room of the work arrays
+            red.work = []
     if red.fixed_sum is not None:
         red.sum_float = red.fixed_sum / (1 << _FIXED_POINT)  # rounded once
     if red.terms != count:
@@ -641,17 +819,21 @@ def _sweep_block(n_max: int) -> int:
 def _half_members(n_max: int, count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced int32 (h, k) of the count members of F_{n_max} in [0, 1/2], ascending.
 
+    Each chunk is written at its position, whichever order the chunks come
+    in.  Rows and streams give reduced pairs, rows already as int32; only
+    value slices, which may give t*h/t*k for h/k, are reduced here by a gcd.
     The arrays are padded to whole blocks of `width` with 0/(n_max+1), which
     no order keeps.
     """
     hs = np.zeros(-(-count // width) * width, dtype=np.int32)  # n_max < 2**31 under the budget
     ks = np.full(hs.size, n_max + 1, dtype=np.int32)
-    filled = 0
-    for h, k in _members(n_max, ZERO, _HALF, count):
-        g = np.gcd(h, k)  # a value slice may give t*h/t*k for h/k
-        hs[filled:filled + h.size] = h // g
-        ks[filled:filled + h.size] = k // g
-        filled += h.size
+    sliced = _path(n_max, ZERO, _HALF, count) == "slices"
+    for position, h, k in _members(n_max, ZERO, _HALF, count):
+        if sliced:
+            g = np.gcd(h, k)
+            h, k = h // g, k // g
+        hs[position:position + h.size] = h
+        ks[position:position + h.size] = k
     return hs, ks
 
 

@@ -31,8 +31,9 @@ from oracles import brute_deviation_sum, brute_farey, stream_deviations
 # chunk sizes from a few terms, so that chunk boundaries (and exact ties of
 # the maximum across them) fall inside the windows, up to the default
 _slice_sizes = st.sampled_from([1, 2, 3, 7, 64, franel._SLICE_TERMS])
-# the members by value slices (False) or by streaming (True)
-_streamed = st.booleans()
+# the members by streaming, by value slices or by rows of the map
+_PATHS = ["stream", "slices", "rows"]
+_paths = st.sampled_from(_PATHS)
 
 
 def _slice_size(size: int, count: int) -> int:
@@ -40,12 +41,23 @@ def _slice_size(size: int, count: int) -> int:
     return max(size, -(-count // 64))
 
 
+def _is_prefix(lo: Fraction, hi: Fraction) -> bool:
+    """Whether [lo, hi] is a window [0/1, 1/M] with M >= 2, the only kind rows enumerate."""
+    return lo == ZERO and hi.num == 1 and hi.den >= 2
+
+
 @contextmanager
-def _enumeration(streamed: bool, size: int):
-    """Force the kernel's enumeration, with chunks of at most size terms."""
-    with patch.object(franel, "_SLICE_TERMS", size):
-        with patch.object(franel, "_streams", lambda n, count: streamed):
-            yield
+def _enumeration(path: str, size: int):
+    """Force the kernel's enumeration, with chunks of at most size terms.
+
+    Rows are forced only on the windows they serve, [0/1, 1/M]; on any other
+    window "rows" takes value slices.
+    """
+    def forced(n, lo, hi, count):
+        return path if path != "rows" or _is_prefix(lo, hi) else "slices"
+
+    with patch.object(franel, "_SLICE_TERMS", size), patch.object(franel, "_path", forced):
+        yield
 
 
 @st.composite
@@ -412,6 +424,17 @@ class TestDress:
         assert sweep.all_ok and sweep.violations == []
         assert (sweep.worst_ratio, sweep.worst_order) == (worst_ratio, n_max)
 
+    @pytest.mark.parametrize("path", _PATHS)
+    def test_half_members_are_reduced_whatever_the_path(self, path):
+        # value slices may give t*h/t*k, rows give reduced int32 pairs from the top down
+        n_max, width = 120, 7
+        half = [(x.numerator, x.denominator) for x in brute_farey(n_max) if 2 * x <= 1]
+        with _enumeration(path, 64):
+            hs, ks = franel._half_members(n_max, len(half), width)
+        assert hs.dtype == ks.dtype == np.int32
+        assert hs.size % width == 0 and hs.size - len(half) < width
+        assert list(zip(hs.tolist(), ks.tolist())) == half + [(0, n_max + 1)] * (hs.size - len(half))
+
     def test_sweep_budget(self, monkeypatch):
         with pytest.raises(BudgetError):
             dress_scan_sweep(100_000)
@@ -482,13 +505,16 @@ class TestKernelAgainstStream:
     """The numpy kernel against the per-term loop of tests/oracles.py."""
 
     @settings(deadline=None, max_examples=60)
-    @given(st.data(), _slice_sizes, _streamed)
-    def test_partial_sums(self, data, size, streamed):
+    @given(st.data(), _slice_sizes, _paths)
+    def test_partial_sums(self, data, size, path):
         n = data.draw(st.integers(1, 300))
-        lo = data.draw(_fraction(n))
-        hi = data.draw(_fraction(3 * n, at_least=lo))
+        if data.draw(st.booleans()):  # a prefix [0/1, 1/M], the windows rows serve
+            lo, hi = ZERO, Fraction(1, data.draw(st.integers(2, 3 * n + 1)))
+        else:
+            lo = data.draw(_fraction(n))
+            hi = data.draw(_fraction(3 * n, at_least=lo))
         count = rank_fast(n, hi).rank - rank_fast(n, lo).rank + 1
-        with _enumeration(streamed, _slice_size(size, count)):
+        with _enumeration(path, _slice_size(size, count)):
             result = partial_franel_sum_range(n, lo, hi)
         assert result.rank_lo == rank_fast(n, lo).rank
         m = rank_fast(n, ONE).rank
@@ -496,8 +522,8 @@ class TestKernelAgainstStream:
         _assert_matches_stream(result, want)
 
     @settings(deadline=None, max_examples=60)
-    @given(st.data(), _slice_sizes, _streamed)
-    def test_windows_with_ends_between_members(self, data, size, streamed):
+    @given(st.data(), _slice_sizes, _paths)
+    def test_windows_with_ends_between_members(self, data, size, path):
         n = data.draw(st.integers(1, 300))
         lo = data.draw(_fraction(3 * n))
         hi = data.draw(_fraction(3 * n, at_least=lo))
@@ -505,7 +531,7 @@ class TestKernelAgainstStream:
         rank_lo = rank_fast(n, lo).rank + (lo.den > n)  # the first member >= lo
         count = rank_fast(n, hi).rank - rank_lo + 1
         exact = count <= EXACT_MODE_BUDGET
-        with _enumeration(streamed, _slice_size(size, count)):
+        with _enumeration(path, _slice_size(size, count)):
             if count == 0:
                 with pytest.raises(PreconditionError, match="no F_"):
                     franel._scan(n, lo, hi, rank_lo, count, m, exact)
@@ -515,10 +541,10 @@ class TestKernelAgainstStream:
         _assert_matches_stream(result, stream_deviations(n, lo, hi, rank_lo, m, EXACT_MODE_BUDGET))
 
     @settings(deadline=None, max_examples=40)
-    @given(st.integers(1, 200), _slice_sizes, _streamed)
-    def test_whole_sequence_scans(self, n, size, streamed):
+    @given(st.integers(1, 200), _slice_sizes, _paths)
+    def test_whole_sequence_scans(self, n, size, path):
         m = rank_fast(n, ONE).rank
-        with _enumeration(streamed, _slice_size(size, m)):
+        with _enumeration(path, _slice_size(size, m)):
             full = full_franel_sum(n)
             report = dress_scan(n)
         want = stream_deviations(n, ZERO, ONE, 1, m, EXACT_MODE_BUDGET)
@@ -528,10 +554,10 @@ class TestKernelAgainstStream:
         assert report.bound_ok == (dev * n <= den)
 
     @settings(deadline=None, max_examples=40)
-    @given(st.integers(4, 300), _slice_sizes, _streamed)
-    def test_prefix_sums(self, n, size, streamed):
+    @given(st.integers(4, 300), _slice_sizes, _paths)
+    def test_prefix_sums(self, n, size, path):
         count = rank_fast(n, Fraction(1, 4)).rank
-        with _enumeration(streamed, _slice_size(size, count)):
+        with _enumeration(path, _slice_size(size, count)):
             got = kanemitsu_sum(n)
         r, m = got.prefix_rank, got.cardinality
         assert (r, m) == (rank_fast(n, Fraction(1, 4)).rank, rank_fast(n, ONE).rank)
@@ -540,7 +566,7 @@ class TestKernelAgainstStream:
         assert got.sum_exact == want["sum_exact"]
         assert got.sum_float == want["sum_float"]
 
-    @pytest.mark.parametrize("streamed", [False, True])
+    @pytest.mark.parametrize("path", ["stream", "slices"])
     @pytest.mark.parametrize("size", [1, 2, 5, franel._SLICE_TERMS])
     @pytest.mark.parametrize(
         "n,lo,hi,ranks",
@@ -550,19 +576,21 @@ class TestKernelAgainstStream:
             (39, (13, 38), (15, 38), (160, 190)),
         ],
     )
-    def test_max_ties_go_to_the_earliest_rank(self, streamed, size, n, lo, hi, ranks):
-        # the largest deviation of each window is attained exactly at both ranks
+    def test_max_ties_go_to_the_earliest_rank(self, path, size, n, lo, hi, ranks):
+        # the largest deviation of each window is attained exactly at both
+        # ranks (no window [0/1, 1/M] below n = 400 has a tied maximum, so
+        # rows meet ties only in the arrival-order test of TestMirroredScans)
         seq = brute_farey(n)
         devs = [abs(x - Rat(j, len(seq))) for j, x in enumerate(seq, start=1)]
         first, last = ranks
         assert devs[first - 1] == devs[last - 1] == max(devs[first - 1 : last])
-        with _enumeration(streamed, size):
+        with _enumeration(path, size):
             result = partial_franel_sum_range(n, Fraction(*lo), Fraction(*hi))
         assert (result.rank_lo, result.rank_hi, result.argmax_rank) == (first, last, first)
 
-    @pytest.mark.parametrize("streamed", [False, True])
-    def test_enumeration_is_checked_against_the_ranks(self, streamed):
-        with _enumeration(streamed, franel._SLICE_TERMS):
+    @pytest.mark.parametrize("path", _PATHS)
+    def test_enumeration_is_checked_against_the_ranks(self, path):
+        with _enumeration(path, franel._SLICE_TERMS):
             with pytest.raises(PreconditionError, match="enumerated 13 terms but the ranks give 12"):
                 franel._scan(6, ZERO, ONE, 1, 12, 13, True)
 
@@ -577,9 +605,9 @@ class TestMirroredScans:
 
         def spy(order, lo, hi, count):
             asked.append((lo, hi, count))
-            for hs, ks in members(order, lo, hi, count):
+            for position, hs, ks in members(order, lo, hi, count):
                 enumerated.append(hs.size)
-                yield hs, ks
+                yield position, hs, ks
 
         monkeypatch.setattr(franel, "_members", spy)
         m = rank_fast(n, ONE).rank
@@ -611,13 +639,20 @@ class TestMirroredScans:
         assert red.best_rank == 8
         red._reduce(ks, np.array([3, 2]), 4, 1)
         assert (red.best_dev, red.best_den, red.best_rank) == (3, 10, 4)
+        # rows hand whole chunks over from the top down: 3/10 at ranks 5 and
+        # 6, then again at rank 2
+        red = franel._Reduction(1, 10, None, False, False, False, True)
+        red.add(5, np.array([8, 9]), np.array([10, 10]))
+        assert (red.best_dev, red.best_den, red.best_rank) == (30, 100, 5)
+        red.add(1, np.array([0, 5]), np.array([1, 10]))
+        assert (red.best_dev, red.best_den, red.best_rank) == (30, 100, 2)
 
-    @pytest.mark.parametrize("streamed", [False, True])
+    @pytest.mark.parametrize("path", _PATHS)
     @pytest.mark.parametrize("n", [1, 2, 12, 60])
-    def test_python_int_deviations(self, n, streamed):
+    def test_python_int_deviations(self, n, path):
         # past the int64 margin the deviations, mirrored ones too, are Python ints
         m = rank_fast(n, ONE).rank
-        with _enumeration(streamed, 5), patch.object(franel, "_INT64_MARGIN", 0):
+        with _enumeration(path, 5), patch.object(franel, "_INT64_MARGIN", 0):
             full = full_franel_sum(n)
         _assert_matches_stream(full, stream_deviations(n, ZERO, ONE, 1, m, EXACT_MODE_BUDGET))
 
@@ -678,17 +713,17 @@ class TestExactSum:
         red, want = self._fed([(ks, [2 * k - 1 for k in ks])])
         assert red.sum_exact() == want
 
-    @pytest.mark.parametrize("streamed", [False, True])
-    def test_one_term_chunks_sharing_a_few_denominators(self, streamed):
+    @pytest.mark.parametrize("path", _PATHS)
+    def test_one_term_chunks_sharing_a_few_denominators(self, path):
         n, m = 20, 129
         seq = brute_farey(n)
         want = sum((abs(x - Rat(j, m)) for j, x in enumerate(seq, start=1)), start=Rat(0))
-        with _enumeration(streamed, 1):
+        with _enumeration(path, 1):
             red = franel._scan(n, ZERO, ONE, 1, m, m, True)
         assert red.sum_exact() == want
 
-    @pytest.mark.parametrize("streamed", [False, True])
-    def test_state_holds_one_entry_per_denominator(self, streamed, monkeypatch):
+    @pytest.mark.parametrize("path", _PATHS)
+    def test_state_holds_one_entry_per_denominator(self, path, monkeypatch):
         n = 200
         m = rank_fast(n, ONE).rank
         assert m > EXACT_MODE_BUDGET
@@ -701,12 +736,93 @@ class TestExactSum:
             sizes.append((red.groups[0].size, red.groups[1].size, len(seen)))
 
         monkeypatch.setattr(franel._Reduction, "_group", spy)
-        with _enumeration(streamed, 64):
+        with _enumeration(path, 64):
             result = full_franel_sum(n, exact_budget=m)
         assert len(sizes) > 150  # about two merges per chunk of 64 members in [0, 1/2]
         assert all(keys == sums == distinct for keys, sums, distinct in sizes)
         assert sizes[-1][0] <= n  # a value slice may stand for h/k by t*h/t*k
         assert result.sum_exact == stream_deviations(n, ZERO, ONE, 1, m, m)["sum_exact"]
+
+
+class TestRows:
+    """F_n in [0/1, 1/M] by rows of the paper's map, against the stream and pinned values."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.data(), st.sampled_from([1, 2, 7, 64]))
+    def test_chunks_against_the_stream(self, data, size):
+        # every M from 2 to n + 1 (past n only 0/1 is left), and chunks of a
+        # few members, so that bands, column pieces and empty rows all split
+        n = data.draw(st.integers(1, 400))
+        hi = Fraction(1, data.draw(st.integers(2, n + 1)))
+        want = list(iter_window(n, ZERO, hi))
+        with _enumeration("rows", size):
+            chunks = list(franel._members(n, ZERO, hi, len(want)))
+        # from hi down, each chunk ascending and right below the one before
+        end = len(want)
+        for position, hs, ks in chunks:
+            assert hs.dtype == ks.dtype == np.int32
+            assert 1 <= hs.size <= size and position == end - hs.size
+            assert list(zip(hs.tolist(), ks.tolist())) == want[position:end]
+            end = position
+        assert end == 0
+        if hi == Fraction(1, 2) and n > 1:  # 1/2 ends the first chunk
+            assert (chunks[0][1][-1], chunks[0][2][-1]) == (1, 2)
+
+    @pytest.mark.parametrize(
+        "n,count,sum_float,max_term,argmax_rank",
+        [
+            (2520, 1_930_455, "0x1.a786b2b4047e8p+2", "0x1.9f8ef41231b61p-12", 1_930_454),
+            (5040, 7_721_657, "0x1.1d28676d3c0f8p+3", "0x1.9fd47a78f6817p-13", 7_721_656),
+        ],
+    )
+    def test_whole_scans_keep_every_bit(self, n, count, sum_float, max_term, argmax_rank):
+        # the values of the value slices, before rows served these scans
+        with patch.object(franel, "_rows", wraps=franel._rows) as rows:
+            full = full_franel_sum(n)
+        assert rows.call_args_list[0].args == (n, 2)
+        assert (full.term_count, full.argmax_rank) == (count, argmax_rank)
+        assert (full.sum_float.hex(), full.max_term.hex()) == (sum_float, max_term)
+
+    @pytest.mark.parametrize(
+        "n,prefix_rank,sum_float", [(2520, 482_613, "0x1.3cf2a89c2ac01p-1"), (5040, 1_930_416, "0x1.6d574a8e7525ap+0")]
+    )
+    def test_kanemitsu_sums_keep_every_bit(self, n, prefix_rank, sum_float):
+        with patch.object(franel, "_rows", wraps=franel._rows) as rows:
+            got = kanemitsu_sum(n)
+        assert rows.call_args_list[0].args == (n, 4)
+        assert (got.prefix_rank, got.sum_float.hex()) == (prefix_rank, sum_float)
+
+    def test_vertex_zero_section_keeps_every_bit(self):
+        with patch.object(franel, "_rows", wraps=franel._rows) as rows:
+            result = vertex_partial_sum(ZERO, INFINITY, 14).result
+        assert rows.call_args_list[0].args == (360_360, 25_740)  # [0, 14/N] at N = lcm(2..14)
+        assert (result.term_count, result.argmax_rank) == (1_530_254, 2)
+        assert result.sum_float.hex() == "0x1.44a93a1182fb5p-1"
+        assert result.max_term.hex() == "0x1.7472a0dd3b0c6p-19"
+
+    def test_peak_memory_follows_the_cap(self):
+        # F_2520 in [0, 1/2], 965 229 pairs, is the preimage half of a whole
+        # scan at 5040, under the cap.  Building it holds its chunks and their
+        # join (16 bytes a pair); the scan then holds the half (8 bytes a pair)
+        # and one chunk's arrays, work arrays and band (well under 4 MiB).
+        n = 5040
+        m = rank_fast(n, ONE).rank
+        assert franel._path(n, ZERO, Fraction(1, 2), (m + 1) // 2) == "rows"
+        table = build_totient_table(n)
+        tracemalloc.start()
+        try:
+            full_franel_sum(n, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * franel._ROW_CAP + (4 << 20)
+
+    def test_orders_past_two_to_the_thirty_are_refused(self):
+        # every denominator of a band is below 2n, so int32 holds them up to n = 2**30
+        n = 1 << 30
+        assert [(hs.tolist(), ks.tolist()) for hs, ks in franel._rows(n, n)] == [([0, 1], [1, n])]
+        with pytest.raises(PreconditionError, match=r"must be at most 2\*\*30"):
+            next(franel._rows(n + 1, n + 1))
 
 
 class TestEnumerationChoice:
@@ -716,6 +832,24 @@ class TestEnumerationChoice:
         assert franel._streams(27_720, 1000)
         assert not franel._streams(5040, 4500)
         assert not franel._streams(27_720, rank_fast(27_720, ONE).rank)
+
+    def test_rows_serve_prefixes_past_the_crossover_and_under_the_cap(self):
+        def path(n, lo, hi):
+            rank_lo = 1 if lo == ZERO else rank_fast(n, lo).rank
+            return franel._path(n, lo, hi, rank_fast(n, hi).rank - rank_lo + 1)
+
+        half = Fraction(1, 2)
+        assert path(2520, ZERO, half) == "rows"  # a whole scan
+        assert path(2520, ZERO, Fraction(1, 4)) == "rows"  # kanemitsu_sum's prefix
+        assert path(27_720, ZERO, Fraction(1, 2310)) == "rows"  # the 0/1 section at i = 12
+        assert path(12, ZERO, half) == "stream"  # full_franel_sum(12) stays streamed
+        # at 300 the recursion's fixed cost outweighs what rows save per member
+        assert path(300, ZERO, half) == "slices"
+        # the cap: F_2626 in [0, 1/2] holds about 1 048 035 <= 2**20 members, F_2627 about 1 048 834
+        assert path(5253, ZERO, half) == "rows"
+        assert path(5254, ZERO, half) == "slices"
+        assert path(6000, ZERO, half) == "slices"
+        assert path(2520, Fraction(1, 5), half) == "slices"  # not a prefix
 
     def test_sliced_orders_stay_below_two_to_the_twenty(self):
         # the slices' float sort key is exact only there
