@@ -30,23 +30,28 @@ Ranks follow from the rank of lo, so each term is the exact integer pair
 (|h*M - j*k|, k*M).  The kernel reduces the terms, chunk by chunk in any
 order and in work arrays kept across chunks, to:
 
-- the float sum, when the caller wants it: the correctly rounded sum of the
-  float terms, added exactly (`_fixed_sum`) as `math.fsum` would, so in any
-  order.  Each term is within 3u of its exact value (u = 2**-53), so the sum
-  is within about 3u*sum|term| plus half an ulp of the exact sum;
 - the exact maximum and its earliest rank: a float prefilter keeps the terms
   near the largest float, and Python ints recheck them;
-- when the term count is within the exact-mode budget, the exact sum grouped
-  per denominator: each chunk is merged into running sums D_k of the integer
-  deviations of denominator k, one per k seen (one sort by k and
-  np.add.reduceat; int64 while a bound on sum|dev| stays below 2**63, Python
-  ints past it).  The sum is (W + sum_k r_k/k)/M with D_k = W_k*k + r_k,
-  0 <= r_k < k and W the sum of the W_k.  The r_k/k are added pairwise in a
-  tree whose leaves are ordered by k // gcd(k, lcm(1..40)), so denominators
-  that share a prime above 40 meet early and their lcms stay small.  A level
-  runs in int64 while 2*max(den)**2 < 2**63, carrying each pair's whole part
-  out so every numerator stays below its denominator; the top levels run in
-  Python ints.
+- for scans that report a sum, one running sum D_k of the integer deviations
+  per denominator k: by np.add.at into an array of n + 1 entries when the
+  scan holds at least n + 1 terms, else merged into sorted groups, one per k
+  seen (one sort by k and np.add.reduceat), so a tiny window at a large
+  order costs only its members; int64 while a bound on sum|dev| stays below
+  2**63, Python ints past it.
+
+With D_k = W_k*k + r_k, 0 <= r_k < k and W the sum of the W_k, the sum is
+(W + sum_k r_k/k)/M, and both reported sums come from it:
+
+- sum_float, correctly rounded: with each r_k/k cut to three base-2**32
+  digits (exact in int64 while k < 2**31), the sum lies in [T, T + G*2**-96)
+  for the digits' total T and G nonzero r_k.  The float both ends round to
+  is the answer; when they differ, or some k >= 2**31, sum_exact decides;
+- sum_exact, when the term count is within the exact-mode budget: the r_k/k
+  are added pairwise in a tree whose leaves are ordered by
+  k // gcd(k, lcm(1..40)), so denominators that share a prime above 40 meet
+  early and their lcms stay small.  A level runs in int64 while
+  2*max(den)**2 < 2**63, carrying each pair's whole part out so every
+  numerator stays below its denominator; the top levels run in Python ints.
 
 The term count is known from ranks before the scan starts, so budgets are
 checked before any term is enumerated, and the enumeration is checked
@@ -121,9 +126,9 @@ _INT64_MARGIN = 1 << 62
 # sweep's terms are within 3u absolutely, and it uses 8u as an absolute slack,
 # both for its members and for the float bounds of its blocks.
 _TERM_SLACK = 2.0**-50
-# Exact float sums are ints in units of 2**-1126: a low mantissa limb's unit
-# at the least frexp exponent, -1073 (2**-1074 = 0.5 * 2**-1073).
-_FIXED_POINT = 1073 + 53
+# base-2**32 digits of each r_k/k that sum_float adds before it checks the
+# truncation interval
+_DIGITS = 3
 # lcm(1..40): k // gcd(k, _SMOOTH) is 1 when k divides it, and otherwise
 # keeps k's primes above 40 (and its prime powers past 40).
 _SMOOTH = 5_342_931_457_063_200
@@ -134,7 +139,8 @@ class FranelResult:
     """A deviation sum over a contiguous rank range of F_order.
 
     sum_exact is present only when the term count stayed within the exact-mode
-    budget; sum_float is always present.  max_term / argmax_rank locate the
+    budget; sum_float, the exact sum correctly rounded, is always present,
+    whatever the term count.  max_term / argmax_rank locate the
     largest single deviation in the range (ties resolved to the earliest rank,
     decided by exact cross-multiplication, not floats).
     """
@@ -355,47 +361,24 @@ def _slices(n: int, lo: Fraction, hi: Fraction, count: int):
         lower = upper
 
 
-def _fixed_sum(terms: np.ndarray, work: tuple | None = None) -> int:
-    """The exact sum of float64 terms, as an int in units of 2**-_FIXED_POINT.
-
-    A term is m*2**(e-53) with |m| < 2**53 (np.frexp), and m = hi*2**26 + lo
-    with |hi| <= 2**27 and 0 <= lo < 2**26.  Summed per exponent by
-    np.bincount, either limb stays an integer below 2**53 for fewer than
-    2**26 terms; a chunk holds about _SLICE_TERMS.  work, when given, is a
-    float64 and an int32 array of the terms' size to compute in; then the
-    terms themselves are overwritten.
-    """
-    mant, exp = np.frexp(terms, out=work or (None, None))
-    np.ldexp(mant, 27, out=mant)  # hi + lo/2**26
-    high = np.floor(mant, out=terms if work else None)
-    mant -= high
-    low = np.ldexp(mant, 26, out=mant)
-    base = int(exp.min())
-    exp -= base
-    total = 0
-    # from the top exponent down, each bin weighs twice the next
-    for h, lo in zip(np.bincount(exp, high)[::-1].tolist(), np.bincount(exp, low)[::-1].tolist()):
-        total = (total << 1) + (int(h) << 26) + int(lo)
-    return total << (base - 53 + _FIXED_POINT)
-
-
 class _Reduction:
     """Running reductions of one scan, fed its chunks of members in rank order.
 
     A term is dev/den with dev = |h*scale - j*k| at rank j, or the signed
     h*scale - fixed_rank*k when a fixed rank is given (then no maximum is
-    kept).  den is k*scale.  A mirrored scan is fed the members of F_n in
-    [0, 1/2], with scale = |F_n|: each h/k at rank j also stands for its
-    mirror (k-h)/k at rank scale+1-j, whose signed deviation
-    (k-h)*scale - (scale+1-j)*k is -(h*scale - j*k) - k.
+    kept, and no float term is formed).  den is k*scale.  A mirrored scan is
+    fed the members of F_n in [0, 1/2], with scale = |F_n|: each h/k at rank
+    j also stands for its mirror (k-h)/k at rank scale+1-j, whose signed
+    deviation (k-h)*scale - (scale+1-j)*k is -(h*scale - j*k) - k.
 
-    With the exact sum, groups is (K, D): the denominators seen, ascending,
-    and their summed deviations, int64 while dev_bound (at least the sum of
-    every |dev| merged) is below 2**63 and Python ints (dtype=object) after.
-    The state grows with the distinct denominators, not the term count.
-    sum_exact adds the remainders r_k/k of D_k/k pairwise, the leaves
-    ordered by k // gcd(k, lcm(1..40)): in int64 while 2*max(den)**2 < 2**63,
-    then in Python ints.
+    With sums, the summed deviations D_k of each denominator k are kept:
+    with dense > 0 as `sums`, an array of dense entries indexed by k (8 bytes
+    an entry while int64), and otherwise as `keys`, the denominators seen,
+    ascending, and `sums`, their D_k.  Either is int64 while dev_bound (at
+    least the sum of every |dev| grouped) is below 2**63, and Python ints
+    (dtype=object) after, or from the start when wide.  The state grows with
+    the denominators, not the term count.  sum_exact and sum_float both read
+    it (see the module docstring).
     """
 
     def __init__(
@@ -403,17 +386,18 @@ class _Reduction:
         rank_lo: int,
         scale: int,
         fixed_rank: int | None,
-        exact: bool,
         wide: bool,
         mirrored: bool,
-        float_sum: bool,
+        sums: bool,
+        dense: int = 0,
     ):
         self.terms = 0
         self.scale = scale
         self.fixed_rank = fixed_rank
         self.wide = wide
         self.mirrored = mirrored
-        self.groups: tuple[np.ndarray, np.ndarray] | None = None
+        self.sums = np.zeros(dense, dtype=object if wide else np.int64) if sums else None
+        self.keys = np.empty(0, dtype=np.int64) if sums and not dense else None
         # int64 and float64 arrays that chunk after chunk is reduced in.  Rows
         # and streams free little between chunks, so fresh arrays per chunk
         # would be freed at the heap's top, trimmed, and faulted in again by
@@ -421,13 +405,8 @@ class _Reduction:
         # its own just before each chunk, so `_scan` drops these after each
         # sliced chunk, and its fresh ones fit in that room.
         self.work: list[np.ndarray] = []
-        if exact:
-            self.groups = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         self.dev_bound = 0
         self.best_dev, self.best_den, self.best_rank = 0, 1, rank_lo
-        # the float terms' exact sum, in units of 2**-_FIXED_POINT, when it is wanted
-        self.fixed_sum: int | None = 0 if float_sum else None
-        self.sum_float: float | None = None
 
     def add(self, first: int, hs: np.ndarray, ks: np.ndarray) -> None:
         """Reduce one ascending chunk of int64 members, ranked first.., then their mirrors.
@@ -445,17 +424,17 @@ class _Reduction:
         else:
             if not self.work or self.work[0].size < size:
                 # 0, 1, 2, ...; ranks, then denominators; signed and absolute
-                # deviations; terms; `_fixed_sum`'s mantissas and exponents
+                # deviations; float terms
                 self.work = [np.arange(size, dtype=np.int64)] + [
-                    np.empty(size, dtype=dtype) for dtype in (np.int64,) * 3 + (float,) * 2 + (np.intc,)
+                    np.empty(size, dtype=dtype) for dtype in (np.int64,) * 3 + (float,)
                 ]
-            steps, js, signed, dev, terms, mant, exps = (a[:size] for a in self.work)
+            steps, js, signed, dev, terms = (a[:size] for a in self.work)
             np.add(steps, first, out=js)
-            work = [js, terms, mant, exps]  # js takes the denominators once the ranks are used
+            work = [js, terms]  # js takes the denominators once the ranks are used
         signed = np.multiply(hs, self.scale, out=signed)
         if self.fixed_rank is not None:
             signed -= np.multiply(ks, self.fixed_rank, out=js)
-            self._reduce(ks, signed, work=work)
+            self._reduce(ks, signed)
             return
         signed -= np.multiply(js, ks, out=js)
         self._reduce(ks, np.abs(signed, out=dev), first, 1, work)
@@ -471,52 +450,55 @@ class _Reduction:
     ) -> None:
         """Fold the terms dev/(k*scale) in, the i-th at rank first_rank + step*i.
 
-        work, when given, is an int64, two float64 and an int32 array of dev's
-        size to compute the denominators, the terms and their exact sum in.
+        work, when given, is an int64 and a float64 array of dev's size to
+        compute the denominators and the float terms in.
         """
         self.terms += dev.size
-        den_out, terms_out, *sum_work = work or (None, None)
-        den = np.multiply(ks, self.scale, out=den_out)
-        terms = np.divide(dev, den, out=terms_out).astype(np.float64, copy=False)
         if self.fixed_rank is None:
+            den_out, terms_out = work or (None, None)
+            den = np.multiply(ks, self.scale, out=den_out)
+            terms = np.divide(dev, den, out=terms_out).astype(np.float64, copy=False)
             top = terms.max()
             for i in np.flatnonzero(terms >= top - top * _TERM_SLACK).tolist():
                 d, q, rank = int(dev[i]), int(den[i]), first_rank + step * i
                 # exact ties go to the earliest rank, whatever order the ranks come in
                 if (d * self.best_den, self.best_rank) > (self.best_dev * q, rank):
                     self.best_dev, self.best_den, self.best_rank = d, q, rank
-        if self.groups is not None:
+        if self.sums is not None:
             self._group(ks, dev)
-        if self.fixed_sum is not None:
-            self.fixed_sum += _fixed_sum(terms, tuple(sum_work) or None)  # last: it overwrites the terms
 
     def _group(self, ks: np.ndarray, dev: np.ndarray) -> None:
-        """Merge the terms into the per-denominator sums (K, D): one sort by k, one reduceat."""
-        group_ks, sums = self.groups
-        if sums.dtype != object and dev.dtype != object:
-            self.dev_bound += int(np.abs(dev).max(initial=0)) * dev.size
+        """Add the terms into the D_k: by np.add.at, or by one sort by k and one reduceat."""
+        if self.sums.dtype != object:
+            self.dev_bound += max(int(dev.max(initial=0)), -int(dev.min(initial=0))) * dev.size
             if self.dev_bound >= 1 << 63:
-                sums = sums.astype(object)
-        ks = np.concatenate((group_ks, ks.astype(np.int64, copy=False)))
-        devs = np.concatenate((sums, dev))  # dtype=object if either is
+                self.sums = self.sums.astype(object)
+        ks = ks.astype(np.int64, copy=False)  # dtype=object on the Python-int path
+        if self.keys is None:
+            np.add.at(self.sums, ks, dev)
+            return
+        ks = np.concatenate((self.keys, ks))
+        devs = np.concatenate((self.sums, dev))  # dtype=object if either is
         order = np.argsort(ks)
         ks, devs = ks[order], devs[order]
         starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-        self.groups = ks[starts], np.add.reduceat(devs, starts)
+        self.keys, self.sums = ks[starts], np.add.reduceat(devs, starts)
 
-    def sum_exact(self) -> Rat | None:
-        """(W + sum_k r_k/k) / scale with D_k = W_k*k + r_k, added pairwise over lcms."""
-        if self.groups is None:
-            return None
-        ks, sums = self.groups
+    def _remainders(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(W, r, k): the int64 r_k and k of every nonzero r_k, ascending in k, and W."""
+        ks = np.flatnonzero(self.sums) if self.keys is None else self.keys
+        sums = self.sums[ks] if self.keys is None else self.sums
         if sums.dtype == object:
             whole, rems = _object_divmod(sums, ks)
             rems = rems.astype(np.int64)  # 0 <= r_k < k
         else:
             whole, rems = np.divmod(sums, ks)
-        whole = int(whole.sum())
         live = np.flatnonzero(rems)
-        nums, dens = rems[live], ks[live]
+        return int(whole.sum()), rems[live], ks[live]
+
+    def sum_exact(self) -> Rat:
+        """(W + sum_k r_k/k) / scale, added pairwise over lcms."""
+        whole, nums, dens = self._remainders()
         order = np.argsort(dens // np.gcd(dens, _SMOOTH), kind="stable")
         nums, dens = nums[order], dens[order]
         # Each pair a/b + c/d becomes num/l with l = lcm(b, d) and num < 2*l,
@@ -539,6 +521,22 @@ class _Reduction:
         num, den = parts[0] if parts else (0, 1)
         return Rat(whole * den + num, den * self.scale)
 
+    def sum_float(self) -> float:
+        """(W + sum_k r_k/k) / scale, correctly rounded, from _DIGITS base-2**32 digits of each r_k/k."""
+        whole, rems, ks = self._remainders()
+        if not ks.size or int(ks.max()) < 1 << 31:
+            total = whole
+            for _ in range(_DIGITS):
+                rems <<= 32  # r < k < 2**31, so r*2**32 < 2**63
+                digits, rems = np.divmod(rems, ks)
+                total = (total << 32) + int(digits.sum())  # one digit below 2**32 per k < 2**31
+            # each cut r_k/k loses less than 2**(-32*_DIGITS); int / int rounds correctly
+            den = self.scale << 32 * _DIGITS
+            low, high = total / den, (total + ks.size) / den
+            if low == high:
+                return low
+        return float(self.sum_exact())
+
 
 def _scan(
     n: int,
@@ -547,20 +545,21 @@ def _scan(
     rank_lo: int,
     count: int,
     scale: int,
-    exact: bool,
+    sums: bool = True,
     fixed_rank: int | None = None,
-    float_sum: bool = True,
 ) -> _Reduction:
     """The deviation kernel over the `count` members of F_n in [lo, hi], from rank rank_lo.
 
     Over the whole of F_n without a fixed rank (then scale = count = |F_n|),
     only the (count+1)//2 members in [0, 1/2] are enumerated, and each is
-    reduced as itself and as its mirror.  Without float_sum, sum_float stays None.
+    reduced as itself and as its mirror.  Without sums, only the maximum is
+    kept.  The D_k are dense, n + 1 entries, when count >= n + 1.
     """
     if count < 1:
         raise PreconditionError(f"no F_{n} fractions in [{lo}, {hi}]")
     mirrored = fixed_rank is None and lo == ZERO and hi == ONE
-    red = _Reduction(rank_lo, scale, fixed_rank, exact, n * scale >= _INT64_MARGIN, mirrored, float_sum)
+    dense = n + 1 if n + 1 <= count else 0
+    red = _Reduction(rank_lo, scale, fixed_rank, n * scale >= _INT64_MARGIN, mirrored, sums, dense)
     top, members = (_HALF, (count + 1) // 2) if mirrored else (hi, count)
     sliced = _path(n, lo, top, members) == "slices"
     for position, hs, ks in _members(n, lo, top, members):
@@ -568,8 +567,6 @@ def _scan(
         red.add(rank_lo + position, hs.astype(np.int64, copy=False), ks.astype(np.int64, copy=False))
         if sliced:  # the next slice's own arrays take the room of the work arrays
             red.work = []
-    if red.fixed_sum is not None:
-        red.sum_float = red.fixed_sum / (1 << _FIXED_POINT)  # rounded once
     if red.terms != count:
         raise PreconditionError(
             f"scan over [{lo}, {hi}] at order {n} enumerated {red.terms} "
@@ -578,7 +575,9 @@ def _scan(
     return red
 
 
-def _franel_result(n: int, lo: Fraction, hi: Fraction, rank_lo: int, count: int, red: _Reduction):
+def _franel_result(
+    n: int, lo: Fraction, hi: Fraction, rank_lo: int, count: int, red: _Reduction, exact_budget=EXACT_MODE_BUDGET
+):
     return FranelResult(
         order=n,
         lo=lo,
@@ -586,8 +585,8 @@ def _franel_result(n: int, lo: Fraction, hi: Fraction, rank_lo: int, count: int,
         rank_lo=rank_lo,
         rank_hi=rank_lo + count - 1,
         term_count=count,
-        sum_exact=red.sum_exact(),
-        sum_float=red.sum_float,
+        sum_exact=red.sum_exact() if count <= exact_budget else None,
+        sum_float=red.sum_float(),
         max_term=red.best_dev / red.best_den,
         argmax_rank=red.best_rank,
     )
@@ -621,8 +620,8 @@ def full_franel_sum(
 ) -> FranelResult:
     """Deviation sum over the whole of F_n, ranks counted from 0/1."""
     rank_lo, count, m = _window(n, ZERO, ONE, table, term_budget)
-    red = _scan(n, ZERO, ONE, rank_lo, count, m, count <= exact_budget)
-    return _franel_result(n, ZERO, ONE, rank_lo, count, red)
+    red = _scan(n, ZERO, ONE, rank_lo, count, m)
+    return _franel_result(n, ZERO, ONE, rank_lo, count, red, exact_budget)
 
 
 def partial_franel_sum_range(
@@ -647,8 +646,8 @@ def partial_franel_sum_range(
         raise PreconditionError(
             f"anchor rank {rank_of_lo} does not match the rank {rank_lo} of {lo} in F_{n}"
         )
-    red = _scan(n, lo, hi, rank_lo, count, m, count <= exact_budget)
-    return _franel_result(n, lo, hi, rank_lo, count, red)
+    red = _scan(n, lo, hi, rank_lo, count, m)
+    return _franel_result(n, lo, hi, rank_lo, count, red, exact_budget)
 
 
 @dataclass
@@ -759,10 +758,9 @@ def kanemitsu_sum(
         raise PreconditionError(f"the prefix sum needs n >= 4, got {n}")
     quarter = Fraction(1, 4)
     _, prefix_rank, m = _window(n, ZERO, quarter, table, term_budget)
-    red = _scan(
-        n, ZERO, quarter, 1, prefix_rank, 2 * m, prefix_rank <= EXACT_MODE_BUDGET, fixed_rank=prefix_rank
-    )
-    return KanemitsuResult(n, prefix_rank, m, red.sum_exact(), red.sum_float)
+    red = _scan(n, ZERO, quarter, 1, prefix_rank, 2 * m, fixed_rank=prefix_rank)
+    exact = red.sum_exact() if prefix_rank <= EXACT_MODE_BUDGET else None
+    return KanemitsuResult(n, prefix_rank, m, exact, red.sum_float())
 
 
 @dataclass
@@ -788,7 +786,7 @@ def dress_scan(
 ) -> DressReport:
     """Scan every term of F_n for the maximum deviation and the 1/n bound."""
     _, m, _ = _window(n, ZERO, ONE, table, term_budget)
-    red = _scan(n, ZERO, ONE, 1, m, m, exact=False, float_sum=False)
+    red = _scan(n, ZERO, ONE, 1, m, m, sums=False)
     ok = red.best_dev * n <= red.best_den  # the bound holds for every term iff for the largest
     rank2_term = abs(m - 2 * n) / (n * m)
     return DressReport(n, red.best_dev / red.best_den, red.best_rank, ok, rank2_term)

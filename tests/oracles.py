@@ -7,7 +7,7 @@ recurrence) as the reference for the vectorized deviation kernel.
 """
 
 from fractions import Fraction as Rat
-from math import fsum, gcd
+from math import gcd
 
 from fareysums.farey import iter_window
 
@@ -72,29 +72,31 @@ def stream_deviations(n, lo, hi, rank_lo, scale, exact_budget, fixed_rank=None) 
     The term at rank j (counted up from rank_lo) is |h*scale - j*k| / (k*scale),
     or the signed (h*scale - fixed_rank*k) / (k*scale) when fixed_rank is given.
     Returns the term count, the rank of the last term, the exact sum (None when
-    the count passes exact_budget), the fsum of the correctly rounded terms, and
-    the largest term with its earliest rank, compared exactly (absolute terms
-    only).
+    the count passes exact_budget), the float of the exact sum (at any count:
+    the deviations are summed per denominator first, so it costs one Rat per
+    denominator), and the largest term with its earliest rank, compared
+    exactly (absolute terms only).
     """
     j = rank_lo
-    terms = []
+    count = 0
+    by_den: dict[int, int] = {}
     best_num, best_den, best_rank = 0, 1, rank_lo
     for h, k in iter_window(n, lo, hi):
         dev = h * scale - (j if fixed_rank is None else fixed_rank) * k
         if fixed_rank is None:
             dev = abs(dev)
         den = k * scale
-        terms.append((dev, den))
+        by_den[k] = by_den.get(k, 0) + dev
         if dev * best_den > best_num * den:
             best_num, best_den, best_rank = dev, den, j
+        count += 1
         j += 1
-    count = len(terms)
-    exact = sum((Rat(d, q) for d, q in terms), start=Rat(0)) if count <= exact_budget else None
+    exact = sum((Rat(d, k) for k, d in by_den.items()), start=Rat(0)) / scale
     return {
         "term_count": count,
         "rank_hi": j - 1,
-        "sum_exact": exact,
-        "sum_float": fsum(d / q for d, q in terms),
+        "sum_exact": exact if count <= exact_budget else None,
+        "sum_float": float(exact),
         "max_term": best_num / best_den,
         "max_pair": (best_num, best_den),
         "argmax_rank": best_rank,

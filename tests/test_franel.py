@@ -2,7 +2,7 @@ import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction as Rat
 from itertools import islice
-from math import fsum, isclose, lcm, ldexp, log
+from math import isclose, lcm, log, prod
 from random import Random
 from unittest.mock import patch
 
@@ -60,6 +60,18 @@ def _enumeration(path: str, size: int):
         yield
 
 
+@contextmanager
+def _grouping(dense: int):
+    """Force the D_k into a dense array of `dense` entries, or into sorted groups when it is 0."""
+    reduction = franel._Reduction
+
+    def forced(*args):
+        return reduction(*args[:-1], dense)
+
+    with patch.object(franel, "_Reduction", side_effect=forced):
+        yield
+
+
 @st.composite
 def _fraction(draw, max_den: int, at_least: Fraction = ZERO) -> Fraction:
     """A fraction in [at_least, 1] with denominator up to max_den (the constructor reduces)."""
@@ -68,21 +80,15 @@ def _fraction(draw, max_den: int, at_least: Fraction = ZERO) -> Fraction:
 
 
 def _assert_matches_stream(result, want: dict) -> None:
-    """Every FranelResult field against the streaming oracle: exact, or floats to 1e-12.
+    """Every FranelResult field against the streaming oracle: exact, or max_term to 1e-12.
 
-    The oracle's float terms are the correctly rounded d/q, and so are the
-    kernel's while n*|F_n| < 2**53 (int64 d and q are exact as float64) or on
-    the Python-int path, so there sum_float is compared exactly.  Between the
-    two, q rounds to float64 before the division.
+    Both sum_floats are the correctly rounded exact sum, so they are compared
+    bit for bit on every path.
     """
     assert result.term_count == want["term_count"]
     assert result.rank_hi == want["rank_hi"] == result.rank_lo + result.term_count - 1
     assert result.sum_exact == want["sum_exact"]
-    largest_den = result.order * rank_fast(result.order, ONE).rank
-    if largest_den < 2**53 or largest_den >= franel._INT64_MARGIN:
-        assert result.sum_float == want["sum_float"]
-    else:
-        assert isclose(result.sum_float, want["sum_float"], rel_tol=1e-12, abs_tol=0.0)
+    assert result.sum_float == want["sum_float"]
     assert isclose(result.max_term, want["max_term"], rel_tol=1e-12, abs_tol=0.0)
     assert result.argmax_rank == want["argmax_rank"]
 
@@ -378,7 +384,7 @@ class TestDress:
             orders.append(n)
             m = rank_fast(n, ONE).rank
             # dress_scan's scan: the exact maximum over every rank, and its earliest rank
-            red = franel._scan(n, ZERO, ONE, 1, m, m, exact=False)
+            red = franel._scan(n, ZERO, ONE, 1, m, m, sums=False)
             assert top == Rat(red.best_dev, red.best_den)
             met_in_lower_half.add(2 * red.best_rank <= m + 1)
         assert orders == list(range(2, 201))
@@ -468,37 +474,55 @@ class TestDress:
             assert sweep.worst_order == worst_order
 
 
-# finite floats of every sign and size: zeros, subnormals, and exponents
-# spread over some two thousand binades
-_float_terms = st.lists(
-    st.one_of(
-        st.just(0.0),
-        st.floats(min_value=-(2.0**1000), max_value=2.0**1000),
-        st.builds(ldexp, st.integers(1 - 2**53, 2**53 - 1), st.integers(-1074, 900)),
-    ),
-    min_size=1,
-    max_size=300,
-)
+class TestOneAccumulator:
+    """sum_float, from the per-denominator sums, is the correctly rounded exact sum on every path."""
 
+    @staticmethod
+    def _sums(n: int, kind: str, lo: Fraction, hi: Fraction) -> tuple:
+        """(sum_exact, sum_float) of a window, a whole scan or a signed Kanemitsu prefix, at any count."""
+        if kind == "window":
+            result = partial_franel_sum_range(n, lo, hi, exact_budget=10**9)
+        elif kind == "whole":
+            result = full_franel_sum(n, exact_budget=10**9)
+        else:
+            with patch.object(franel, "EXACT_MODE_BUDGET", 10**9):
+                result = kanemitsu_sum(n)
+        return result.sum_exact, result.sum_float
 
-class TestExactFloatSum:
-    @settings(deadline=None, max_examples=300)
-    @given(_float_terms, st.booleans(), _slice_sizes)
-    def test_is_fsum_bit_for_bit(self, terms, signed, size):
-        if not signed:
-            terms = [abs(x) for x in terms]
-        chunks = (np.array(terms[start : start + size]) for start in range(0, len(terms), size))
-        got = sum(map(franel._fixed_sum, chunks)) / (1 << franel._FIXED_POINT)
-        assert got.hex() == fsum(terms).hex()
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.data(),
+        st.integers(1, 300),
+        st.sampled_from(["window", "whole", "kanemitsu"]),
+        _slice_sizes,
+        _paths,
+        st.sampled_from(["dense", "sorted", "python ints"]),
+    )
+    def test_sum_float_is_the_float_of_the_exact_sum(self, data, n, kind, size, path, grouping):
+        n = max(n, 4) if kind == "kanemitsu" else n
+        lo = data.draw(_fraction(n))
+        hi = data.draw(_fraction(n, at_least=lo))
+        margin = 0 if grouping == "python ints" else franel._INT64_MARGIN
+        with _enumeration(path, _slice_size(size, rank_fast(n, ONE).rank)), \
+                _grouping(n + 1 if grouping == "dense" else 0), patch.object(franel, "_INT64_MARGIN", margin):
+            exact, got = self._sums(n, kind, lo, hi)
+        assert got == float(exact)
 
-    def test_ties_round_to_even(self):
-        # x + 2**-53 lies halfway between x and the next float up, whose last
-        # mantissa bit is even; a sticky 2**-1074 either way decides the tie
-        x, up = 1.0 + 2.0**-52, 1.0 + 2.0**-51
-        for tail, want in (([], up), ([2.0**-1074], up), ([-(2.0**-1074)], x)):
-            terms = np.array([x, 2.0**-53, *tail])
-            got = franel._fixed_sum(terms) / (1 << franel._FIXED_POINT)
-            assert got == want == fsum(terms)
+    @pytest.mark.parametrize("kind", ["window", "whole", "kanemitsu"])
+    def test_the_exact_fallback_when_no_digit_is_added(self, kind):
+        # with no digit the interval [W, W + G) is too wide to round to one
+        # float, so the float of the exact sum decides, and it must agree
+        n, lo, hi = 150, Fraction(2, 7), Fraction(5, 8)
+        calls = []
+        for digits in (franel._DIGITS, 0):
+            with patch.object(franel, "_DIGITS", digits), patch.object(
+                franel._Reduction, "sum_exact", autospec=True, side_effect=franel._Reduction.sum_exact
+            ) as exact:
+                calls.append(self._sums(n, kind, lo, hi) + (exact.call_count,))
+        (want_exact, want, once), (got_exact, got, twice) = calls
+        assert (once, twice) == (1, 2)
+        assert got_exact == want_exact
+        assert got.hex() == want.hex() == float(want_exact).hex()
 
 
 class TestKernelAgainstStream:
@@ -530,13 +554,12 @@ class TestKernelAgainstStream:
         m = rank_fast(n, ONE).rank
         rank_lo = rank_fast(n, lo).rank + (lo.den > n)  # the first member >= lo
         count = rank_fast(n, hi).rank - rank_lo + 1
-        exact = count <= EXACT_MODE_BUDGET
         with _enumeration(path, _slice_size(size, count)):
             if count == 0:
                 with pytest.raises(PreconditionError, match="no F_"):
-                    franel._scan(n, lo, hi, rank_lo, count, m, exact)
+                    franel._scan(n, lo, hi, rank_lo, count, m)
                 return
-            red = franel._scan(n, lo, hi, rank_lo, count, m, exact)
+            red = franel._scan(n, lo, hi, rank_lo, count, m)
         result = franel._franel_result(n, lo, hi, rank_lo, count, red)
         _assert_matches_stream(result, stream_deviations(n, lo, hi, rank_lo, m, EXACT_MODE_BUDGET))
 
@@ -633,7 +656,7 @@ class TestMirroredScans:
     def test_max_ties_go_to_the_earliest_rank_in_any_arrival_order(self):
         # a chunk's mirrors arrive at descending ranks, before the next chunk's
         # members at lower ranks; no whole-sequence maximum ties below n = 1200
-        red = franel._Reduction(1, 10, None, False, False, True, True)
+        red = franel._Reduction(1, 10, None, False, True, True)
         ks = np.ones(2, dtype=np.int64)
         red._reduce(ks, np.array([3, 3]), 9, -1)
         assert red.best_rank == 8
@@ -641,7 +664,7 @@ class TestMirroredScans:
         assert (red.best_dev, red.best_den, red.best_rank) == (3, 10, 4)
         # rows hand whole chunks over from the top down: 3/10 at ranks 5 and
         # 6, then again at rank 2
-        red = franel._Reduction(1, 10, None, False, False, False, True)
+        red = franel._Reduction(1, 10, None, False, False, True)
         red.add(5, np.array([8, 9]), np.array([10, 10]))
         assert (red.best_dev, red.best_den, red.best_rank) == (30, 100, 5)
         red.add(1, np.array([0, 5]), np.array([1, 10]))
@@ -657,11 +680,11 @@ class TestMirroredScans:
         _assert_matches_stream(full, stream_deviations(n, ZERO, ONE, 1, m, EXACT_MODE_BUDGET))
 
     def test_dress_scan_takes_no_float_sum(self):
-        def refuse(terms):
+        def refuse(red, ks, dev):
             raise AssertionError("dress_scan reports no sum")
 
         full = full_franel_sum(300)
-        with patch.object(franel, "_fixed_sum", refuse):
+        with patch.object(franel._Reduction, "_group", refuse):
             report = dress_scan(300)
         assert (report.max_term, report.argmax_rank) == (full.max_term, full.argmax_rank)
 
@@ -670,31 +693,58 @@ class TestExactSum:
     """The per-denominator exact sum, fed to _Reduction directly, against sum(Rat(d, k*scale))."""
 
     @staticmethod
-    def _fed(chunks, scale=1, fixed_rank=None, wide=False):
-        """A reduction keeping the exact sum, fed (ks, devs) chunks, and the sum of its terms."""
-        red = franel._Reduction(1, scale, fixed_rank, True, wide, False, True)
+    def _fed(chunks, scale=1, fixed_rank=None, wide=False, dense=0):
+        """A reduction keeping the D_k, fed (ks, devs) chunks, and the sum of its terms.
+
+        Both of its sums are checked against that sum on the way.
+        """
+        red = franel._Reduction(1, scale, fixed_rank, wide, False, True, dense)
         dtype = object if wide else np.int64
         for ks, devs in chunks:
             red._reduce(np.array(ks, dtype=dtype), np.array(devs, dtype=dtype))
         want = sum((Rat(d, k * scale) for ks, devs in chunks for k, d in zip(ks, devs)), start=Rat(0))
+        assert red.sum_exact() == want
+        assert red.sum_float() == float(want)
         return red, want
 
+    @pytest.mark.parametrize("dense", [0, 8])
     @pytest.mark.parametrize("chunked", [False, True])
-    def test_int64_deviations_summing_past_two_to_the_63(self, chunked):
+    def test_int64_deviations_summing_past_two_to_the_63(self, chunked, dense):
         # D_3 = 2**63 + 16 wraps in int64; the sums must turn to Python ints first
         terms = [(3, 2**62), (7, 2**62 - 1), (3, 2**62 + 5), (3, 11)]
         chunks = [([k], [d]) for k, d in terms] if chunked else [tuple(zip(*terms))]
-        red, want = self._fed(chunks)
-        assert red.sum_exact() == want
-        assert red.groups[1].dtype == object
+        red, want = self._fed(chunks, dense=dense)
+        assert red.sums.dtype == object
 
+    @pytest.mark.parametrize("dense", [0, 8])
+    def test_int64_sums_up_to_their_edge(self, dense):
+        # one term each: the bound on sum|dev| is exact, and 2**63 - 1 still fits
+        terms = [([3], [2**62]), ([3], [2**62 - 2]), ([5], [1])]
+        red, _ = self._fed(terms, dense=dense)
+        assert red.dev_bound == 2**63 - 1
+        assert red.sums.dtype == np.int64
+        red, _ = self._fed(terms + [([5], [1])], dense=dense)
+        assert red.sums.dtype == object
+
+    @pytest.mark.parametrize("dense", [0, 10])
     @pytest.mark.parametrize("wide", [False, True])
-    def test_signed_deviations_with_a_negative_whole_part(self, wide):
+    def test_signed_deviations_with_a_negative_whole_part(self, wide, dense):
         # D_7 = -75 = -11*7 + 2: floor division keeps every remainder in [0, k)
         chunks = [([7, 4, 9], [-30, 3, -100]), ([7, 1], [-45, -9])]
-        red, want = self._fed(chunks, scale=10, fixed_rank=3, wide=wide)
+        red, want = self._fed(chunks, scale=10, fixed_rank=3, wide=wide, dense=dense)
         assert want < -1
-        assert red.sum_exact() == want
+
+    def test_a_near_tie_falls_back_to_the_exact_sum(self):
+        # r/p over four primes below 2**31 (r by the CRT) add up to 2 + 1/P,
+        # P their product: the sum 2**53 + 1 + 1/P lies just above the
+        # midpoint of 2**53 and 2**53 + 2, and its three-digit truncation 2
+        # units of 2**-96 below that midpoint.  Only an interval of one unit
+        # per remainder reaches past it, so the exact sum decides.
+        primes = [2_147_483_647, 2_147_483_629, 2_147_483_587, 2_147_483_579]
+        big = prod(primes)
+        red, want = self._fed([([1, *primes], [2**53 - 1, *(pow(big // p, -1, p) for p in primes)])])
+        assert want == 2**53 + 1 + Rat(1, big)
+        assert red.sum_float() == 2.0**53 + 2
 
     @pytest.mark.parametrize(
         "primes",
@@ -710,8 +760,7 @@ class TestExactSum:
     def test_lcms_across_the_int64_level_bound(self, primes):
         assert franel._SMOOTH == lcm(*range(1, 41))
         ks = [3, 5, 7, 64, *primes]  # in the key's order: (3, 5), (7, 64), (p, q) pair first
-        red, want = self._fed([(ks, [2 * k - 1 for k in ks])])
-        assert red.sum_exact() == want
+        self._fed([(ks, [2 * k - 1 for k in ks])])
 
     @pytest.mark.parametrize("path", _PATHS)
     def test_one_term_chunks_sharing_a_few_denominators(self, path):
@@ -733,15 +782,36 @@ class TestExactSum:
         def spy(red, ks, dev):
             seen.update(ks.tolist())
             group(red, ks, dev)
-            sizes.append((red.groups[0].size, red.groups[1].size, len(seen)))
+            sizes.append((red.keys.size, red.sums.size, len(seen)))
 
         monkeypatch.setattr(franel._Reduction, "_group", spy)
-        with _enumeration(path, 64):
+        with _enumeration(path, 64), _grouping(0):
             result = full_franel_sum(n, exact_budget=m)
         assert len(sizes) > 150  # about two merges per chunk of 64 members in [0, 1/2]
         assert all(keys == sums == distinct for keys, sums, distinct in sizes)
         assert sizes[-1][0] <= n  # a value slice may stand for h/k by t*h/t*k
         assert result.sum_exact == stream_deviations(n, ZERO, ONE, 1, m, m)["sum_exact"]
+
+    def test_dense_only_from_n_plus_one_terms(self):
+        # the dense array's n + 1 entries cost no more than the scan's own terms
+        n = 200
+        ends = list(islice(iter_window(n, ZERO, ONE), n + 1))
+        made = []
+        reduction = franel._Reduction
+
+        def spy(*args):
+            made.append(reduction(*args))
+            return made[-1]
+
+        with patch.object(franel, "_Reduction", side_effect=spy):
+            for count in (n, n + 1):
+                result = partial_franel_sum_range(n, ZERO, Fraction(*ends[count - 1]))
+                assert result.term_count == count
+                assert result.sum_float == float(result.sum_exact)
+            full_franel_sum(n)
+        assert [red.keys is None for red in made] == [False, True, True]
+        assert made[0].keys.size == made[0].sums.size <= n
+        assert [red.sums.size for red in made[1:]] == [n + 1, n + 1]
 
 
 class TestRows:
@@ -784,9 +854,10 @@ class TestRows:
         assert (full.sum_float.hex(), full.max_term.hex()) == (sum_float, max_term)
 
     @pytest.mark.parametrize(
-        "n,prefix_rank,sum_float", [(2520, 482_613, "0x1.3cf2a89c2ac01p-1"), (5040, 1_930_416, "0x1.6d574a8e7525ap+0")]
+        "n,prefix_rank,sum_float", [(2520, 482_613, "0x1.3cf2a89c2abd7p-1"), (5040, 1_930_416, "0x1.6d574a8e75223p+0")]
     )
     def test_kanemitsu_sums_keep_every_bit(self, n, prefix_rank, sum_float):
+        # the correctly rounded exact sums
         with patch.object(franel, "_rows", wraps=franel._rows) as rows:
             got = kanemitsu_sum(n)
         assert rows.call_args_list[0].args == (n, 4)
