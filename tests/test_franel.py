@@ -713,7 +713,7 @@ class TestExactSum:
         # D_3 = 2**63 + 16 wraps in int64; the sums must turn to Python ints first
         terms = [(3, 2**62), (7, 2**62 - 1), (3, 2**62 + 5), (3, 11)]
         chunks = [([k], [d]) for k, d in terms] if chunked else [tuple(zip(*terms))]
-        red, want = self._fed(chunks, dense=dense)
+        red, _ = self._fed(chunks, dense=dense)
         assert red.sums.dtype == object
 
     @pytest.mark.parametrize("dense", [0, 8])
