@@ -33,25 +33,20 @@ order and in work arrays kept across chunks, to:
 - the exact maximum and its earliest rank: a float prefilter keeps the terms
   near the largest float, and Python ints recheck them;
 - for scans that report a sum, one running sum D_k of the integer deviations
-  per denominator k: by np.add.at into an array of n + 1 entries when the
-  scan holds at least n + 1 terms, else merged into sorted groups, one per k
-  seen (one sort by k and np.add.reduceat), so a tiny window at a large
-  order costs only its members; int64 while a bound on sum|dev| stays below
-  2**63, Python ints past it.
+  per denominator k: dense (np.add.at into n + 1 entries) when the scan
+  holds at least (n + 1)/8 terms, else sorted groups, one per k seen, so a
+  tiny window at a large order costs only its members (see `_Reduction`).
 
 With D_k = W_k*k + r_k, 0 <= r_k < k and W the sum of the W_k, the sum is
-(W + sum_k r_k/k)/M, and both reported sums come from it:
-
-- sum_float, correctly rounded: with each r_k/k cut to three base-2**32
-  digits (exact in int64 while k < 2**31), the sum lies in [T, T + G*2**-96)
-  for the digits' total T and G nonzero r_k.  The float both ends round to
-  is the answer; when they differ, or some k >= 2**31, sum_exact decides;
-- sum_exact, when the term count is within the exact-mode budget: the r_k/k
-  are added pairwise in a tree whose leaves are ordered by
-  k // gcd(k, lcm(1..40)), so denominators that share a prime above 40 meet
-  early and their lcms stay small.  A level runs in int64 while
-  2*max(den)**2 < 2**63, carrying each pair's whole part out so every
-  numerator stays below its denominator; the top levels run in Python ints.
+(W + sum_k r_k/k)/M.  sum_float is it correctly rounded: each r_k/k cut to
+three base-2**32 digits (in int64 while k < 2**31) puts it in
+[T, T + G*2**-96) for the digits' total T and G nonzero r_k, and the float
+both ends round to is the answer; when they differ, the exact sum decides.
+sum_exact, within the exact-mode budget, adds the r_k/k pairwise over lcms,
+the leaves ordered by k // gcd(k, lcm(1..40)) so that denominators sharing
+a prime above 40 meet early: in int64 while 2*max(den)**2 < 2**63, carrying
+whole parts out so every numerator stays below its denominator, then in
+Python ints.
 
 The term count is known from ranks before the scan starts, so budgets are
 checked before any term is enumerated, and the enumeration is checked
@@ -73,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Rat
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, log
 
 import numpy as np
@@ -126,8 +121,7 @@ _INT64_MARGIN = 1 << 62
 # sweep's terms are within 3u absolutely, and it uses 8u as an absolute slack,
 # both for its members and for the float bounds of its blocks.
 _TERM_SLACK = 2.0**-50
-# base-2**32 digits of each r_k/k that sum_float adds before it checks the
-# truncation interval
+# base-2**32 digits of each r_k/k that sum_float adds before its interval check
 _DIGITS = 3
 # lcm(1..40): k // gcd(k, _SMOOTH) is 1 when k divides it, and otherwise
 # keeps k's primes above 40 (and its prime powers past 40).
@@ -235,7 +229,7 @@ def _members(n: int, lo: Fraction, hi: Fraction, count: int):
     if path == "stream":
         pairs = iter_window(n, lo, hi)
         while chunk := list(islice(pairs, _SLICE_TERMS)):
-            hs, ks = np.array(chunk, dtype=np.int64).T
+            hs, ks = np.fromiter(chain.from_iterable(chunk), np.int64, 2 * len(chunk)).reshape(-1, 2).T
             del chunk  # its tuples would outweigh the arrays across the yield
             yield position, hs, ks
             position += hs.size
@@ -371,33 +365,27 @@ class _Reduction:
     j also stands for its mirror (k-h)/k at rank scale+1-j, whose signed
     deviation (k-h)*scale - (scale+1-j)*k is -(h*scale - j*k) - k.
 
-    With sums, the summed deviations D_k of each denominator k are kept:
-    with dense > 0 as `sums`, an array of dense entries indexed by k (8 bytes
-    an entry while int64), and otherwise as `keys`, the denominators seen,
-    ascending, and `sums`, their D_k.  Either is int64 while dev_bound (at
-    least the sum of every |dev| grouped) is below 2**63, and Python ints
-    (dtype=object) after, or from the start when wide.  The state grows with
-    the denominators, not the term count.  sum_exact and sum_float both read
-    it (see the module docstring).
+    With sums, the deviations are summed per denominator k into D_k: with
+    dense > 0 in `sums`, indexed by k, else in `keys` (the k seen, ascending)
+    and their `sums`, which the chunks in `pending` join once they hold as
+    many terms.  Either is int64 while dev_bound (at least the sum of every
+    |dev| grouped) is below 2**63, then Python ints (dtype=object).  A
+    Python-int deviation q*k + r adds r to D_k and q to `whole`.
     """
 
     def __init__(
-        self,
-        rank_lo: int,
-        scale: int,
-        fixed_rank: int | None,
-        wide: bool,
-        mirrored: bool,
-        sums: bool,
-        dense: int = 0,
+        self, rank_lo: int, scale: int, fixed_rank: int | None, wide: bool, mirrored: bool, sums: bool, dense=0
     ):
         self.terms = 0
         self.scale = scale
         self.fixed_rank = fixed_rank
         self.wide = wide
         self.mirrored = mirrored
-        self.sums = np.zeros(dense, dtype=object if wide else np.int64) if sums else None
+        self.sums = np.zeros(dense, dtype=np.int64) if sums else None
         self.keys = np.empty(0, dtype=np.int64) if sums and not dense else None
+        self.pending: list[tuple[np.ndarray, np.ndarray]] = []  # (ks, dev) of chunks not merged yet
+        self.pending_size = 0
+        self.whole = 0  # the whole parts that Python-int deviations carry out
         # int64 and float64 arrays that chunk after chunk is reduced in.  Rows
         # and streams free little between chunks, so fresh arrays per chunk
         # would be freed at the heap's top, trimmed, and faulted in again by
@@ -468,37 +456,50 @@ class _Reduction:
             self._group(ks, dev)
 
     def _group(self, ks: np.ndarray, dev: np.ndarray) -> None:
-        """Add the terms into the D_k: by np.add.at, or by one sort by k and one reduceat."""
+        """Add the terms into the D_k: by np.add.at, or grouped by k and merged into the sorted groups."""
+        ks = ks.astype(np.int64)  # a copy, as the sorted groups may keep it; dtype=object when wide
+        if dev.dtype == object:  # Python ints: only r of dev = q*k + r, 0 <= r < k, enters D_k
+            fits = self.fixed_rank is None  # |dev| <= |F_n| by the 1/n bound; a signed dev may not fit
+            whole, dev = np.divmod(dev.astype(np.int64), ks) if fits else _object_divmod(dev, ks)
+            self.whole += int(whole.sum(dtype=object))  # the q, summed apart
         if self.sums.dtype != object:
             self.dev_bound += max(int(dev.max(initial=0)), -int(dev.min(initial=0))) * dev.size
             if self.dev_bound >= 1 << 63:
                 self.sums = self.sums.astype(object)
-        ks = ks.astype(np.int64, copy=False)  # dtype=object on the Python-int path
+        dev = dev.astype(self.sums.dtype)  # a copy: dev may be a work array
         if self.keys is None:
             np.add.at(self.sums, ks, dev)
             return
-        ks = np.concatenate((self.keys, ks))
-        devs = np.concatenate((self.sums, dev))  # dtype=object if either is
-        order = np.argsort(ks)
-        ks, devs = ks[order], devs[order]
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-        self.keys, self.sums = ks[starts], np.add.reduceat(devs, starts)
+        self.pending.append((ks, dev))
+        self.pending_size += ks.size
+        if self.pending_size >= self.keys.size:  # so a term takes part in O(log) merges
+            self._merge()
 
-    def _remainders(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """(W, r, k): the int64 r_k and k of every nonzero r_k, ascending in k, and W."""
-        ks = np.flatnonzero(self.sums) if self.keys is None else self.keys
-        sums = self.sums[ks] if self.keys is None else self.sums
-        if sums.dtype == object:
-            whole, rems = _object_divmod(sums, ks)
-            rems = rems.astype(np.int64)  # 0 <= r_k < k
-        else:
-            whole, rems = np.divmod(sums, ks)
-        live = np.flatnonzero(rems)
-        return int(whole.sum()), rems[live], ks[live]
+    def _merge(self) -> None:
+        """Join the pending chunks to the sorted groups: one sort by k (a run merge), one reduceat."""
+        ks, devs = zip(*self.pending)
+        ks, devs = np.concatenate((self.keys, *ks)), np.concatenate((self.sums, *devs))
+        order = np.argsort(ks, kind="stable")
+        ks, devs = ks[order], devs[order]
+        starts = np.flatnonzero(np.diff(ks, prepend=-1))
+        self.keys, self.sums, self.pending, self.pending_size = ks[starts], np.add.reduceat(devs, starts), [], 0
+
+    def _remainders(self, block: int):
+        """(W, r, k) per block of the state: the int64 r_k and k of its nonzero r_k, ascending, and W."""
+        if self.pending:
+            self._merge()
+        for lo in range(0, max(self.sums.size, 1), block):
+            sums = self.sums[lo : lo + block]
+            ks = np.flatnonzero(sums) + lo if self.keys is None else self.keys[lo : lo + block]
+            sums = self.sums[ks] if self.keys is None else sums
+            whole, rems = (_object_divmod if sums.dtype == object else np.divmod)(sums, ks)
+            live = np.flatnonzero(rems)
+            yield int(whole.sum()), rems[live].astype(np.int64), ks[live]  # 0 <= r_k < k
 
     def sum_exact(self) -> Rat:
         """(W + sum_k r_k/k) / scale, added pairwise over lcms."""
-        whole, nums, dens = self._remainders()
+        ((whole, nums, dens),) = self._remainders(1 << 62)  # in one block
+        whole += self.whole
         order = np.argsort(dens // np.gcd(dens, _SMOOTH), kind="stable")
         nums, dens = nums[order], dens[order]
         # Each pair a/b + c/d becomes num/l with l = lcm(b, d) and num < 2*l,
@@ -521,44 +522,43 @@ class _Reduction:
         num, den = parts[0] if parts else (0, 1)
         return Rat(whole * den + num, den * self.scale)
 
-    def sum_float(self) -> float:
-        """(W + sum_k r_k/k) / scale, correctly rounded, from _DIGITS base-2**32 digits of each r_k/k."""
-        whole, rems, ks = self._remainders()
-        if not ks.size or int(ks.max()) < 1 << 31:
-            total = whole
+    def sum_float(self, exact: Rat | None = None) -> float:
+        """(W + sum_k r_k/k) / scale, correctly rounded, from _DIGITS base-2**32 digits of each r_k/k.
+
+        Where they cannot decide, `exact` does, or sum_exact() when not given.
+        """
+        total, live = self.whole << 32 * _DIGITS, 0
+        for whole, rems, ks in self._remainders(_SLICE_TERMS):
+            if ks.size and int(ks[-1]) >= 1 << 31:
+                break
             for _ in range(_DIGITS):
                 rems <<= 32  # r < k < 2**31, so r*2**32 < 2**63
                 digits, rems = np.divmod(rems, ks)
-                total = (total << 32) + int(digits.sum())  # one digit below 2**32 per k < 2**31
+                whole = (whole << 32) + int(digits.sum())  # one digit below 2**32 per k < 2**31
+            total, live = total + whole, live + ks.size
+        else:
             # each cut r_k/k loses less than 2**(-32*_DIGITS); int / int rounds correctly
             den = self.scale << 32 * _DIGITS
-            low, high = total / den, (total + ks.size) / den
+            low, high = total / den, (total + live) / den
             if low == high:
                 return low
-        return float(self.sum_exact())
+        return float(self.sum_exact() if exact is None else exact)
 
 
 def _scan(
-    n: int,
-    lo: Fraction,
-    hi: Fraction,
-    rank_lo: int,
-    count: int,
-    scale: int,
-    sums: bool = True,
-    fixed_rank: int | None = None,
+    n: int, lo: Fraction, hi: Fraction, rank_lo: int, count: int, scale: int, sums: bool = True, fixed_rank=None
 ) -> _Reduction:
     """The deviation kernel over the `count` members of F_n in [lo, hi], from rank rank_lo.
 
     Over the whole of F_n without a fixed rank (then scale = count = |F_n|),
     only the (count+1)//2 members in [0, 1/2] are enumerated, and each is
     reduced as itself and as its mirror.  Without sums, only the maximum is
-    kept.  The D_k are dense, n + 1 entries, when count >= n + 1.
+    kept.  The D_k are dense when 8*count >= n + 1: at most 64 bytes a term.
     """
     if count < 1:
         raise PreconditionError(f"no F_{n} fractions in [{lo}, {hi}]")
     mirrored = fixed_rank is None and lo == ZERO and hi == ONE
-    dense = n + 1 if n + 1 <= count else 0
+    dense = n + 1 if n + 1 <= 8 * count else 0
     red = _Reduction(rank_lo, scale, fixed_rank, n * scale >= _INT64_MARGIN, mirrored, sums, dense)
     top, members = (_HALF, (count + 1) // 2) if mirrored else (hi, count)
     sliced = _path(n, lo, top, members) == "slices"
@@ -575,9 +575,8 @@ def _scan(
     return red
 
 
-def _franel_result(
-    n: int, lo: Fraction, hi: Fraction, rank_lo: int, count: int, red: _Reduction, exact_budget=EXACT_MODE_BUDGET
-):
+def _franel_result(n: int, lo: Fraction, hi: Fraction, rank_lo: int, count: int, red: _Reduction, budget: int):
+    exact = red.sum_exact() if count <= budget else None
     return FranelResult(
         order=n,
         lo=lo,
@@ -585,8 +584,8 @@ def _franel_result(
         rank_lo=rank_lo,
         rank_hi=rank_lo + count - 1,
         term_count=count,
-        sum_exact=red.sum_exact() if count <= exact_budget else None,
-        sum_float=red.sum_float(),
+        sum_exact=exact,
+        sum_float=red.sum_float(exact),
         max_term=red.best_dev / red.best_den,
         argmax_rank=red.best_rank,
     )
@@ -760,7 +759,7 @@ def kanemitsu_sum(
     _, prefix_rank, m = _window(n, ZERO, quarter, table, term_budget)
     red = _scan(n, ZERO, quarter, 1, prefix_rank, 2 * m, fixed_rank=prefix_rank)
     exact = red.sum_exact() if prefix_rank <= EXACT_MODE_BUDGET else None
-    return KanemitsuResult(n, prefix_rank, m, exact, red.sum_float())
+    return KanemitsuResult(n, prefix_rank, m, exact, red.sum_float(exact))
 
 
 @dataclass

@@ -478,14 +478,14 @@ class TestOneAccumulator:
     """sum_float, from the per-denominator sums, is the correctly rounded exact sum on every path."""
 
     @staticmethod
-    def _sums(n: int, kind: str, lo: Fraction, hi: Fraction) -> tuple:
+    def _sums(n: int, kind: str, lo: Fraction, hi: Fraction, budget: int = 10**9) -> tuple:
         """(sum_exact, sum_float) of a window, a whole scan or a signed Kanemitsu prefix, at any count."""
         if kind == "window":
-            result = partial_franel_sum_range(n, lo, hi, exact_budget=10**9)
+            result = partial_franel_sum_range(n, lo, hi, exact_budget=budget)
         elif kind == "whole":
-            result = full_franel_sum(n, exact_budget=10**9)
+            result = full_franel_sum(n, exact_budget=budget)
         else:
-            with patch.object(franel, "EXACT_MODE_BUDGET", 10**9):
+            with patch.object(franel, "EXACT_MODE_BUDGET", budget):
                 result = kanemitsu_sum(n)
         return result.sum_exact, result.sum_float
 
@@ -511,18 +511,19 @@ class TestOneAccumulator:
     @pytest.mark.parametrize("kind", ["window", "whole", "kanemitsu"])
     def test_the_exact_fallback_when_no_digit_is_added(self, kind):
         # with no digit the interval [W, W + G) is too wide to round to one
-        # float, so the float of the exact sum decides, and it must agree
+        # float, so the float of the exact sum decides, and it must agree: the
+        # reported exact sum when the count is within the budget, else one of its own
         n, lo, hi = 150, Fraction(2, 7), Fraction(5, 8)
         calls = []
-        for digits in (franel._DIGITS, 0):
+        for digits, budget in ((franel._DIGITS, 10**9), (0, 10**9), (franel._DIGITS, 0), (0, 0)):
             with patch.object(franel, "_DIGITS", digits), patch.object(
                 franel._Reduction, "sum_exact", autospec=True, side_effect=franel._Reduction.sum_exact
             ) as exact:
-                calls.append(self._sums(n, kind, lo, hi) + (exact.call_count,))
-        (want_exact, want, once), (got_exact, got, twice) = calls
-        assert (once, twice) == (1, 2)
-        assert got_exact == want_exact
-        assert got.hex() == want.hex() == float(want_exact).hex()
+                calls.append(self._sums(n, kind, lo, hi, budget) + (exact.call_count,))
+        want_exact, want, _ = calls[0]
+        assert [got_exact for got_exact, _, _ in calls] == [want_exact, want_exact, None, None]
+        assert [got.hex() for _, got, _ in calls] == [float(want_exact).hex()] * 4
+        assert [count for _, _, count in calls] == [1, 1, 0, 1]
 
 
 class TestKernelAgainstStream:
@@ -560,7 +561,7 @@ class TestKernelAgainstStream:
                     franel._scan(n, lo, hi, rank_lo, count, m)
                 return
             red = franel._scan(n, lo, hi, rank_lo, count, m)
-        result = franel._franel_result(n, lo, hi, rank_lo, count, red)
+        result = franel._franel_result(n, lo, hi, rank_lo, count, red, EXACT_MODE_BUDGET)
         _assert_matches_stream(result, stream_deviations(n, lo, hi, rank_lo, m, EXACT_MODE_BUDGET))
 
     @settings(deadline=None, max_examples=40)
@@ -776,26 +777,38 @@ class TestExactSum:
         n = 200
         m = rank_fast(n, ONE).rank
         assert m > EXACT_MODE_BUDGET
-        seen, sizes = set(), []
-        group = franel._Reduction._group
+        seen, grouped, merges = set(), [], []
+        group, merge = franel._Reduction._group, franel._Reduction._merge
 
-        def spy(red, ks, dev):
+        def spy_group(red, ks, dev):
             seen.update(ks.tolist())
+            grouped.append(ks.size)
             group(red, ks, dev)
-            sizes.append((red.keys.size, red.sums.size, len(seen)))
 
-        monkeypatch.setattr(franel._Reduction, "_group", spy)
-        with _enumeration(path, 64), _grouping(0):
+        def spy_merge(red):
+            merged = red.keys.size + red.pending_size
+            merge(red)
+            merges.append((merged, red.keys.size, red.sums.size, len(seen)))
+
+        monkeypatch.setattr(franel._Reduction, "_group", spy_group)
+        monkeypatch.setattr(franel._Reduction, "_merge", spy_merge)
+        with _enumeration(path, 8), _grouping(0):
             result = full_franel_sum(n, exact_budget=m)
-        assert len(sizes) > 150  # about two merges per chunk of 64 members in [0, 1/2]
-        assert all(keys == sums == distinct for keys, sums, distinct in sizes)
-        assert sizes[-1][0] <= n  # a value slice may stand for h/k by t*h/t*k
+        assert len(grouped) > 1000  # about two groupings per chunk of 8 members in [0, 1/2]
+        assert all(keys == sums == distinct for _, keys, sums, distinct in merges)
+        assert merges[-1][1] <= n  # a value slice may stand for h/k by t*h/t*k
+        # a merge waits until the chunks' groups hold as many entries as the
+        # merged ones, so it sorts no more than twice the entries it adds,
+        # not every denominator seen for each chunk of 8
+        assert sum(merged for merged, *_ in merges) <= 3 * sum(grouped)
         assert result.sum_exact == stream_deviations(n, ZERO, ONE, 1, m, m)["sum_exact"]
 
-    def test_dense_only_from_n_plus_one_terms(self):
-        # the dense array's n + 1 entries cost no more than the scan's own terms
+    def test_dense_from_an_eighth_of_n_plus_one_terms(self):
+        # the dense array's n + 1 entries take at most 64 bytes a term, no
+        # more than merging sorted groups holds at its peak
         n = 200
-        ends = list(islice(iter_window(n, ZERO, ONE), n + 1))
+        fewest = -(-(n + 1) // 8)  # 26 terms: the fewest with 8*count >= n + 1
+        ends = list(islice(iter_window(n, ZERO, ONE), fewest))
         made = []
         reduction = franel._Reduction
 
@@ -804,13 +817,13 @@ class TestExactSum:
             return made[-1]
 
         with patch.object(franel, "_Reduction", side_effect=spy):
-            for count in (n, n + 1):
+            for count in (fewest - 1, fewest):
                 result = partial_franel_sum_range(n, ZERO, Fraction(*ends[count - 1]))
                 assert result.term_count == count
                 assert result.sum_float == float(result.sum_exact)
             full_franel_sum(n)
         assert [red.keys is None for red in made] == [False, True, True]
-        assert made[0].keys.size == made[0].sums.size <= n
+        assert made[0].keys.size == made[0].sums.size <= fewest - 1
         assert [red.sums.size for red in made[1:]] == [n + 1, n + 1]
 
 
@@ -945,7 +958,7 @@ class TestEnumerationChoice:
             tracemalloc.stop()
         # one slice would hold several int64 arrays of n entries (8 MB each)
         assert peak < 1 << 16
-        result = franel._franel_result(n, lo, hi, rank_lo, 4, red)
+        result = franel._franel_result(n, lo, hi, rank_lo, 4, red, EXACT_MODE_BUDGET)
         _assert_matches_stream(result, stream_deviations(n, lo, hi, rank_lo, m, EXACT_MODE_BUDGET))
 
 
