@@ -374,7 +374,14 @@ class _Reduction:
     """
 
     def __init__(
-        self, rank_lo: int, scale: int, fixed_rank: int | None, wide: bool, mirrored: bool, sums: bool, dense=0
+        self,
+        rank_lo: int,
+        scale: int,
+        fixed_rank: int | None,
+        wide: bool,
+        mirrored: bool,
+        sums: bool,
+        dense: int = 0,
     ):
         self.terms = 0
         self.scale = scale
@@ -546,7 +553,14 @@ class _Reduction:
 
 
 def _scan(
-    n: int, lo: Fraction, hi: Fraction, rank_lo: int, count: int, scale: int, sums: bool = True, fixed_rank=None
+    n: int,
+    lo: Fraction,
+    hi: Fraction,
+    rank_lo: int,
+    count: int,
+    scale: int,
+    sums: bool = True,
+    fixed_rank: int | None = None,
 ) -> _Reduction:
     """The deviation kernel over the `count` members of F_n in [lo, hi], from rank rank_lo.
 
