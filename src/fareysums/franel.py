@@ -41,7 +41,8 @@ With D_k = W_k*k + r_k, 0 <= r_k < k and W the sum of the W_k, the sum is
 (W + sum_k r_k/k)/M.  sum_float is it correctly rounded: each r_k/k cut to
 three base-2**32 digits (in int64 while k < 2**31) puts it in
 [T, T + G*2**-96) for the digits' total T and G nonzero r_k, and the float
-both ends round to is the answer; when they differ, the exact sum decides.
+both ends round to is the answer; when they differ, or some k >= 2**31, the
+exact sum decides.
 sum_exact, within the exact-mode budget, adds the r_k/k pairwise over lcms,
 the leaves ordered by k // gcd(k, lcm(1..40)) so that denominators sharing
 a prime above 40 meet early: in int64 while 2*max(den)**2 < 2**63, carrying

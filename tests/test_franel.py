@@ -806,8 +806,8 @@ class TestExactSum:
     def test_dense_from_an_eighth_of_n_plus_one_terms(self):
         # the dense array's n + 1 entries take at most 64 bytes a term, no
         # more than merging sorted groups holds at its peak
-        n = 200
-        fewest = -(-(n + 1) // 8)  # 26 terms: the fewest with 8*count >= n + 1
+        n = 199
+        fewest = (n + 1) // 8  # 25 terms: the fewest with 8*count >= n + 1, at equality
         ends = list(islice(iter_window(n, ZERO, ONE), fewest))
         made = []
         reduction = franel._Reduction
