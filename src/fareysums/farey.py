@@ -191,9 +191,10 @@ def _floor_sums(ms: np.ndarray, p: int, q: int) -> np.ndarray:
     integer parts of a/c and b/c in closed form, then count the lattice points
     under the line by rows instead of columns, which swaps a and c so that the
     next pass reduces c mod a, as in Euclid's algorithm.  The (a, c) pairs are
-    Euclid's on p/q whatever m is, so only n and b are arrays, and a pass
-    costs four array operations for all of ms; the peeled terms
-    n*(n - 1)/2*(a//c) + n*(b//c) of every pass are summed in one go at the
+    Euclid's on p/q whatever m is, so they are found first, and only n and b
+    are arrays: each pass writes its n and floor(b/c) into preallocated rows
+    with four array operations for all of ms, and the peeled terms
+    n*(n - 1)/2*(a//c) + n*(b//c) of every row are summed in one go at the
     end.  An element whose n reaches 0 adds nothing more, so every element
     runs to Euclid's end.
 
@@ -207,35 +208,52 @@ def _floor_sums(ms: np.ndarray, p: int, q: int) -> np.ndarray:
     exact_in_int64 = p <= q and max(q, m_max + 1) * (m_max + 2) < 1 << 62
     dtype = np.int64 if exact_in_int64 else object
     split = np.divmod if exact_in_int64 else _object_divmod
-    n = np.add(ms, 1, dtype=dtype)
     k, a = divmod(p, q)
-    b, c = 0, q
-    ns, ks, kbs = [n], [k], [np.zeros_like(n)]
+    c = q
+    ks, passes = [k], []
     while a:  # at a = 0, a*n + b = b < c: no lattice point is left under the line
-        n, b = split(a * n + b, c)
-        a, c = c, a
-        k, a = divmod(a, c)
-        kb, b = split(b, c)
-        ns.append(n)
+        passes.append((a, c))
+        k, a, c = c // a, c % a, a
         ks.append(k)
-        kbs.append(kb)
-    n, kb, k = np.array(ns), np.array(kbs), np.array(ks, dtype=dtype)[:, None]
+    n = np.empty((len(ks), len(ms)), dtype)
+    kb = np.empty_like(n)
+    b = np.zeros_like(n[0])
+    np.add(ms, 1, out=n[0])
+    kb[0] = 0
+    for i, (a, c) in enumerate(passes, start=1):
+        np.multiply(n[i - 1], a, out=n[i])
+        np.add(n[i], b, out=n[i])
+        split(n[i], c, out=(n[i], b))
+        split(b, a, out=(kb[i], b))
+    k = np.array(ks, dtype)[:, None]
     return (n * ((n - 1) * k + 2 * kb)).sum(axis=0) // 2
 
 
-def _quotient_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct v = floor(n/e) for e <= n, and the block ends of e that share each v.
+def _heads_and_tail(n: int) -> tuple[int, int]:
+    """(r, t): the distinct v = floor(n/e) for e <= n are the heads e = 1..r and the tail v = 1..t.
 
-    Returns (vs, ends): e in (ends[i], ends[i + 1]] gives floor(n/e) = vs[i].
-    The isqrt(n) = r heads e = 1..r have distinct quotients and blocks of one
-    e each; the tail is v = t..1 on the blocks (floor(n/(v+1)), floor(n/v)],
-    with t = r - 1 when floor(n/r) = r already heads the list, and t = r
-    otherwise.
+    r = isqrt(n).  Each head e has a quotient of its own, above t; the tail
+    quotient v holds the block of e in (floor(n/(v+1)), floor(n/v)].  t is
+    r - 1 when floor(n/r) = r already heads the list, and r otherwise.
     """
     r = isqrt(n)
-    t = r - 1 if n // r == r else r
-    ends = np.concatenate((np.arange(r + 1), n // np.arange(t, 0, -1)))
-    return n // ends[1:], ends
+    return r, r - 1 if n // r == r else r
+
+
+# Up to this order one prefix sum over every quotient costs less than the Euclid
+# passes' fixed numpy calls: about 4 ns a prefix entry against about 50 us a
+# rank (they cross near n = 14 000 on a 2-core Xeon with numpy 2.4).
+_ALL_PREFIX_ORDER = 12_000
+
+
+def _reach(n: int) -> int:
+    """V: `rank_fast` takes S(v) for v <= V from one prefix sum and runs Euclid's passes above it.
+
+    n itself, so no Euclid pass at all, up to `_ALL_PREFIX_ORDER`; past it
+    about n^(2/3), which leaves the passes to the heads e <= n^(1/3).  Any V
+    gives the same rank: this is a cost choice only.
+    """
+    return n if n <= _ALL_PREFIX_ORDER else int(n ** (2 / 3))
 
 
 def rank_fast(n: int, x: Fraction) -> RankReport:
@@ -247,18 +265,27 @@ def rank_fast(n: int, x: Fraction) -> RankReport:
         rank = 1 + sum over e <= n of mu(e) * S(floor(n/e)),
         S(m) = sum of floor(d*p/q) for d <= m.
 
-    floor(n/e) takes about 2*sqrt(n) distinct values, each on a block of e
-    (`_quotient_blocks`), which contributes (M(hi) - M(lo-1)) * S(floor(n/e))
-    with M the Mertens prefix sum of mu, all gathered in one index.  A target
-    with q > n is first replaced by its lower F_n neighbour from `_bracket`
+    floor(n/e) takes about 2*sqrt(n) distinct values (`_heads_and_tail`):
+    the heads e = 1..r weigh mu(e) and the tail quotient v weighs
+    M(floor(n/v)) - M(floor(n/(v+1))), both differences of the cached
+    Mertens prefix sums M of mu, the tail's from one gather.  A target with
+    q > n is first replaced by its lower F_n neighbour from `_bracket`
     (O(log q) steps): floor(d*x) is the same for both at every d <= n, so
-    the rank is too, and q <= n after that.  `_floor_sums` then runs one
-    Euclid-like pass over all the blocks together, so a call costs O(log q)
-    for the bracket plus about 2*sqrt(n) array elements per step of Euclid's
-    algorithm on p/q, after the O(n) sieve that the mu / Mertens cache shares
-    across calls.  Since sum over e of S(floor(n/e)) <= n^2, every step and
-    the weighted sum are exact in int64 while (n + 1)(n + 2) < 2^62; past that
-    the arrays hold Python ints.  Exact for any denominator q.
+    the rank is too, and q <= n after that.  S(v) for every quotient v up to
+    the reach V (`_reach`) comes from one prefix sum of floor(d*p/q),
+    d = 1..V, which covers the whole tail; only the heads above V,
+    e <= n/(V + 1), go through `_floor_sums`' Euclid-like passes.  So a call
+    costs O(log q) for the bracket plus V prefix entries plus n/(V + 1) array
+    elements per step of Euclid's algorithm on p/q, after the O(n) sieve that
+    the mu / Mertens cache shares across calls.
+
+    With p <= q <= n, each floor(d*p/q) <= d, each product d*p <= V*q <= n^2
+    and each prefix entry is at most V(V + 1)/2; every value in the Euclid
+    passes is within `_floor_sums`' bound for m <= n.  A quotient's weight is
+    at most the number of e in its block in magnitude, so every partial sum
+    of the weighted dot products is at most sum over e of S(floor(n/e)) <= n^2
+    in magnitude.  All of it is exact in int64 while (n + 1)(n + 2) < 2^62;
+    past that the arrays hold Python ints.  Exact for any denominator q.
     """
     if n < 1:
         raise PreconditionError(f"order must be >= 1, got {n}")
@@ -266,9 +293,26 @@ def rank_fast(n: int, x: Fraction) -> RankReport:
     p, q = x.num, x.den
     if q > n:
         p, q = _bracket(n, p, q)[0]
-    vs, ends = _quotient_blocks(n)
-    weights = np.diff(mertens_upto(n)[ends])
-    return RankReport(n, x, 1 + int(np.dot(weights, _floor_sums(vs, p, q))), METHOD_MOEBIUS)
+    r, t = _heads_and_tail(n)
+    reach = _reach(n)
+    # the heads e <= h have quotients above the reach, and the tail v <= u lies within it
+    h = min(r, n // (reach + 1))
+    u = min(t, reach)
+    mertens = mertens_upto(n)
+    quotients = n // np.arange(1, r + 2)  # floor(n/e) for e = 1..r + 1
+    ends = mertens[quotients[: t + 1]]
+    tail = ends[:-1] - ends[1:]
+    mu = mertens[1 : r + 1] - mertens[:r]
+    dtype = np.int64 if (n + 1) * (n + 2) < 1 << 62 else object
+    prefix = np.cumsum(np.arange(1, reach + 1, dtype=dtype) * p // q)  # S(v) at v - 1
+    total = np.dot(tail[:u], prefix[:u]) + np.dot(mu[h:], prefix[quotients[h:r] - 1])
+    vs, weights = quotients[:h], mu[:h]
+    if u < t:
+        vs = np.concatenate((vs, np.arange(u + 1, t + 1)))
+        weights = np.concatenate((weights, tail[u:]))
+    if len(vs):
+        total += np.dot(weights, _floor_sums(vs, p, q))
+    return RankReport(n, x, 1 + int(total), METHOD_MOEBIUS)
 
 
 def count_in_window(n: int, lo: Fraction, hi: Fraction) -> int:

@@ -868,7 +868,7 @@ def _reaching_blocks(v_lo: np.ndarray, v_hi: np.ndarray, edges: np.ndarray, m: i
 
 
 def _sweep_maxima(n_max: int, table: TotientTable | None = None):
-    """(N, the largest deviation of F_N as an exact Rat) for N = 2..n_max.
+    """(N, dev, den) for N = 2..n_max: the largest deviation of F_N is exactly dev/den.
 
     As F_N(m+1-r) = 1 - F_N(r) with m = |F_N|, only the members in [0, 1/2]
     are kept; with d_r = F_N(r) - r/m the mirrored rank m+1-r deviates by
@@ -928,21 +928,26 @@ def _sweep_maxima(n_max: int, table: TotientTable | None = None):
             dev = max(abs(h * m - r * k), abs((k - h) * m - (m + 1 - r) * k))
             if dev * best_den > best_dev * k * m:
                 best_dev, best_den = dev, k * m
-        yield n, Rat(best_dev, best_den)
+        yield n, best_dev, best_den
 
 
 def dress_scan_sweep(n_max: int, table: TotientTable | None = None) -> DressSweep:
     """Check max_j |F_N(j) - j/|F_N|| <= 1/N for every N <= n_max in one pass.
 
-    From `_sweep_maxima`, the violations, worst_ratio (max over N of
-    N * max_term, rounded once) and worst_order (its first order) are exact.
-    |F_{n_max}| comes from the table (see `_table_for`), and the half of it in
-    [0, 1/2] must be within SWEEP_MEMBER_BUDGET before any buffer exists.
+    From `_sweep_maxima`'s integer pairs, the violations (N*dev > den),
+    worst_ratio (max over N of N*dev/den, compared by cross-multiplying and
+    rounded once by the int/int true division) and worst_order (its first
+    order) are exact.  |F_{n_max}| comes from the table (see `_table_for`),
+    and the half of it in [0, 1/2] must be within SWEEP_MEMBER_BUDGET before
+    any buffer exists.
     """
     if n_max < 1:
         raise PreconditionError(f"n_max must be >= 1, got {n_max}")
-    # order 1: terms 1/2 and 0 against the cap 1
-    ratios = [(Rat(1, 2), 1), *((n * top, n) for n, top in _sweep_maxima(n_max, table))]
-    violations = [n for ratio, n in ratios if ratio > 1]
-    worst, worst_order = max(ratios, key=lambda pair: pair[0])
-    return DressSweep(n_max, not violations, violations, float(worst), worst_order)
+    worst_num, worst_den, worst_order = 1, 2, 1  # order 1: terms 1/2 and 0 against the cap 1
+    violations = []
+    for n, dev, den in _sweep_maxima(n_max, table):
+        if n * dev > den:
+            violations.append(n)
+        if n * dev * worst_den > worst_num * den:
+            worst_num, worst_den, worst_order = n * dev, den, n
+    return DressSweep(n_max, not violations, violations, worst_num / worst_den, worst_order)

@@ -3,11 +3,13 @@ from fractions import Fraction as Rat
 from functools import lru_cache
 from math import gcd, log
 from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from fareysums import farey
 from fareysums.arith import Fraction, INFINITY, ONE, ZERO, det2
 from fareysums.errors import BudgetError, PreconditionError
 from fareysums.farey import (
@@ -15,7 +17,7 @@ from fareysums.farey import (
     METHOD_ORACLE,
     _bracket,
     _floor_sums,
-    _quotient_blocks,
+    _heads_and_tail,
     count_in_window,
     enumerate_window,
     farey_neighbors,
@@ -36,6 +38,9 @@ def as_rat(f: Fraction) -> Rat:
 # denominators from 1 to 10^18, with small ones drawn often enough to land on
 # members of the sequence as well as between them
 _denominators = st.one_of(st.integers(1, 400), st.integers(1, 10**18))
+
+# the orders r^2 - 1, r^2 and r(r + 1) for r <= 60, where the rank's heads meet its tail
+_BOUNDARY_ORDERS = sorted({n for r in range(1, 61) for n in (r * r - 1, r * r, r * (r + 1))} - {0})
 
 
 @st.composite
@@ -259,9 +264,37 @@ class TestRank:
                 hi = n // v
                 walk.append((lo, hi, v))
                 lo = hi + 1
-            vs, ends = _quotient_blocks(n)
-            assert ends[0] == 0
-            assert [(int(ends[i]) + 1, int(ends[i + 1]), int(v)) for i, v in enumerate(vs)] == walk
+            r, t = _heads_and_tail(n)
+            heads = [(e, e, n // e) for e in range(1, r + 1)]
+            tail = [(n // (v + 1) + 1, n // v, v) for v in range(t, 0, -1)]
+            assert heads + tail == walk
+
+    @staticmethod
+    def _split_ranks_agree(n, x):
+        expected = rank_oracle(n, x).rank
+        assert rank_fast(n, x).rank == expected
+        for patch in (
+            mock.patch.object(farey, "_reach", lambda order: 0),  # every quotient through Euclid
+            mock.patch.object(farey, "_reach", lambda order: order),  # every quotient from the prefix sum
+            mock.patch.object(farey, "_ALL_PREFIX_ORDER", 0),  # the split that large orders take
+        ):
+            with patch:
+                assert rank_fast(n, x).rank == expected
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.sampled_from(_BOUNDARY_ORDERS), st.data())
+    def test_prefix_and_euclid_split_at_the_head_tail_boundary(self, n, data):
+        # at n = r^2 - 1, r^2 and r(r + 1), floor(n/r) = r moves the boundary between heads and tail
+        q = data.draw(st.integers(1, 3 * n))
+        x = data.draw(st.one_of(st.sampled_from([ZERO, ONE]), st.builds(Fraction, st.integers(0, q), st.just(q))))
+        self._split_ranks_agree(n, x)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_prefix_and_euclid_split_at_the_smallest_orders(self, n):
+        # every p/q with q <= 3n; the tail is empty at n = 1, and n = 2, 3 have one tail quotient
+        for q in range(1, 3 * n + 1):
+            for p in range(q + 1):
+                self._split_ranks_agree(n, Fraction(p, q))
 
     @settings(deadline=None)
     @given(st.integers(1, 2000), st.data())

@@ -380,12 +380,12 @@ class TestDress:
 
     def test_sweep_maxima_are_the_exact_per_order_maxima(self):
         orders, met_in_lower_half = [], set()
-        for n, top in franel._sweep_maxima(200):
+        for n, dev, den in franel._sweep_maxima(200):
             orders.append(n)
             m = rank_fast(n, ONE).rank
             # dress_scan's scan: the exact maximum over every rank, and its earliest rank
             red = franel._scan(n, ZERO, ONE, 1, m, m, sums=False)
-            assert top == Rat(red.best_dev, red.best_den)
+            assert (dev, den) == (red.best_dev, red.best_den)
             met_in_lower_half.add(2 * red.best_rank <= m + 1)
         assert orders == list(range(2, 201))
         # some orders reach their maximum in [0, 1/2], others only by the mirror past 1/2
