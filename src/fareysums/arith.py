@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from math import gcd, inf
 
+import numpy as np
+
 from .errors import PreconditionError
 
 
@@ -134,6 +136,27 @@ def gcd_triple(lo: Fraction, mid: Fraction, hi: Fraction) -> tuple[int, int, int
     d_hl = det2(hi, lo)
     d_ml = det2(mid, lo)
     return gcd(d_hm, d_hl), gcd(d_hm, d_ml), gcd(d_hl, d_ml)
+
+
+def gcd_triples(nums, dens) -> np.ndarray:
+    """gcd_triple for each triple, from its lo, mid, hi numerators and denominators: a (count, 3) int64 array.
+
+    nums and dens hold the triples one after another (as (count, 3) arrays
+    or flat).  The determinants are int64, exact while |det| <= 2*cap**2 <
+    2**63 for the largest entry cap; larger entries, negative ones and
+    triples that are not strictly ordered are refused.
+    """
+    nums, dens = (np.asarray(a, dtype=np.int64).reshape(-1, 3) for a in (nums, dens))
+    if nums.size and min(int(nums.min()), int(dens.min())) < 0:
+        raise PreconditionError("triples need nonnegative numerators and denominators")
+    cap = max(int(nums.max(initial=0)), int(dens.max(initial=0)))
+    if 2 * cap * cap >= 1 << 63:
+        raise PreconditionError(f"entries up to {cap} could pass int64 in a determinant: they must be below 2**31")
+    (p, r, t), (q, s, u) = nums.T, dens.T
+    d_hm, d_hl, d_ml = t * s - r * u, t * q - p * u, r * q - p * s
+    if not ((d_ml > 0) & (d_hm > 0)).all():
+        raise PreconditionError("every triple must be strictly ordered")
+    return np.stack((np.gcd(d_hm, d_hl), np.gcd(d_hm, d_ml), np.gcd(d_hl, d_ml)), axis=1)
 
 
 def neighbor_gcd_check(lo: Fraction, mid: Fraction, hi: Fraction) -> bool:

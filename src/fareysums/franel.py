@@ -20,8 +20,10 @@ the window's order and term count (`_path`, one cost model):
   {k/(m*k + h) : h/k in F_{N//m} in [0, 1), m*k + h <= N}, so rows of m
   against one preimage, the half F_{N//M} in [0, 1/2] built by the same
   rows recursively and mirrored, give reduced pairs with no float and no
-  sort (`_rows`).  Their chunks come from 1/M down, so their ranks are
-  counted down from the last.  The pairs are int32, as every denominator of
+  sort (`_rows`).  A band of rows is compressed to its members by flat
+  indices, or by its boolean mask when it keeps at least 9/10 of its cells.
+  Their chunks come from 1/M down, so their ranks are counted down from the
+  last.  The pairs are int32, as every denominator of
   a row is below 2N; the kernel widens them to int64 before any product
   with |F_N|.  Rows serve only windows whose preimage half holds at most
   about _ROW_CAP = 2**20 pairs (8 MB as int32).
@@ -55,14 +57,15 @@ against it afterwards.
 
 F_N is symmetric about 1/2: F_N(m+1-j) = 1 - F_N(j) with m = |F_N|.  A scan
 of the whole of F_N enumerates only its (m+1)//2 members in [0, 1/2] and
-reduces each h/k at rank j twice, as itself and as (k-h)/k at rank m+1-j
-(1/2 once).  The mirror's integer pair is the one a direct enumeration
-would give, so every term, and so every reduction, is the same.  The order
-sweep of the 1/N bound builds the members of F_{n_max} in [0, 1/2] once and
-mirrors them too.  It cuts them into fixed blocks; at each order, per-block
-counts give every block's ranks, hence float bounds on its members'
-deviations, and only the few blocks whose bounds reach the extremes are
-evaluated.
+reduces each h/k at rank j as itself and as (k-h)/k at rank m+1-j (1/2
+once), both in one pass over the chunk.  The mirror's integer pair is the
+one a direct enumeration would give, so every term, and so every
+reduction, is the same.  The order sweep of the 1/N bound builds the
+members of F_{n_max} in [0, 1/2] once and mirrors them too.  It cuts them
+into fixed blocks; at each order, per-block counts give every block's
+ranks, hence float bounds on its members' deviations, and only the few
+blocks whose bounds reach the extremes are evaluated, those of many orders
+in one gather.
 """
 
 from __future__ import annotations
@@ -304,9 +307,8 @@ def _rows(n: int, top: int):
                 cols = slice(max(0, stop - _SLICE_TERMS), stop)
                 dens = ms * pre_k[cols]
                 dens += pre_k[cols] - pre_h[cols] if mirrored else pre_h[cols]
-                kept = dens <= n
-                piece = np.broadcast_to(pre_k[cols], dens.shape)[kept], dens[kept]
-                del dens, kept
+                piece = _kept_cells(dens <= n, np.broadcast_to(pre_k[cols], dens.shape), dens)
+                del dens
                 if piece[0].size:
                     if held + piece[0].size > _SLICE_TERMS:
                         chunk, pieces, held = _joined(pieces), [], 0
@@ -320,6 +322,23 @@ def _rows(n: int, top: int):
         yield chunk
     pieces.append((np.zeros(1, dtype=np.int32), np.ones(1, dtype=np.int32)))
     yield _joined(pieces)
+
+
+def _by_mask(kept: np.ndarray) -> bool:
+    """Whether a band compresses faster by its boolean mask than by flat indices: at 9/10 of it kept or more.
+
+    On irregular masks (about two thirds kept) a mask costs about 6.3 ns a
+    cell, flatnonzero and take about 1.4 ns; on dense bands the mask wins.
+    """
+    return 10 * np.count_nonzero(kept) >= 9 * kept.size
+
+
+def _kept_cells(kept: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """The cells of each array (of kept's shape) where kept holds, row-major."""
+    if _by_mask(kept):
+        return tuple(a[kept] for a in arrays)
+    at = np.flatnonzero(kept)
+    return tuple(a.take(at) for a in arrays)
 
 
 def _slices(n: int, lo: Fraction, hi: Fraction, count: int):
@@ -405,41 +424,54 @@ class _Reduction:
         self.best_dev, self.best_den, self.best_rank = 0, 1, rank_lo
 
     def add(self, first: int, hs: np.ndarray, ks: np.ndarray) -> None:
-        """Reduce one ascending chunk of int64 members, ranked first.., then their mirrors.
+        """Reduce one ascending chunk of int64 members, ranked first.., and on a mirrored scan their mirrors.
 
-        Chunks may come in any order.  The mirrors are a second reduction of
-        the chunk's size, not a concatenation: that would double the chunk's
-        peak memory.  1/2, which can only end a chunk (as h/k with 2*h == k,
-        reduced or not), is its own mirror and is reduced once.
+        Chunks may come in any order.  A member with s = h*scale - j*k
+        deviates by |s| and its mirror by |s + k|, over the one den = k*scale,
+        so both orientations take one pass: the float prefilter on the larger
+        of the two, a Python-int recheck of both, and one grouping of their
+        sum.  1/2, which can only end a chunk (as h/k with 2*h == k, reduced
+        or not), is its own mirror: both orientations give it the same term
+        at the same rank, and it is counted and summed once.
         """
         size = hs.size
         if self.wide:  # Python ints, in fresh arrays
             hs, ks = hs.astype(object), ks.astype(object)
             js = np.arange(first, first + size, dtype=np.int64).astype(object)
-            signed = dev = work = None
+            signed = dev = terms = None
         else:
             if not self.work or self.work[0].size < size:
-                # 0, 1, 2, ...; ranks, then denominators; signed and absolute
-                # deviations; float terms
+                # 0, 1, 2, ...; ranks, then denominators; signed (then
+                # mirrored) and absolute deviations; float terms
                 self.work = [np.arange(size, dtype=np.int64)] + [
                     np.empty(size, dtype=dtype) for dtype in (np.int64,) * 3 + (float,)
                 ]
             steps, js, signed, dev, terms = (a[:size] for a in self.work)
             np.add(steps, first, out=js)
-            work = [js, terms]  # js takes the denominators once the ranks are used
         signed = np.multiply(hs, self.scale, out=signed)
         if self.fixed_rank is not None:
             signed -= np.multiply(ks, self.fixed_rank, out=js)
             self._reduce(ks, signed)
             return
         signed -= np.multiply(js, ks, out=js)
-        self._reduce(ks, np.abs(signed, out=dev), first, 1, work)
-        if self.mirrored:
-            keep = size - int(2 * hs[-1] == ks[-1])
-            if keep:
-                signed += ks
-                dev = np.abs(signed[:keep], out=None if dev is None else dev[:keep])
-                self._reduce(ks[:keep], dev, self.scale + 1 - first, -1, work and [a[:keep] for a in work])
+        dev = np.abs(signed, out=dev)
+        if not self.mirrored:  # js takes the denominators once the ranks are used
+            self._reduce(ks, dev, first, 1, None if self.wide else [js, terms])
+            return
+        signed += ks
+        mirror = np.abs(signed, out=signed)
+        den = np.multiply(ks, self.scale, out=js)
+        half = int(2 * hs[-1] == ks[-1])
+        self.terms += 2 * size - half
+        # rounding is monotone, so the larger deviation's float term is the larger one
+        for i in self._near_top(np.maximum(dev, mirror, out=terms), den, terms):
+            q = int(den[i])
+            self._take(int(dev[i]), q, first + i)
+            self._take(int(mirror[i]), q, self.scale + 1 - first - i)
+        if self.sums is not None:
+            if half:
+                mirror[-1] = 0
+            self._group(ks, np.add(dev, mirror, out=dev))
 
     def _reduce(
         self, ks: np.ndarray, dev: np.ndarray, first_rank: int = 0, step: int = 0, work: list | None = None
@@ -453,21 +485,30 @@ class _Reduction:
         if self.fixed_rank is None:
             den_out, terms_out = work or (None, None)
             den = np.multiply(ks, self.scale, out=den_out)
-            terms = np.divide(dev, den, out=terms_out).astype(np.float64, copy=False)
-            top = terms.max()
-            for i in np.flatnonzero(terms >= top - top * _TERM_SLACK).tolist():
-                d, q, rank = int(dev[i]), int(den[i]), first_rank + step * i
-                # exact ties go to the earliest rank, whatever order the ranks come in
-                if (d * self.best_den, self.best_rank) > (self.best_dev * q, rank):
-                    self.best_dev, self.best_den, self.best_rank = d, q, rank
+            for i in self._near_top(dev, den, terms_out):
+                self._take(int(dev[i]), int(den[i]), first_rank + step * i)
         if self.sums is not None:
             self._group(ks, dev)
+
+    @staticmethod
+    def _near_top(dev: np.ndarray, den: np.ndarray, out: np.ndarray | None) -> list[int]:
+        """The indices whose float term dev/den is within _TERM_SLACK of the largest: every exact maximum."""
+        terms = np.divide(dev, den, out=out).astype(np.float64, copy=False)
+        top = terms.max()
+        return np.flatnonzero(terms >= top - top * _TERM_SLACK).tolist()
+
+    def _take(self, dev: int, den: int, rank: int) -> None:
+        """Keep dev/den at rank if it is the largest term so far."""
+        # exact ties go to the earliest rank, whatever order the ranks come in
+        if (dev * self.best_den, self.best_rank) > (self.best_dev * den, rank):
+            self.best_dev, self.best_den, self.best_rank = dev, den, rank
 
     def _group(self, ks: np.ndarray, dev: np.ndarray) -> None:
         """Add the terms into the D_k: by np.add.at, or grouped by k and merged into the sorted groups."""
         ks = ks.astype(np.int64)  # a copy, as the sorted groups may keep it; dtype=object when wide
         if dev.dtype == object:  # Python ints: only r of dev = q*k + r, 0 <= r < k, enters D_k
-            fits = self.fixed_rank is None  # |dev| <= |F_n| by the 1/n bound; a signed dev may not fit
+            # |dev| <= |F_n| by the 1/n bound (2|F_n| with its mirror's); a signed dev may not fit
+            fits = self.fixed_rank is None
             whole, dev = np.divmod(dev.astype(np.int64), ks) if fits else _object_divmod(dev, ks)
             self.whole += int(whole.sum(dtype=object))  # the q, summed apart
         if self.sums.dtype != object:
@@ -649,9 +690,10 @@ def partial_franel_sum_range(
 ) -> FranelResult:
     """Deviation sum over the F_n fractions in [lo, hi], with ranks anchored at lo.
 
-    lo must itself belong to F_n.  Its rank is computed once by rank_fast
-    (O(log q) Euclid steps, each over about 2*sqrt(n) array elements); a
-    given rank_of_lo is checked against it.  The term count
+    lo must itself belong to F_n.  Its rank is computed once by rank_fast, at
+    the cost its docstring states (a prefix sum of up to n entries, plus
+    Euclid passes over the heads past its reach, after the shared mu sieve);
+    a given rank_of_lo is checked against it.  The term count
     rank(hi) - rank(lo) + 1 is checked against term_budget before the scan
     starts.
     """
@@ -881,8 +923,11 @@ def _sweep_maxima(n_max: int, table: TotientTable | None = None):
     The members of F_{n_max} in [0, 1/2] are built once, as exact (h, k), and
     cut into fixed blocks of `_sweep_block(n_max)`.  Order N counts each
     block's members with k <= N; the running counts rank them, and give
-    float bounds on their terms (`_reaching_blocks`).  Only the kept members
-    of the few blocks whose bounds reach an extreme are ranked and evaluated.
+    float bounds on their terms (`_reaching_blocks`).  A block is live from
+    the order of the least k it holds.  Only the kept members of the few
+    blocks whose bounds reach an extreme are ranked and evaluated, those of
+    many orders at once (`_sweep_extremes`) once they hold _SLICE_TERMS
+    cells.
     """
     capacity = (farey_cardinality(n_max, _table_for(n_max, table)) + 1) // 2
     if capacity > SWEEP_MEMBER_BUDGET:
@@ -903,32 +948,62 @@ def _sweep_maxima(n_max: int, table: TotientTable | None = None):
     block_of = (by_k // width).astype(np.int32)
     del by_k
     hs, ks, vals = (a.reshape(-1, width) for a in (hs, ks, vals))
+    # the blocks born at order k (the least k they hold) are by_birth[births[k-1]:births[k]]
+    least = ks.min(axis=1)
+    by_birth = np.argsort(least, kind="stable")
+    births = np.cumsum(np.bincount(least, minlength=n_max + 1))
     count = np.zeros(v_lo.size, dtype=np.int64)
     edges = np.zeros(v_lo.size + 1, dtype=np.int64)
     # v_lo and v_hi of the blocks holding a member of F_n, NaN for the others
     live_lo, live_hi = np.full(v_lo.size, np.nan), np.full(v_lo.size, np.nan)
+    queue, cells = [], 0
     for n in range(1, n_max + 1):
-        born = block_of[firsts[n - 1]:firsts[n]]
-        np.add.at(count, born, 1)
+        count += np.bincount(block_of[firsts[n - 1]:firsts[n]], minlength=count.size)
+        born = by_birth[births[n - 1]:births[n]]
         live_lo[born], live_hi[born] = v_lo[born], v_hi[born]
         if n == 1:
             continue
         np.cumsum(count, out=edges[1:])
         m = 2 * int(edges[-1]) - 1  # 1/2 is the middle member, for n >= 2
         picks = _reaching_blocks(live_lo, live_hi, edges, m)
-        kept = ks[picks] <= n
-        ranks = edges[picks, None] + np.cumsum(kept, axis=1)
-        terms = np.where(kept, vals[picks] - ranks / m, np.nan)
-        least, most = np.fmin.reduce(terms, axis=None), np.fmax.reduce(terms, axis=None)
-        rows, cols = np.nonzero((terms <= least + _TERM_SLACK) | (terms >= most - _TERM_SLACK))
-        slots = picks[rows], cols
-        best_dev, best_den = 0, 1
-        for h, k, r in zip(hs[slots].tolist(), ks[slots].tolist(), ranks[rows, cols].tolist()):
-            # rank r holds h/k, and the mirrored rank m+1-r holds (k-h)/k
-            dev = max(abs(h * m - r * k), abs((k - h) * m - (m + 1 - r) * k))
-            if dev * best_den > best_dev * k * m:
-                best_dev, best_den = dev, k * m
-        yield n, best_dev, best_den
+        queue.append((n, m, picks, edges[picks]))
+        cells += picks.size * width
+        if cells >= _SLICE_TERMS:
+            yield from _sweep_extremes(queue, hs, ks, vals)
+            queue, cells = [], 0
+    if queue:
+        yield from _sweep_extremes(queue, hs, ks, vals)
+
+
+def _sweep_extremes(queue: list, hs: np.ndarray, ks: np.ndarray, vals: np.ndarray):
+    """(N, dev, den) for each queued order (N, |F_N|, picked blocks, the ranks before them), in turn.
+
+    The picked blocks of every queued order are ranked and evaluated in one
+    gather, and each order's least and most float term taken over its own
+    blocks by reduceat.
+    """
+    orders, ms, picks, starts = zip(*queue)
+    blocks = [p.size for p in picks]
+    owner = np.repeat(np.arange(len(queue)), blocks)
+    picks, starts = np.concatenate(picks), np.concatenate(starts)
+    kept = ks[picks] <= np.array(orders)[owner, None]
+    ranks = starts[:, None] + np.cumsum(kept, axis=1)
+    terms = np.where(kept, vals[picks] - ranks / np.array(ms)[owner, None], np.nan)
+    firsts = kept.shape[1] * (np.cumsum(blocks) - blocks)
+    least = np.fmin.reduceat(terms.ravel(), firsts)[owner, None]
+    most = np.fmax.reduceat(terms.ravel(), firsts)[owner, None]
+    rows, cols = np.nonzero((terms <= least + _TERM_SLACK) | (terms >= most - _TERM_SLACK))
+    slots = picks[rows], cols
+    best = [(0, 1)] * len(queue)
+    cells = zip(owner[rows].tolist(), hs[slots].tolist(), ks[slots].tolist(), ranks[rows, cols].tolist())
+    for i, h, k, r in cells:
+        # rank r holds h/k, and the mirrored rank m+1-r holds (k-h)/k
+        m = ms[i]
+        dev = max(abs(h * m - r * k), abs((k - h) * m - (m + 1 - r) * k))
+        if dev * best[i][1] > best[i][0] * k * m:
+            best[i] = dev, k * m
+    for n, (dev, den) in zip(orders, best):
+        yield n, dev, den
 
 
 def dress_scan_sweep(n_max: int, table: TotientTable | None = None) -> DressSweep:

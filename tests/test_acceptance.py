@@ -7,13 +7,13 @@ and the test reports that honestly instead of loosening the band.
 """
 
 from fractions import Fraction as Rat
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import gcd
 from random import Random
 
 import numpy as np
 
-from fareysums.arith import Fraction, INFINITY, ONE, ZERO, gcd_triple
+from fareysums.arith import Fraction, INFINITY, ONE, ZERO, gcd_triples
 from fareysums.errors import TheoremViolation
 from fareysums.farey import enumerate_window, farey_neighbors, rank_oracle
 from fareysums.franel import dress_scan_sweep, full_franel_sum, growth_scan, kanemitsu_sum, vertex_partial_sum
@@ -52,16 +52,30 @@ def test_criterion_02_spot_positions():
     report(2, True, "spot positions of 1/2, 1/3, 1/6 in F_6 match the brute listing")
 
 
+# triples that criterion 3 hands gcd_triples at a time
+_TRIPLE_BATCH = 4096
+
+
+def _first_unequal(triples: list) -> int | None:
+    """The index of the first (lo, mid, hi) triple of (num, den) pairs whose three gcds differ, or None."""
+    pairs = list(chain.from_iterable(triples))
+    gcds = gcd_triples([num for num, _ in pairs], [den for _, den in pairs])
+    bad = np.flatnonzero((gcds[:, 0] != gcds[:, 1]) | (gcds[:, 0] != gcds[:, 2]))
+    return int(bad[0]) if bad.size else None
+
+
 def test_criterion_03_triple_gcd_identity():
     """Zero counterexamples over all F_12 triples and 1e6 random reduced triples."""
     fractions = enumerate_window(12, ZERO, ONE).fractions
     exhaustive = 0
-    for lo, mid, hi in combinations(fractions, 3):
-        g1, g2, g3 = gcd_triple(lo, mid, hi)
-        assert g1 == g2 == g3, f"counterexample: {lo}, {mid}, {hi}"
-        exhaustive += 1
+    triples = combinations(fractions, 3)
+    for batch in iter(lambda: list(islice(triples, _TRIPLE_BATCH)), []):
+        bad = _first_unequal([[(f.num, f.den) for f in triple] for triple in batch])
+        assert bad is None, "counterexample: {}, {}, {}".format(*batch[bad])
+        exhaustive += len(batch)
     rng = Random(20260811)
     randomized = 0
+    batch = []
     while randomized < 1_000_000:
         triple = []
         while len(triple) < 3:
@@ -71,9 +85,12 @@ def test_criterion_03_triple_gcd_identity():
         a, b, c = sorted(triple, key=lambda t: (t[0] / t[1], t[1]))
         if a[0] * b[1] == b[0] * a[1] or b[0] * c[1] == c[0] * b[1]:
             continue
-        g1, g2, g3 = gcd_triple(Fraction(*a), Fraction(*b), Fraction(*c))
-        assert g1 == g2 == g3, f"counterexample: {a}, {b}, {c}"
+        batch.append((a, b, c))
         randomized += 1
+        if len(batch) == _TRIPLE_BATCH or randomized == 1_000_000:
+            bad = _first_unequal(batch)
+            assert bad is None, "counterexample: {}, {}, {}".format(*batch[bad])
+            batch = []
     report(3, True, f"0 counterexamples among {exhaustive} F_12 triples and {randomized} random triples")
 
 

@@ -2,7 +2,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from fareysums.arith import (
     Fraction,
@@ -11,6 +11,7 @@ from fareysums.arith import (
     ZERO,
     det2,
     gcd_triple,
+    gcd_triples,
     mediant,
     neighbor_gcd_check,
     shear,
@@ -159,6 +160,46 @@ class TestGcdTriple:
                     if not (g1 == g2 == g3):
                         bad += 1
         assert bad == 0
+
+
+class TestGcdTriples:
+    """The vectorised gcd_triples against gcd_triple, triple by triple."""
+
+    @staticmethod
+    def _gcds(triples):
+        """gcd_triples of Fraction triples, from (count, 3) arrays of their numerators and denominators."""
+        return gcd_triples([[f.num for f in t] for t in triples], [[f.den for f in t] for t in triples])
+
+    @given(st.sampled_from([12, 10_000, 2**31 - 1]).flatmap(
+        lambda cap: st.lists(
+            st.lists(st.tuples(st.integers(0, cap), st.integers(0, cap)).filter(any), min_size=3, max_size=3),
+            min_size=1,
+            max_size=20,
+        )
+    ))
+    def test_matches_gcd_triple(self, drawn):
+        triples = [sorted(Fraction(*pair) for pair in triple) for triple in drawn]
+        assume(all(lo < mid < hi for lo, mid, hi in triples))
+        got = self._gcds(triples)
+        assert got.dtype == np.int64 and got.shape == (len(triples), 3)
+        assert [tuple(row) for row in got.tolist()] == [gcd_triple(*triple) for triple in triples]
+
+    def test_int64_edge(self):
+        # every |det| is at most 2*cap**2, below 2**63 up to cap = 2**31 - 1
+        cap = 2**31 - 1
+        triple = [Fraction(1, cap), Fraction(cap - 1, cap), Fraction(cap, 1)]
+        assert self._gcds([triple]).tolist() == [list(gcd_triple(*triple))]
+        with pytest.raises(PreconditionError, match=r"below 2\*\*31"):
+            gcd_triples([0, 1, cap + 1], [1, 2, 1])
+
+    def test_rejects_what_gcd_triple_rejects(self):
+        assert gcd_triples([], []).shape == (0, 3)
+        with pytest.raises(PreconditionError, match="strictly ordered"):
+            gcd_triples([[1, 1, 1], [1, 1, 1]], [[3, 2, 1], [2, 2, 1]])  # 1/2 twice in the second
+        with pytest.raises(PreconditionError, match="strictly ordered"):
+            gcd_triples([1, 1, 0], [1, 2, 1])
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            gcd_triples([-1, 1, 1], [2, 2, 1])
 
 
 class TestNeighborGcdCheck:

@@ -263,6 +263,11 @@ class TestGcdCheck:
             ("1553/4105", "4617/2290", "4134/1141"),
         ]
 
+    def test_values_up_to_the_int64_edge(self):
+        # below 2**31 every determinant of gcd_triples stays int64
+        code, out = run_cli(["gcd-check", "--random", "50", "--max-value", str(2**31 - 1)])
+        assert (code, out.strip()) == (0, "0 counterexamples among 50 triples")
+
     def test_needs_a_mode(self):
         code, _ = run_cli(["gcd-check"])
         assert code == 1
@@ -318,7 +323,7 @@ class TestExitCodes:
 
     def test_falsified_theorem_exit_code(self, monkeypatch):
         # force the identity check to report unequal gcds to exercise the wiring
-        monkeypatch.setattr(cli, "gcd_triple", lambda lo, mid, hi: (1, 2, 3))
+        monkeypatch.setattr(cli, "gcd_triples", lambda nums, dens: np.tile([1, 2, 3], (len(nums) // 3, 1)))
         code, out = run_cli(["gcd-check", "--exhaustive", "3"])
         assert code == 3
         assert out.strip().endswith("among 10 triples")
@@ -350,6 +355,7 @@ class TestOutOfDomain:
             (["index", "--imax", "20000", "--sweep"], 2),
             (["growth", "--vertex", "0/1", "--i", "60000"], 2),
             (["index", "--imax", "400", "--q", "1", "--asymptotic"], 2),
+            (["gcd-check", "--random", "3", "--max-value", str(2**31)], 2),
         ],
     )
     def test_every_subcommand_refuses_without_a_traceback(self, argv, code, capsys):

@@ -398,6 +398,22 @@ class TestDress:
         monkeypatch.setattr(franel, "_sweep_block", lambda n_max: block)
         assert list(franel._sweep_maxima(300)) == want
 
+    @pytest.mark.parametrize("threshold,flushes", [(1, [1] * 299), (10**12, [299])])
+    def test_sweep_maxima_do_not_depend_on_the_flush(self, threshold, flushes, monkeypatch):
+        want = list(franel._sweep_maxima(300))
+        # each of the 299 orders evaluated in a flush of its own, or all in one at the end
+        sizes = []
+        extremes = franel._sweep_extremes
+
+        def spy(queue, *blocks):
+            sizes.append(len(queue))
+            yield from extremes(queue, *blocks)
+
+        monkeypatch.setattr(franel, "_SLICE_TERMS", threshold)
+        monkeypatch.setattr(franel, "_sweep_extremes", spy)
+        assert list(franel._sweep_maxima(300)) == want
+        assert sizes == flushes
+
     @pytest.mark.parametrize("width", [1, 2, 5, 17])
     def test_reaching_blocks_hold_every_term_near_an_extreme(self, width):
         n_max = 40
@@ -671,6 +687,26 @@ class TestMirroredScans:
         red.add(1, np.array([0, 5]), np.array([1, 10]))
         assert (red.best_dev, red.best_den, red.best_rank) == (30, 100, 2)
 
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("rank,h,mirror_rank", [(3, 1, 8), (8, 3, 3)])
+    def test_a_member_and_its_mirror_tie_in_one_chunk(self, wide, rank, h, mirror_rank):
+        # at scale 10, h/4 at rank j and its mirror (4-h)/4 at rank 11-j both
+        # deviate by exactly 2/40 (s = h*10 - 4*j = -2, |s + 4| = 2); the
+        # earlier of the two ranks wins, whichever orientation holds it
+        red = franel._Reduction(1, 10, None, wide, True, True)
+        red.add(rank, np.array([h]), np.array([4]))
+        assert (red.best_dev, red.best_den, red.best_rank) == (2, 40, min(rank, mirror_rank))
+        assert red.terms == 2 and red.sum_exact() == Rat(4, 40)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_the_mirror_alone_can_hold_the_maximum(self, wide):
+        # at scale 10: 1/7 at rank 2 deviates by 4/70 and its mirror by 3/70;
+        # 1/3 at rank 3 by 1/30, below the chunk's largest member term, but
+        # its mirror 2/3 at rank 8 by 4/30, the largest of all
+        red = franel._Reduction(1, 10, None, wide, True, False)
+        red.add(2, np.array([1, 1]), np.array([7, 3]))
+        assert (red.best_dev, red.best_den, red.best_rank) == (4, 30, 8)
+
     @pytest.mark.parametrize("path", _PATHS)
     @pytest.mark.parametrize("n", [1, 2, 12, 60])
     def test_python_int_deviations(self, n, path):
@@ -794,7 +830,10 @@ class TestExactSum:
         monkeypatch.setattr(franel._Reduction, "_merge", spy_merge)
         with _enumeration(path, 8), _grouping(0):
             result = full_franel_sum(n, exact_budget=m)
-        assert len(grouped) > 1000  # about two groupings per chunk of 8 members in [0, 1/2]
+        # one grouping per chunk of about 8 members in [0, 1/2], each member's
+        # deviation and its mirror's summed into one entry
+        half = (m + 1) // 2
+        assert sum(grouped) == half and len(grouped) > 700
         assert all(keys == sums == distinct for _, keys, sums, distinct in merges)
         assert merges[-1][1] <= n  # a value slice may stand for h/k by t*h/t*k
         # a merge waits until the chunks' groups hold as many entries as the
@@ -838,18 +877,20 @@ class TestRows:
         n = data.draw(st.integers(1, 400))
         hi = Fraction(1, data.draw(st.integers(2, n + 1)))
         want = list(iter_window(n, ZERO, hi))
-        with _enumeration("rows", size):
-            chunks = list(franel._members(n, ZERO, hi, len(want)))
-        # from hi down, each chunk ascending and right below the one before
-        end = len(want)
-        for position, hs, ks in chunks:
-            assert hs.dtype == ks.dtype == np.int32
-            assert 1 <= hs.size <= size and position == end - hs.size
-            assert list(zip(hs.tolist(), ks.tolist())) == want[position:end]
-            end = position
-        assert end == 0
-        if hi == Fraction(1, 2) and n > 1:  # 1/2 ends the first chunk
-            assert (chunks[0][1][-1], chunks[0][2][-1]) == (1, 2)
+        # each band compressed by the cost model's choice, by its mask, or by flat indices
+        for by_mask in (franel._by_mask, lambda kept: True, lambda kept: False):
+            with _enumeration("rows", size), patch.object(franel, "_by_mask", by_mask):
+                chunks = list(franel._members(n, ZERO, hi, len(want)))
+            # from hi down, each chunk ascending and right below the one before
+            end = len(want)
+            for position, hs, ks in chunks:
+                assert hs.dtype == ks.dtype == np.int32
+                assert 1 <= hs.size <= size and position == end - hs.size
+                assert list(zip(hs.tolist(), ks.tolist())) == want[position:end]
+                end = position
+            assert end == 0
+            if hi == Fraction(1, 2) and n > 1:  # 1/2 ends the first chunk
+                assert (chunks[0][1][-1], chunks[0][2][-1]) == (1, 2)
 
     @pytest.mark.parametrize(
         "n,count,sum_float,max_term,argmax_rank",
