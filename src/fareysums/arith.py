@@ -139,19 +139,20 @@ def gcd_triple(lo: Fraction, mid: Fraction, hi: Fraction) -> tuple[int, int, int
 
 
 def gcd_triples(nums, dens) -> np.ndarray:
-    """gcd_triple for each triple, from its lo, mid, hi numerators and denominators: a (count, 3) int64 array.
+    """gcd_triple for each triple, from its lo, mid, hi numerators and denominators: a (count, 3) array.
 
     nums and dens hold the triples one after another (as (count, 3) arrays
-    or flat).  The determinants are int64, exact while |det| <= 2*cap**2 <
-    2**63 for the largest entry cap; larger entries, negative ones and
-    triples that are not strictly ordered are refused.
+    or flat).  The determinants are int64 while every entry is below 2**31,
+    so that |det| <= 2*cap**2 < 2**63 for the largest entry cap, and Python
+    ints (object arrays) past that.  Negative entries and triples that are
+    not strictly ordered are refused.
     """
-    nums, dens = (np.asarray(a, dtype=np.int64).reshape(-1, 3) for a in (nums, dens))
-    if nums.size and min(int(nums.min()), int(dens.min())) < 0:
-        raise PreconditionError("triples need nonnegative numerators and denominators")
-    cap = max(int(nums.max(initial=0)), int(dens.max(initial=0)))
-    if 2 * cap * cap >= 1 << 63:
-        raise PreconditionError(f"entries up to {cap} could pass int64 in a determinant: they must be below 2**31")
+    nums, dens = (np.asarray(a, dtype=object).reshape(-1, 3) for a in (nums, dens))
+    if nums.size:
+        if min(nums.min(), dens.min()) < 0:
+            raise PreconditionError("triples need nonnegative numerators and denominators")
+        if max(nums.max(), dens.max()) < 1 << 31:
+            nums, dens = nums.astype(np.int64), dens.astype(np.int64)
     (p, r, t), (q, s, u) = nums.T, dens.T
     d_hm, d_hl, d_ml = t * s - r * u, t * q - p * u, r * q - p * s
     if not ((d_ml > 0) & (d_hm > 0)).all():

@@ -345,8 +345,6 @@ def _cmd_gcd_check(args, config: Config, out: _Output) -> int:
             raise PreconditionError(f"--random needs at least 1 triple, got {args.random}")
         if args.max_value < 2:  # below 2 there are no three distinct fractions to draw
             raise PreconditionError(f"random triples need --max-value >= 2, got {args.max_value}")
-        if args.max_value >= 1 << 31:  # gcd_triples' determinants stay int64 below it
-            raise PreconditionError(f"random triples need --max-value below 2**31, got {args.max_value}")
         triples = args.random
         random = _random_triples(args.random, args.max_value, args.seed)
     if args.exhaustive is not None:

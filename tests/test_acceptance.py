@@ -14,6 +14,7 @@ from random import Random
 import numpy as np
 
 from fareysums.arith import Fraction, INFINITY, ONE, ZERO, gcd_triples
+from fareysums.cli import _TRIPLES_PER_BATCH
 from fareysums.errors import TheoremViolation
 from fareysums.farey import enumerate_window, farey_neighbors, rank_oracle
 from fareysums.franel import dress_scan_sweep, full_franel_sum, growth_scan, kanemitsu_sum, vertex_partial_sum
@@ -52,10 +53,6 @@ def test_criterion_02_spot_positions():
     report(2, True, "spot positions of 1/2, 1/3, 1/6 in F_6 match the brute listing")
 
 
-# triples that criterion 3 hands gcd_triples at a time
-_TRIPLE_BATCH = 4096
-
-
 def _first_unequal(triples: list) -> int | None:
     """The index of the first (lo, mid, hi) triple of (num, den) pairs whose three gcds differ, or None."""
     pairs = list(chain.from_iterable(triples))
@@ -69,7 +66,7 @@ def test_criterion_03_triple_gcd_identity():
     fractions = enumerate_window(12, ZERO, ONE).fractions
     exhaustive = 0
     triples = combinations(fractions, 3)
-    for batch in iter(lambda: list(islice(triples, _TRIPLE_BATCH)), []):
+    for batch in iter(lambda: list(islice(triples, _TRIPLES_PER_BATCH)), []):
         bad = _first_unequal([[(f.num, f.den) for f in triple] for triple in batch])
         assert bad is None, "counterexample: {}, {}, {}".format(*batch[bad])
         exhaustive += len(batch)
@@ -87,7 +84,7 @@ def test_criterion_03_triple_gcd_identity():
             continue
         batch.append((a, b, c))
         randomized += 1
-        if len(batch) == _TRIPLE_BATCH or randomized == 1_000_000:
+        if len(batch) == _TRIPLES_PER_BATCH or randomized == 1_000_000:
             bad = _first_unequal(batch)
             assert bad is None, "counterexample: {}, {}, {}".format(*batch[bad])
             batch = []

@@ -170,7 +170,7 @@ class TestGcdTriples:
         """gcd_triples of Fraction triples, from (count, 3) arrays of their numerators and denominators."""
         return gcd_triples([[f.num for f in t] for t in triples], [[f.den for f in t] for t in triples])
 
-    @given(st.sampled_from([12, 10_000, 2**31 - 1]).flatmap(
+    @given(st.sampled_from([12, 10_000, 2**31 - 1, 2**31, 2**70]).flatmap(
         lambda cap: st.lists(
             st.lists(st.tuples(st.integers(0, cap), st.integers(0, cap)).filter(any), min_size=3, max_size=3),
             min_size=1,
@@ -181,16 +181,16 @@ class TestGcdTriples:
         triples = [sorted(Fraction(*pair) for pair in triple) for triple in drawn]
         assume(all(lo < mid < hi for lo, mid, hi in triples))
         got = self._gcds(triples)
-        assert got.dtype == np.int64 and got.shape == (len(triples), 3)
+        small = max(max(f.num, f.den) for t in triples for f in t) < 2**31
+        assert got.dtype == (np.int64 if small else object) and got.shape == (len(triples), 3)
         assert [tuple(row) for row in got.tolist()] == [gcd_triple(*triple) for triple in triples]
 
-    def test_int64_edge(self):
+    @pytest.mark.parametrize("cap, dtype", [(2**31 - 1, np.int64), (2**31, object)])
+    def test_int64_edge(self, cap, dtype):
         # every |det| is at most 2*cap**2, below 2**63 up to cap = 2**31 - 1
-        cap = 2**31 - 1
         triple = [Fraction(1, cap), Fraction(cap - 1, cap), Fraction(cap, 1)]
-        assert self._gcds([triple]).tolist() == [list(gcd_triple(*triple))]
-        with pytest.raises(PreconditionError, match=r"below 2\*\*31"):
-            gcd_triples([0, 1, cap + 1], [1, 2, 1])
+        got = self._gcds([triple])
+        assert got.dtype == dtype and got.tolist() == [list(gcd_triple(*triple))]
 
     def test_rejects_what_gcd_triple_rejects(self):
         assert gcd_triples([], []).shape == (0, 3)

@@ -263,9 +263,10 @@ class TestGcdCheck:
             ("1553/4105", "4617/2290", "4134/1141"),
         ]
 
-    def test_values_up_to_the_int64_edge(self):
-        # below 2**31 every determinant of gcd_triples stays int64
-        code, out = run_cli(["gcd-check", "--random", "50", "--max-value", str(2**31 - 1)])
+    @pytest.mark.parametrize("max_value", [2**31 - 1, 2**31, 2**40])
+    def test_values_on_both_sides_of_the_int64_edge(self, max_value):
+        # gcd_triples' determinants are int64 below 2**31 and Python ints from it on
+        code, out = run_cli(["gcd-check", "--random", "50", "--max-value", str(max_value)])
         assert (code, out.strip()) == (0, "0 counterexamples among 50 triples")
 
     def test_needs_a_mode(self):
@@ -355,7 +356,6 @@ class TestOutOfDomain:
             (["index", "--imax", "20000", "--sweep"], 2),
             (["growth", "--vertex", "0/1", "--i", "60000"], 2),
             (["index", "--imax", "400", "--q", "1", "--asymptotic"], 2),
-            (["gcd-check", "--random", "3", "--max-value", str(2**31)], 2),
         ],
     )
     def test_every_subcommand_refuses_without_a_traceback(self, argv, code, capsys):
