@@ -29,15 +29,15 @@ the window's order and term count (`_path`, one cost model):
   about _ROW_CAP = 2**20 pairs (8 MB as int32).
 
 Ranks follow from the rank of lo, so each term is the exact integer pair
-(|h*M - j*k|, k*M).  The kernel reduces the terms, chunk by chunk in any
-order and in work arrays kept across chunks, to:
+(|h*M - j*k|, k*M), int64 below _ORDER_CAP (see `_Reduction`).  The kernel
+reduces the terms, chunk by chunk in any order and in work arrays, to:
 
-- the exact maximum and its earliest rank: a float prefilter keeps the terms
-  near the largest float, and Python ints recheck them;
-- for scans that report a sum, one running sum D_k of the integer deviations
-  per denominator k: dense (np.add.at into n + 1 entries) when the scan
-  holds at least (n + 1)/8 terms, else sorted groups, one per k seen, so a
-  tiny window at a large order costs only its members (see `_Reduction`).
+- the exact maximum and its earliest rank: a float prefilter (3u, or 4u once
+  M >= 2**53) keeps the terms near the largest, and Python ints recheck them;
+- for scans that report a sum, one running int64 sum D_k of the integer
+  deviations per denominator k: dense (np.add.at into n + 1 entries) when
+  the scan holds at least (n + 1)/8 terms, else sorted groups, one per k
+  seen, so a tiny window at a large order costs only its members.
 
 With D_k = W_k*k + r_k, 0 <= r_k < k and W the sum of the W_k, the sum is
 (W + sum_k r_k/k)/M.  sum_float is it correctly rounded: each r_k/k cut to
@@ -79,7 +79,7 @@ import numpy as np
 
 from .arith import Fraction, ONE, ZERO
 from .errors import BudgetError, PreconditionError
-from .farey import _check_window_args, _object_divmod, iter_window, rank_fast
+from .farey import _check_window_args, iter_window, rank_fast
 from .mapping import MapParams, make_params
 from .totient import (
     THREE_OVER_PI_SQ,
@@ -95,6 +95,7 @@ EXACT_MODE_BUDGET = 10_000
 SWEEP_MEMBER_BUDGET = 2_000_000
 
 _SLICE_TERMS = 1 << 16
+_ORDER_CAP = 3_000_000_000  # below it |F_n| < 2**62 and (n + 2)*n < 2**63, as `_Reduction` needs
 _HALF = Fraction(1, 2)
 # Streaming a member costs about as much as the floor arithmetic of 12
 # denominators in a slice, and a slice's fixed numpy overhead about as much
@@ -114,17 +115,13 @@ _SLICE_MEMBER_COST = 2
 _ROW_MEMBER_COST = 1
 _ROW_LEVEL_COST = 2500
 _ROW_CAP = 1 << 20
-# Every product h*scale and j*k is below n*scale.  At or past this margin
-# (n*|F_n| >= 2**62 at about n = 2.5e6) the deviations are Python ints
-# (dtype=object); below it they are int64.
-_INT64_MARGIN = 1 << 62
-# One term dev/den is within 3u of exact, relatively (u = 2**-53): one
-# rounding each for dev and den as float64 and one for the quotient.  The
-# exact maximum, and every exact tie of it, is then within 6u of the largest
-# float, so every float within 8u of it is rechecked in Python ints.  The
-# sweep's terms are within 3u absolutely, and it uses 8u as an absolute slack,
-# both for its members and for the float bounds of its blocks.
-_TERM_SLACK = 2.0**-50
+# One term dev/(k*float(scale)) is within 3u of exact, relatively (u = 2**-53):
+# one rounding each for dev, k*float(scale) and the quotient; 4u once scale >=
+# 2**53, where float(scale) rounds too.  Every exact maximum and tie is then
+# within 8u (and a hair) of the largest float, so every float within 16u of it
+# is rechecked in Python ints.  The sweep's terms are within 3u absolutely, and
+# it uses the same slack for its members and for the float bounds of its blocks.
+_TERM_SLACK = 2.0**-49
 # base-2**32 digits of each r_k/k that sum_float adds before its interval check
 _DIGITS = 3
 # lcm(1..40): k // gcd(k, _SMOOTH) is 1 when k divides it, and otherwise
@@ -383,37 +380,32 @@ class _Reduction:
     kept, and no float term is formed).  den is k*scale.  A mirrored scan is
     fed the members of F_n in [0, 1/2], with scale = |F_n|: each h/k at rank
     j also stands for its mirror (k-h)/k at rank scale+1-j, whose signed
-    deviation (k-h)*scale - (scale+1-j)*k is -(h*scale - j*k) - k.
+    deviation (k-h)*scale - (scale+1-j)*k is -(h*scale - j*k) - k.  Below
+    _ORDER_CAP, |h*|F_n| - j*k| <= k*|F_n|/n <= |F_n| < 2**62 by the 1/n bound
+    (Dress; `kanemitsu_sum` bounds the signed ones), so dev is formed mod 2**64
+    in uint64 and read back as int64.  The float term dev/(k*float(scale)) is
+    within 3u of exact, or 4u once scale >= 2**53 (see _TERM_SLACK).
 
-    With sums, the deviations are summed per denominator k into D_k: with
-    dense > 0 in `sums`, indexed by k, else in `keys` (the k seen, ascending)
-    and their `sums`, which the chunks in `pending` join once they hold as
-    many terms.  Either is int64 while dev_bound (at least the sum of every
-    |dev| grouped) is below 2**63, then Python ints (dtype=object).  A
-    Python-int deviation q*k + r adds r to D_k and q to `whole`.
+    With sums, the deviations are summed per denominator k into the int64
+    D_k: with dense > 0 in `sums`, indexed by k, else in `keys` (the k seen,
+    ascending) and their `sums`, which the chunks in `pending` join once they
+    hold as many terms.  Once dev_bound (at least the sum of every |dev|
+    grouped) reaches 2**63, each D_k = W_k*k + r_k keeps only r_k, W_k goes
+    to `whole`, and so do those of each later dev: as a scan groups at most
+    k + 1 terms of denominator k, D_k < (k + 2)*k < 2**63.
     """
 
-    def __init__(
-        self,
-        rank_lo: int,
-        scale: int,
-        fixed_rank: int | None,
-        wide: bool,
-        mirrored: bool,
-        sums: bool,
-        dense: int = 0,
-    ):
+    def __init__(self, rank_lo: int, scale: int, fixed_rank: int | None, mirrored: bool, sums: bool, dense: int = 0):
         self.terms = 0
         self.scale = scale
         self.fixed_rank = fixed_rank
-        self.wide = wide
         self.mirrored = mirrored
         self.sums = np.zeros(dense, dtype=np.int64) if sums else None
         self.keys = np.empty(0, dtype=np.int64) if sums and not dense else None
         self.pending: list[tuple[np.ndarray, np.ndarray]] = []  # (ks, dev) of chunks not merged yet
         self.pending_size = 0
-        self.whole = 0  # the whole parts that Python-int deviations carry out
-        # int64 and float64 arrays that chunk after chunk is reduced in.  Rows
+        self.whole = 0  # the whole parts W_k carried out of the D_k
+        # uint64, int64 and float64 arrays that chunk after chunk is reduced in.  Rows
         # and streams free little between chunks, so fresh arrays per chunk
         # would be freed at the heap's top, trimmed, and faulted in again by
         # the next chunk.  A value slice frees several chunk-sized arrays of
@@ -435,37 +427,34 @@ class _Reduction:
         at the same rank, and it is counted and summed once.
         """
         size = hs.size
-        if self.wide:  # Python ints, in fresh arrays
-            hs, ks = hs.astype(object), ks.astype(object)
-            js = np.arange(first, first + size, dtype=np.int64).astype(object)
-            signed = dev = terms = None
-        else:
-            if not self.work or self.work[0].size < size:
-                # 0, 1, 2, ...; ranks, then denominators; signed (then
-                # mirrored) and absolute deviations; float terms
-                self.work = [np.arange(size, dtype=np.int64)] + [
-                    np.empty(size, dtype=dtype) for dtype in (np.int64,) * 3 + (float,)
-                ]
-            steps, js, signed, dev, terms = (a[:size] for a in self.work)
-            np.add(steps, first, out=js)
-        signed = np.multiply(hs, self.scale, out=signed)
+        if not self.work or self.work[0].size < size:
+            # 0, 1, 2, ...; ranks, then j*k, then float denominators; signed
+            # (then mirrored) and absolute deviations; float terms
+            self.work = [np.arange(size, dtype=np.uint64)] + [
+                np.empty(size, dtype=dtype) for dtype in (np.uint64, np.uint64, np.int64, float)
+            ]
+        steps, js, wrapped, dev, terms = (a[:size] for a in self.work)
+        np.add(steps, first, out=js)
+        # h*scale - j*k (or fixed_rank*k) mod 2**64, exact as int64 (see the class docstring)
+        np.multiply(hs.view(np.uint64), self.scale, out=wrapped)
+        wrapped -= np.multiply(js if self.fixed_rank is None else self.fixed_rank, ks.view(np.uint64), out=js)
+        signed = wrapped.view(np.int64)
         if self.fixed_rank is not None:
-            signed -= np.multiply(ks, self.fixed_rank, out=js)
             self._reduce(ks, signed)
             return
-        signed -= np.multiply(js, ks, out=js)
         dev = np.abs(signed, out=dev)
-        if not self.mirrored:  # js takes the denominators once the ranks are used
-            self._reduce(ks, dev, first, 1, None if self.wide else [js, terms])
+        # js takes the float denominators once the products are used
+        den = np.multiply(ks, float(self.scale), out=js.view(np.float64))
+        if not self.mirrored:
+            self._reduce(ks, dev, first, 1, den, terms)
             return
         signed += ks
         mirror = np.abs(signed, out=signed)
-        den = np.multiply(ks, self.scale, out=js)
         half = int(2 * hs[-1] == ks[-1])
         self.terms += 2 * size - half
         # rounding is monotone, so the larger deviation's float term is the larger one
         for i in self._near_top(np.maximum(dev, mirror, out=terms), den, terms):
-            q = int(den[i])
+            q = int(ks[i]) * self.scale
             self._take(int(dev[i]), q, first + i)
             self._take(int(mirror[i]), q, self.scale + 1 - first - i)
         if self.sums is not None:
@@ -474,26 +463,26 @@ class _Reduction:
             self._group(ks, np.add(dev, mirror, out=dev))
 
     def _reduce(
-        self, ks: np.ndarray, dev: np.ndarray, first_rank: int = 0, step: int = 0, work: list | None = None
+        self, ks: np.ndarray, dev: np.ndarray, first_rank: int = 0, step: int = 0,
+        den: np.ndarray | None = None, out: np.ndarray | None = None,
     ) -> None:
         """Fold the terms dev/(k*scale) in, the i-th at rank first_rank + step*i.
 
-        work, when given, is an int64 and a float64 array of dev's size to
-        compute the denominators and the float terms in.
+        den, when given, holds the float denominators k*float(scale), and out
+        is a float64 array of dev's size to compute the float terms in.
         """
         self.terms += dev.size
         if self.fixed_rank is None:
-            den_out, terms_out = work or (None, None)
-            den = np.multiply(ks, self.scale, out=den_out)
-            for i in self._near_top(dev, den, terms_out):
-                self._take(int(dev[i]), int(den[i]), first_rank + step * i)
+            den = np.multiply(ks, float(self.scale)) if den is None else den
+            for i in self._near_top(dev, den, out):
+                self._take(int(dev[i]), int(ks[i]) * self.scale, first_rank + step * i)
         if self.sums is not None:
             self._group(ks, dev)
 
     @staticmethod
     def _near_top(dev: np.ndarray, den: np.ndarray, out: np.ndarray | None) -> list[int]:
         """The indices whose float term dev/den is within _TERM_SLACK of the largest: every exact maximum."""
-        terms = np.divide(dev, den, out=out).astype(np.float64, copy=False)
+        terms = np.divide(dev, den, out=out)
         top = terms.max()
         return np.flatnonzero(terms >= top - top * _TERM_SLACK).tolist()
 
@@ -505,21 +494,17 @@ class _Reduction:
 
     def _group(self, ks: np.ndarray, dev: np.ndarray) -> None:
         """Add the terms into the D_k: by np.add.at, or grouped by k and merged into the sorted groups."""
-        ks = ks.astype(np.int64)  # a copy, as the sorted groups may keep it; dtype=object when wide
-        if dev.dtype == object:  # Python ints: only r of dev = q*k + r, 0 <= r < k, enters D_k
-            # |dev| <= |F_n| by the 1/n bound (2|F_n| with its mirror's); a signed dev may not fit
-            fits = self.fixed_rank is None
-            whole, dev = np.divmod(dev.astype(np.int64), ks) if fits else _object_divmod(dev, ks)
-            self.whole += int(whole.sum(dtype=object))  # the q, summed apart
-        if self.sums.dtype != object:
+        if self.dev_bound < 1 << 63:
             self.dev_bound += max(int(dev.max(initial=0)), -int(dev.min(initial=0))) * dev.size
             if self.dev_bound >= 1 << 63:
-                self.sums = self.sums.astype(object)
-        dev = dev.astype(self.sums.dtype)  # a copy: dev may be a work array
+                self._fold()
+        if self.dev_bound >= 1 << 63:  # folded: dev = q*k + r, 0 <= r < k, adds r to D_k and q to `whole`
+            whole, dev = np.divmod(dev, ks)
+            self.whole += int(whole.sum())  # each |q| <= 2*|F_n|/n + 1, or < |F_n| < 2**43 when signed
         if self.keys is None:
             np.add.at(self.sums, ks, dev)
             return
-        self.pending.append((ks, dev))
+        self.pending.append((ks.copy(), dev.copy()))  # dev may be a work array, ks a view of more
         self.pending_size += ks.size
         if self.pending_size >= self.keys.size:  # so a term takes part in O(log) merges
             self._merge()
@@ -533,22 +518,26 @@ class _Reduction:
         starts = np.flatnonzero(np.diff(ks, prepend=-1))
         self.keys, self.sums, self.pending, self.pending_size = ks[starts], np.add.reduceat(devs, starts), [], 0
 
+    def _fold(self) -> None:
+        """Keep only the r_k of the D_k = W_k*k + r_k, and carry the W_k out to `whole`."""
+        list(self._remainders(1 << 62))  # each block is folded as it is read
+
     def _remainders(self, block: int):
-        """(W, r, k) per block of the state: the int64 r_k and k of its nonzero r_k, ascending, and W."""
+        """(r, k) per block of the state, folded on the way: the r_k and k of its nonzero r_k, ascending."""
         if self.pending:
             self._merge()
         for lo in range(0, max(self.sums.size, 1), block):
-            sums = self.sums[lo : lo + block]
-            ks = np.flatnonzero(sums) + lo if self.keys is None else self.keys[lo : lo + block]
-            sums = self.sums[ks] if self.keys is None else sums
-            whole, rems = (_object_divmod if sums.dtype == object else np.divmod)(sums, ks)
+            at = np.flatnonzero(self.sums[lo : lo + block]) + lo if self.keys is None else slice(lo, lo + block)
+            ks = at if self.keys is None else self.keys[at]
+            whole, rems = np.divmod(self.sums[at], ks)
+            self.sums[at], self.whole = rems, self.whole + int(whole.sum())
             live = np.flatnonzero(rems)
-            yield int(whole.sum()), rems[live].astype(np.int64), ks[live]  # 0 <= r_k < k
+            yield rems[live], ks[live]  # 0 <= r_k < k
 
     def sum_exact(self) -> Rat:
         """(W + sum_k r_k/k) / scale, added pairwise over lcms."""
-        ((whole, nums, dens),) = self._remainders(1 << 62)  # in one block
-        whole += self.whole
+        ((nums, dens),) = self._remainders(1 << 62)  # in one block
+        whole = self.whole
         order = np.argsort(dens // np.gcd(dens, _SMOOTH), kind="stable")
         nums, dens = nums[order], dens[order]
         # Each pair a/b + c/d becomes num/l with l = lcm(b, d) and num < 2*l,
@@ -576,17 +565,18 @@ class _Reduction:
 
         Where they cannot decide, `exact` does, or sum_exact() when not given.
         """
-        total, live = self.whole << 32 * _DIGITS, 0
-        for whole, rems, ks in self._remainders(_SLICE_TERMS):
+        total, live = 0, 0
+        for rems, ks in self._remainders(_SLICE_TERMS):
             if ks.size and int(ks[-1]) >= 1 << 31:
                 break
-            for _ in range(_DIGITS):
+            for shift in range(32 * (_DIGITS - 1), -1, -32):
                 rems <<= 32  # r < k < 2**31, so r*2**32 < 2**63
                 digits, rems = np.divmod(rems, ks)
-                whole = (whole << 32) + int(digits.sum())  # one digit below 2**32 per k < 2**31
-            total, live = total + whole, live + ks.size
+                total += int(digits.sum()) << shift  # one digit below 2**32 per k < 2**31
+            live += ks.size
         else:
             # each cut r_k/k loses less than 2**(-32*_DIGITS); int / int rounds correctly
+            total += self.whole << 32 * _DIGITS
             den = self.scale << 32 * _DIGITS
             low, high = total / den, (total + live) / den
             if low == high:
@@ -615,7 +605,7 @@ def _scan(
         raise PreconditionError(f"no F_{n} fractions in [{lo}, {hi}]")
     mirrored = fixed_rank is None and lo == ZERO and hi == ONE
     dense = n + 1 if n + 1 <= 8 * count else 0
-    red = _Reduction(rank_lo, scale, fixed_rank, n * scale >= _INT64_MARGIN, mirrored, sums, dense)
+    red = _Reduction(rank_lo, scale, fixed_rank, mirrored, sums, dense)
     top, members = (_HALF, (count + 1) // 2) if mirrored else (hi, count)
     sliced = _path(n, lo, top, members) == "slices"
     for position, hs, ks in _members(n, lo, top, members):
@@ -653,6 +643,8 @@ def _window(n: int, lo: Fraction, hi: Fraction, table: TotientTable | None, term
     The table comes first, so that its budget bounds n before rank_fast
     sieves mu up to n; then lo must be in F_n, and the count within term_budget.
     """
+    if n >= _ORDER_CAP:
+        raise PreconditionError(f"order {n} is past the deviation kernel's int64 domain: it must be below {_ORDER_CAP}")
     m = farey_cardinality(n, _table_for(n, table))
     if lo.den > n:
         raise PreconditionError(f"lo={lo} is not in F_{n}")
@@ -809,9 +801,17 @@ class KanemitsuResult:
 def kanemitsu_sum(
     n: int, table: TotientTable | None = None, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> KanemitsuResult:
-    """The signed deviation sum over the F_n prefix up to 1/4 (needs n >= 4)."""
+    """The signed deviation sum over the F_n prefix up to 1/4 (needs n >= 4 and (n + 4)*|F_n| < 2**65).
+
+    h/k in [0, 1/4] deviates by 2*m*h - R*k in [-k*R, k*(m/2 - R)] (m = |F_n|,
+    R the rank of 1/4), and |R - m/4| <= m/n by the 1/n bound: so by at most
+    (n + 4)*m/4 < 2**63.  The first order refused, 4 951 187, has 1.86e12 terms.
+    """
     if n < 4:
         raise PreconditionError(f"the prefix sum needs n >= 4, got {n}")
+    table = _table_for(n, table)
+    if (n + 4) * farey_cardinality(n, table) >= 1 << 65:
+        raise PreconditionError(f"the prefix sum at order {n} needs (n + 4)*|F_n| < 2**65, for int64 deviations")
     quarter = Fraction(1, 4)
     _, prefix_rank, m = _window(n, ZERO, quarter, table, term_budget)
     red = _scan(n, ZERO, quarter, 1, prefix_rank, 2 * m, fixed_rank=prefix_rank)
@@ -917,7 +917,7 @@ def _sweep_maxima(n_max: int, table: TotientTable | None = None):
     |d_r + 1/m|, so the maximum is max(max d_r + 1/m, -min d_r).  The float
     t_r = fl(fl(h/k) - fl(r/m)) is within 3u of d_r (u = 2**-53), so every
     largest or smallest d_r, ties included, is within 6u of the largest or
-    smallest t_r, and every member within _TERM_SLACK = 8u of either is
+    smallest t_r, and every member within _TERM_SLACK = 16u of either is
     rechecked in Python ints, as itself and mirrored.
 
     The members of F_{n_max} in [0, 1/2] are built once, as exact (h, k), and

@@ -25,7 +25,7 @@ from fareysums.franel import (
     vertex_partial_sum,
 )
 from fareysums.mapping import MapParams
-from fareysums.totient import DEFAULT_TABLE_LIMIT, build_totient_table
+from fareysums.totient import DEFAULT_TABLE_LIMIT, THREE_OVER_PI_SQ, build_totient_table
 from oracles import brute_deviation_sum, brute_farey, stream_deviations
 
 # chunk sizes from a few terms, so that chunk boundaries (and exact ties of
@@ -61,15 +61,58 @@ def _enumeration(path: str, size: int):
 
 
 @contextmanager
-def _grouping(dense: int):
-    """Force the D_k into a dense array of `dense` entries, or into sorted groups when it is 0."""
+def _grouping(dense: int, folded: bool = False):
+    """Force the D_k into a dense array of `dense` entries, or into sorted groups when it is 0.
+
+    folded starts each reduction's bound on sum|dev| at 2**63 - 1, so that
+    its D_k are folded at the first nonzero deviation, and every later
+    deviation enters as q*k + r.
+    """
     reduction = franel._Reduction
 
     def forced(*args):
-        return reduction(*args[:-1], dense)
+        red = reduction(*args[:-1], dense)
+        if folded:
+            red.dev_bound = (1 << 63) - 1
+        return red
 
     with patch.object(franel, "_Reduction", side_effect=forced):
         yield
+
+
+def _first_order(bound: int, pad: int = 0) -> int:
+    """The least n with (n + pad)*|F_n| >= bound, by binary search with rank_fast(n, 1/1) = |F_n|."""
+    # |F_n| is about 3*n**2/pi**2, so 1.01 times the root of that estimate is past the answer
+    below, above = 1, int(1.01 * (bound / THREE_OVER_PI_SQ) ** (1 / 3))
+    assert (above + pad) * rank_fast(above, ONE).rank >= bound
+    while above - below > 1:
+        mid = (below + above) // 2
+        if (mid + pad) * rank_fast(mid, ONE).rank >= bound:
+            above = mid
+        else:
+            below = mid
+    return above
+
+
+# 10*c with c odd and 100*c % 42 < 21: 2**62 + 6, the scale of the tests in
+# which h*scale and j*k pass 2**64 while the deviations fit int64
+_WRAP_C = 461_168_601_842_738_791
+
+
+def _python_int_reduction(chunks, scale: int, mirrored: bool) -> tuple:
+    """((dev, den, rank) of the largest term, the earliest at a tie, term count, exact sum) by Python ints.
+
+    chunks are (first rank, hs, ks); a mirrored chunk's members also stand
+    for their mirrors (k-h)/k at rank scale+1-j, 1/2 only once.
+    """
+    terms = []
+    for first, hs, ks in chunks:
+        for j, h, k in zip(range(first, first + len(hs)), hs, ks):
+            terms.append((abs(h * scale - j * k), k * scale, j))
+            if mirrored and 2 * h != k:
+                terms.append((abs((k - h) * scale - (scale + 1 - j) * k), k * scale, scale + 1 - j))
+    best = max(terms, key=lambda t: (Rat(t[0], t[1]), -t[2]))
+    return best, len(terms), sum((Rat(dev, den) for dev, den, _ in terms), start=Rat(0))
 
 
 @st.composite
@@ -512,15 +555,14 @@ class TestOneAccumulator:
         st.sampled_from(["window", "whole", "kanemitsu"]),
         _slice_sizes,
         _paths,
-        st.sampled_from(["dense", "sorted", "python ints"]),
+        st.sampled_from(["dense", "sorted", "folded"]),
     )
     def test_sum_float_is_the_float_of_the_exact_sum(self, data, n, kind, size, path, grouping):
         n = max(n, 4) if kind == "kanemitsu" else n
         lo = data.draw(_fraction(n))
         hi = data.draw(_fraction(n, at_least=lo))
-        margin = 0 if grouping == "python ints" else franel._INT64_MARGIN
         with _enumeration(path, _slice_size(size, rank_fast(n, ONE).rank)), \
-                _grouping(n + 1 if grouping == "dense" else 0), patch.object(franel, "_INT64_MARGIN", margin):
+                _grouping(n + 1 if grouping == "dense" else 0, grouping == "folded"):
             exact, got = self._sums(n, kind, lo, hi)
         assert got == float(exact)
 
@@ -673,7 +715,7 @@ class TestMirroredScans:
     def test_max_ties_go_to_the_earliest_rank_in_any_arrival_order(self):
         # a chunk's mirrors arrive at descending ranks, before the next chunk's
         # members at lower ranks; no whole-sequence maximum ties below n = 1200
-        red = franel._Reduction(1, 10, None, False, True, True)
+        red = franel._Reduction(1, 10, None, True, True)
         ks = np.ones(2, dtype=np.int64)
         red._reduce(ks, np.array([3, 3]), 9, -1)
         assert red.best_rank == 8
@@ -681,38 +723,77 @@ class TestMirroredScans:
         assert (red.best_dev, red.best_den, red.best_rank) == (3, 10, 4)
         # rows hand whole chunks over from the top down: 3/10 at ranks 5 and
         # 6, then again at rank 2
-        red = franel._Reduction(1, 10, None, False, False, True)
+        red = franel._Reduction(1, 10, None, False, True)
         red.add(5, np.array([8, 9]), np.array([10, 10]))
         assert (red.best_dev, red.best_den, red.best_rank) == (30, 100, 5)
         red.add(1, np.array([0, 5]), np.array([1, 10]))
         assert (red.best_dev, red.best_den, red.best_rank) == (30, 100, 2)
 
-    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("wrapping", [False, True])
     @pytest.mark.parametrize("rank,h,mirror_rank", [(3, 1, 8), (8, 3, 3)])
-    def test_a_member_and_its_mirror_tie_in_one_chunk(self, wide, rank, h, mirror_rank):
+    def test_a_member_and_its_mirror_tie_in_one_chunk(self, wrapping, rank, h, mirror_rank):
         # at scale 10, h/4 at rank j and its mirror (4-h)/4 at rank 11-j both
         # deviate by exactly 2/40 (s = h*10 - 4*j = -2, |s + 4| = 2); the
-        # earlier of the two ranks wins, whichever orientation holds it
-        red = franel._Reduction(1, 10, None, wide, True, True)
-        red.add(rank, np.array([h]), np.array([4]))
-        assert (red.best_dev, red.best_den, red.best_rank) == (2, 40, min(rank, mirror_rank))
-        assert red.terms == 2 and red.sum_exact() == Rat(4, 40)
+        # earlier of the two ranks wins, whichever orientation holds it.
+        # Wrapping: 4h/16 at rank (5*h*c + 1)/2 and scale 10*c (c = _WRAP_C)
+        # tie at s = -8, while h*scale and j*k pass 2**64.
+        c, t = (_WRAP_C, 4) if wrapping else (1, 1)
+        scale, j = 10 * c, (5 * h * c + 1) // 2
+        hs, ks = [t * h], [4 * t]
+        assert wrapping == (hs[0] * scale >= 1 << 64 and j * ks[0] >= 1 << 64)
+        red = franel._Reduction(1, scale, None, True, True)
+        red.add(j, np.array(hs), np.array(ks))
+        best, terms, total = _python_int_reduction([(j, hs, ks)], scale, True)
+        assert (red.best_dev, red.best_den, red.best_rank) == best == (2 * t, 4 * t * scale, min(j, scale + 1 - j))
+        assert best[2] == (j if rank < mirror_rank else scale + 1 - j)
+        assert red.terms == terms == 2 and red.sum_exact() == total == Rat(1, scale)
 
-    @pytest.mark.parametrize("wide", [False, True])
-    def test_the_mirror_alone_can_hold_the_maximum(self, wide):
-        # at scale 10: 1/7 at rank 2 deviates by 4/70 and its mirror by 3/70;
-        # 1/3 at rank 3 by 1/30, below the chunk's largest member term, but
-        # its mirror 2/3 at rank 8 by 4/30, the largest of all
-        red = franel._Reduction(1, 10, None, wide, True, False)
-        red.add(2, np.array([1, 1]), np.array([7, 3]))
-        assert (red.best_dev, red.best_den, red.best_rank) == (4, 30, 8)
+    @pytest.mark.parametrize("wrapping", [False, True])
+    def test_the_mirror_alone_can_hold_the_maximum(self, wrapping):
+        # a/b at rank j and c/d at rank j + 1, with 2*j < scale*(a/b + c/d) <
+        # 2*j + 1: a/b deviates by more than c/d, and the mirror of c/d at
+        # rank scale - j by more than both (by 1/scale more than c/d).  At
+        # scale 10: 1/7 by 4/70, 1/3 at rank 3 by 1/30 and 2/3 at rank 8 by
+        # 4/30.  Wrapping: 5/16 and 6/17 at scale 10*_WRAP_C.
+        scale, hs, ks = (10 * _WRAP_C, [5, 6], [16, 17]) if wrapping else (10, [1, 1], [7, 3])
+        twice, den = scale * (hs[0] * ks[1] + hs[1] * ks[0]), ks[0] * ks[1]
+        j = twice // (2 * den)
+        assert 0 < twice - 2 * j * den < den
+        assert wrapping == (min(hs) * scale >= 1 << 64 and j * min(ks) >= 1 << 64)
+        red = franel._Reduction(1, scale, None, True, False)
+        red.add(j, np.array(hs), np.array(ks))
+        best, _, _ = _python_int_reduction([(j, hs, ks)], scale, True)
+        assert (red.best_dev, red.best_den, red.best_rank) == best
+        assert best[2] == scale - j
+        assert wrapping or best == (4, 30, 8)
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_chunks_whose_products_wrap(self, mirrored):
+        # members h/k within 1/(2k) of j/scale at scale 2**62 + 6, so each
+        # |h*scale - j*k| <= scale/2 while h*scale and j*k pass 2**64; their
+        # sum passes 2**63 in the first chunk, so the D_k are folded there
+        scale, rng = 10 * _WRAP_C, Random(19)
+        red = franel._Reduction(1, scale, None, mirrored, True)
+        chunks = []
+        for first, size in ((scale // 3, 40), (2 * scale // 7 - 50, 50), (scale // 3 + 40, 30)):
+            ks = [rng.randint(12, 10_000) for _ in range(size)]
+            hs = [(2 * k * j + scale) // (2 * scale) for j, k in zip(range(first, first + size), ks)]
+            assert min(hs) * scale >= 1 << 64 and first * min(ks) >= 1 << 64
+            assert all(2 * h < k and abs(h * scale - j * k) <= scale // 2 for j, h, k in zip(range(first, first + size), hs, ks))
+            chunks.append((first, hs, ks))
+            red.add(first, np.array(hs), np.array(ks))
+        best, terms, total = _python_int_reduction(chunks, scale, mirrored)
+        assert (red.best_dev, red.best_den, red.best_rank) == best
+        assert red.terms == terms and red.dev_bound >= 1 << 63
+        assert red.sum_exact() == total and red.sum_float() == float(total)
 
     @pytest.mark.parametrize("path", _PATHS)
     @pytest.mark.parametrize("n", [1, 2, 12, 60])
     def test_python_int_deviations(self, n, path):
-        # past the int64 margin the deviations, mirrored ones too, are Python ints
+        # the D_k folded from the first chunk, mirrored deviations too: each
+        # enters as q*k + r, r into D_k and q into the Python-int whole part
         m = rank_fast(n, ONE).rank
-        with _enumeration(path, 5), patch.object(franel, "_INT64_MARGIN", 0):
+        with _enumeration(path, 5), _grouping(n + 1, folded=True):
             full = full_franel_sum(n)
         _assert_matches_stream(full, stream_deviations(n, ZERO, ONE, 1, m, EXACT_MODE_BUDGET))
 
@@ -730,15 +811,16 @@ class TestExactSum:
     """The per-denominator exact sum, fed to _Reduction directly, against sum(Rat(d, k*scale))."""
 
     @staticmethod
-    def _fed(chunks, scale=1, fixed_rank=None, wide=False, dense=0):
+    def _fed(chunks, scale=1, fixed_rank=None, folded=False, dense=0):
         """A reduction keeping the D_k, fed (ks, devs) chunks, and the sum of its terms.
 
+        folded starts its bound on sum|dev| at 2**63 - 1, as `_grouping` does.
         Both of its sums are checked against that sum on the way.
         """
-        red = franel._Reduction(1, scale, fixed_rank, wide, False, True, dense)
-        dtype = object if wide else np.int64
+        red = franel._Reduction(1, scale, fixed_rank, False, True, dense)
+        red.dev_bound = (1 << 63) - 1 if folded else 0
         for ks, devs in chunks:
-            red._reduce(np.array(ks, dtype=dtype), np.array(devs, dtype=dtype))
+            red._reduce(np.array(ks, dtype=np.int64), np.array(devs, dtype=np.int64))
         want = sum((Rat(d, k * scale) for ks, devs in chunks for k, d in zip(ks, devs)), start=Rat(0))
         assert red.sum_exact() == want
         assert red.sum_float() == float(want)
@@ -747,11 +829,12 @@ class TestExactSum:
     @pytest.mark.parametrize("dense", [0, 8])
     @pytest.mark.parametrize("chunked", [False, True])
     def test_int64_deviations_summing_past_two_to_the_63(self, chunked, dense):
-        # D_3 = 2**63 + 16 wraps in int64; the sums must turn to Python ints first
-        terms = [(3, 2**62), (7, 2**62 - 1), (3, 2**62 + 5), (3, 11)]
+        # D_3 = 2**64 + 24 would wrap in int64; the D_k must be folded first,
+        # and each later deviation split, so that they stay int64 and exact
+        terms = [(3, 2**62), (7, 2**62 - 1), (3, 2**62 + 5), (3, 11), (3, 2**62 + 1), (3, 2**62 + 7)]
         chunks = [([k], [d]) for k, d in terms] if chunked else [tuple(zip(*terms))]
         red, _ = self._fed(chunks, dense=dense)
-        assert red.sums.dtype == object
+        assert red.dev_bound >= 2**63 and red.sums.dtype == np.int64
 
     @pytest.mark.parametrize("dense", [0, 8])
     def test_int64_sums_up_to_their_edge(self, dense):
@@ -760,15 +843,18 @@ class TestExactSum:
         red, _ = self._fed(terms, dense=dense)
         assert red.dev_bound == 2**63 - 1
         assert red.sums.dtype == np.int64
-        red, _ = self._fed(terms + [([5], [1])], dense=dense)
-        assert red.sums.dtype == object
+        # one more passes 2**63, and D_3 = 2**63 would wrap: the D_k are folded
+        # first, and stay int64 and exact
+        red, _ = self._fed(terms + [([3], [2])], dense=dense)
+        assert red.dev_bound == 2**63 + 1 and red.sums.dtype == np.int64
 
     @pytest.mark.parametrize("dense", [0, 10])
-    @pytest.mark.parametrize("wide", [False, True])
-    def test_signed_deviations_with_a_negative_whole_part(self, wide, dense):
-        # D_7 = -75 = -11*7 + 2: floor division keeps every remainder in [0, k)
+    @pytest.mark.parametrize("folded", [False, True])
+    def test_signed_deviations_with_a_negative_whole_part(self, folded, dense):
+        # D_7 = -75 = -11*7 + 2: floor division keeps every remainder in [0, k),
+        # of the D_k and, folded, of each deviation
         chunks = [([7, 4, 9], [-30, 3, -100]), ([7, 1], [-45, -9])]
-        red, want = self._fed(chunks, scale=10, fixed_rank=3, wide=wide, dense=dense)
+        red, want = self._fed(chunks, scale=10, fixed_rank=3, folded=folded, dense=dense)
         assert want < -1
 
     def test_a_near_tie_falls_back_to_the_exact_sum(self):
@@ -1004,31 +1090,41 @@ class TestEnumerationChoice:
 
 
 class TestInt64Margin:
-    def test_tiny_windows_either_side_of_the_switch(self):
-        # the first order with n*|F_n| >= 2**62, where deviations leave int64
-        below, above = 2_000_000, 3_000_000
-        while above - below > 1:
-            mid = (below + above) // 2
-            if mid * rank_fast(mid, ONE).rank >= franel._INT64_MARGIN:
-                above = mid
-            else:
-                below = mid
-        assert franel._INT64_MARGIN == 2**62
-        table = build_totient_table(above)
-        reductions = []
-        reduction = franel._Reduction
+    @pytest.fixture(scope="class")
+    def table(self):
+        return build_totient_table(_first_order(1 << 65, pad=4))
 
-        def spy(*args):
-            reductions.append(reduction(*args))
-            return reductions[-1]
-
-        for n in (below, above):
-            lo = Fraction(1, 3)
-            hi = Fraction(*list(islice(iter_window(n, lo, ONE), 4))[-1])
-            with patch.object(franel, "_Reduction", side_effect=spy):
-                result = partial_franel_sum_range(n, lo, hi, None, table)
-            assert result.term_count == 4
+    def test_tiny_windows_either_side_of_two_to_the_63(self, table):
+        # every h*|F_n| and j*k is below n*|F_n|; from the first order where
+        # that reaches 2**63, those of the members next to 1/1 can pass int64,
+        # while every deviation still fits it
+        above = _first_order(1 << 63)
+        for n in (above - 1, above):
             m = rank_fast(n, ONE).rank
-            want = stream_deviations(n, lo, hi, result.rank_lo, m, EXACT_MODE_BUDGET)
-            _assert_matches_stream(result, want)
-        assert [red.wide for red in reductions] == [False, True]
+            assert (n * m >= 1 << 63) == (n == above)
+            for lo in (Fraction(1, 3), Fraction(n - 3, n - 2)):  # the top window: up to 1/1
+                hi = Fraction(*list(islice(iter_window(n, lo, ONE), 4))[-1])
+                result = partial_franel_sum_range(n, lo, hi, None, table)
+                assert result.term_count == 4
+                want = stream_deviations(n, lo, hi, result.rank_lo, m, EXACT_MODE_BUDGET)
+                _assert_matches_stream(result, want)
+
+    def test_kanemitsu_sum_refuses_orders_past_its_bound(self, table):
+        # signed deviations reach (n + 4)*|F_n|/4, which must stay below 2**63
+        first = _first_order(1 << 65, pad=4)
+        assert first == table.limit
+        with pytest.raises(BudgetError, match="over the term budget 10"):
+            kanemitsu_sum(first - 1, table, term_budget=10)
+        with patch.object(franel, "_window", side_effect=AssertionError("ranked")), \
+                pytest.raises(PreconditionError, match=r"needs \(n \+ 4\)\*\|F_n\| < 2\*\*65"):
+            kanemitsu_sum(first, table, term_budget=10)
+
+    def test_orders_from_the_cap_are_refused_before_any_table(self):
+        # below the cap |F_n| <= 1 + n*(n + 1)/2 < 2**62 and a folded D_k < (k + 2)*k < 2**63
+        cap = franel._ORDER_CAP
+        assert 1 + cap * (cap + 1) // 2 < 2**62 and (cap + 2) * cap < 2**63
+        with pytest.raises(BudgetError, match=f"table limit {cap - 1} exceeds budget"):
+            full_franel_sum(cap - 1)
+        with patch.object(franel, "build_totient_table", side_effect=AssertionError("sieved")), \
+                pytest.raises(PreconditionError, match="int64 domain"):
+            full_franel_sum(cap)
