@@ -218,8 +218,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("franel", parents=[common], help="deviation sum over F_N or a range of it")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--lo", type=_fraction, default=ZERO)
-    p.add_argument("--hi", type=_fraction, default=ONE)
+    p.add_argument("--lo", type=_fraction, help="range start (default 0/1)")
+    p.add_argument("--hi", type=_fraction, help="range end (default 1/1)")
     p.add_argument("--kanemitsu", action="store_true", help="signed prefix sum up to 1/4")
 
     p = sub.add_parser("growth", parents=[common], help="vertex section sums against log N")
@@ -228,8 +228,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--i", type=_int_list, required=True, help="comma-separated section indices")
 
     p = sub.add_parser("dress", parents=[common], help="largest single deviation versus 1/N")
-    p.add_argument("--order", type=int)
-    p.add_argument("--sweep-to", type=int, help="check the bound for every order up to this")
+    orders = p.add_mutually_exclusive_group(required=True)
+    orders.add_argument("--order", type=int)
+    orders.add_argument("--sweep-to", type=int, help="check the bound for every order up to this")
 
     p = sub.add_parser("totient", parents=[common], help="dump n, phi, Phi, E, H columns")
     p.add_argument("--upto", type=int, required=True)
@@ -366,13 +367,15 @@ def _cmd_gcd_check(args, config: Config, out: _Output) -> int:
 
 
 def _cmd_franel(args, config: Config, out: _Output) -> int:
+    if args.kanemitsu and (args.lo, args.hi) != (None, None):
+        raise _UsageError("--kanemitsu sums the prefix up to 1/4 and takes no --lo or --hi")
     table = build_totient_table(args.order, budget=config.table_limit)
     if args.kanemitsu:
         result = kanemitsu_sum(args.order, table, term_budget=config.term_budget)
     else:
-        result = partial_franel_sum_range(
-            args.order, args.lo, args.hi, None, table, term_budget=config.term_budget
-        )
+        lo = ZERO if args.lo is None else args.lo
+        hi = ONE if args.hi is None else args.hi
+        result = partial_franel_sum_range(args.order, lo, hi, None, table, term_budget=config.term_budget)
     names = [field.name for field in fields(result)]
     out.table([{"term_count": "terms"}.get(name, name) for name in names],
               [[getattr(result, name) for name in names]])
@@ -420,8 +423,6 @@ def _cmd_dress(args, config: Config, out: _Output) -> int:
         if not sweep.all_ok:
             raise TheoremViolation(f"deviation bound violated at orders {sweep.violations[:10]}")
         return 0
-    if args.order is None:
-        raise _UsageError("dress needs --order or --sweep-to")
     table = build_totient_table(args.order, budget=config.table_limit)
     report = dress_scan(args.order, table, term_budget=config.term_budget)
     out.table(

@@ -7,8 +7,8 @@ position in the window, by whichever of three enumerations costs less for
 the window's order and term count (`_path`, one cost model):
 
 - streaming by the next-term recurrence (`iter_window`), which costs time in
-  the members alone: narrow windows, and every window at large orders
-  (`_streams`);
+  the members alone: narrow windows, and every window at large orders that
+  rows do not serve (`_streams`);
 - value slices: per denominator k the numerators of a slice come from floor
   arithmetic on its end points, and one sort by value orders them and merges
   each h/k with its unreduced multiples.  A slice costs time and memory in
@@ -23,10 +23,11 @@ the window's order and term count (`_path`, one cost model):
   sort (`_rows`).  A band of rows is compressed to its members by flat
   indices, or by its boolean mask when it keeps at least 9/10 of its cells.
   Their chunks come from 1/M down, so their ranks are counted down from the
-  last.  The pairs are int32, as every denominator of
-  a row is below 2N; the kernel widens them to int64 before any product
-  with |F_N|.  Rows serve only windows whose preimage half holds at most
-  about _ROW_CAP = 2**20 pairs (8 MB as int32).
+  last.  The pairs are int32, as every denominator of a row is below 2N
+  (N <= 2**30); the kernel widens them to int64 before any product with
+  |F_N|.  Rows serve only windows whose preimage half holds at most about
+  _ROW_CAP = 2**20 pairs (8 MB as int32), and are weighed against streams
+  or slices, whichever `_streams` picks.
 
 Ranks follow from the rank of lo, so each term is the exact integer pair
 (|h*M - j*k|, k*M), int64 below _ORDER_CAP (see `_Reduction`).  The kernel
@@ -40,11 +41,12 @@ reduces the terms, chunk by chunk in any order and in work arrays, to:
   seen, so a tiny window at a large order costs only its members.
 
 With D_k = W_k*k + r_k, 0 <= r_k < k and W the sum of the W_k, the sum is
-(W + sum_k r_k/k)/M.  sum_float is it correctly rounded: each r_k/k cut to
-three base-2**32 digits (in int64 while k < 2**31) puts it in
-[T, T + G*2**-96) for the digits' total T and G nonzero r_k, and the float
-both ends round to is the answer; when they differ, or some k >= 2**31, the
-exact sum decides.
+(W + sum_k r_k/k)/M.  The fold, sum_float and sum_exact all read the D_k
+_SLICE_TERMS = 2**16 entries at a time (`_remainders`).  sum_float is the
+sum correctly rounded: each r_k/k cut to three base-2**32 digits (in int64
+while k < 2**31) puts it in [T, T + G*2**-96) for the digits' total T and
+G nonzero r_k, and the float both ends round to is the answer; when they
+differ, or some k >= 2**31, the exact sum decides.
 sum_exact, within the exact-mode budget, adds the r_k/k pairwise over lcms,
 the leaves ordered by k // gcd(k, lcm(1..40)) so that denominators sharing
 a prime above 40 meet early: in int64 while 2*max(den)**2 < 2**63, carrying
@@ -61,11 +63,11 @@ reduces each h/k at rank j as itself and as (k-h)/k at rank m+1-j (1/2
 once), both in one pass over the chunk.  The mirror's integer pair is the
 one a direct enumeration would give, so every term, and so every
 reduction, is the same.  The order sweep of the 1/N bound builds the
-members of F_{n_max} in [0, 1/2] once and mirrors them too.  It cuts them
-into fixed blocks; at each order, per-block counts give every block's
-ranks, hence float bounds on its members' deviations, and only the few
-blocks whose bounds reach the extremes are evaluated, those of many orders
-in one gather.
+members of F_{n_max} in [0, 1/2] once, by rows, and mirrors them too.  It
+cuts them into fixed blocks; at each order, per-block counts give every
+block's ranks, hence float bounds on its members' deviations, and only the
+few blocks whose bounds reach the extremes are evaluated, those of many
+orders in one gather.
 """
 
 from __future__ import annotations
@@ -192,23 +194,26 @@ def _streams(n: int, count: int) -> bool:
 def _path(n: int, lo: Fraction, hi: Fraction, count: int) -> str:
     """The enumeration of the count members of F_n in [lo, hi]: "stream", "slices" or "rows".
 
-    A window streams when `_streams` says so.  Otherwise rows serve the
-    windows [0/1, 1/M] with M >= 2 whose preimage half F_{n//M} in [0, 1/2]
-    holds at most about _ROW_CAP members (|F_K| is about 3*K**2/pi**2), and
-    where they cost less than slices: the members and the preimage's, plus
-    a fixed cost per level of the recursion, against the members' sort and
-    each slice's floor arithmetic over every denominator.
+    `_streams` picks streams or slices.  Rows serve instead the windows
+    [0/1, 1/M] with M >= 2 at n <= 2**30 whose preimage half F_{n//M} in
+    [0, 1/2] holds at most about _ROW_CAP members (|F_K| is about
+    3*K**2/pi**2), where they cost less than the pick: the members and the
+    preimage's, plus a fixed cost per level of the recursion, against the
+    streamed members, or the members' sort and each slice's floor arithmetic
+    over every denominator.
     """
-    if _streams(n, count):
-        return "stream"
-    if lo == ZERO and hi.num == 1 and hi.den >= 2:
+    streams = _streams(n, count)
+    if lo == ZERO and hi.num == 1 and hi.den >= 2 and n <= 1 << 30:
         order = n // hi.den
         preimage = THREE_OVER_PI_SQ * order * order
         rows = _ROW_MEMBER_COST * (count + preimage) + _ROW_LEVEL_COST * order.bit_length()
-        slices = _SLICE_MEMBER_COST * count + -(-count // _SLICE_TERMS) * (n + _SLICE_OVERHEAD)
-        if preimage / 2 <= _ROW_CAP and rows < slices:
+        if streams:
+            pick = _STREAM_COST * count
+        else:
+            pick = _SLICE_MEMBER_COST * count + -(-count // _SLICE_TERMS) * (n + _SLICE_OVERHEAD)
+        if preimage / 2 <= _ROW_CAP and rows < pick:
             return "rows"
-    return "slices"
+    return "stream" if streams else "slices"
 
 
 def _members(n: int, lo: Fraction, hi: Fraction, count: int):
@@ -520,14 +525,16 @@ class _Reduction:
 
     def _fold(self) -> None:
         """Keep only the r_k of the D_k = W_k*k + r_k, and carry the W_k out to `whole`."""
-        list(self._remainders(1 << 62))  # each block is folded as it is read
+        for _ in self._remainders():  # each block is folded as it is read, and dropped
+            pass
 
-    def _remainders(self, block: int):
-        """(r, k) per block of the state, folded on the way: the r_k and k of its nonzero r_k, ascending."""
+    def _remainders(self):
+        """(r, k) per _SLICE_TERMS entries of the state, folded on the way: its nonzero r_k and their k, ascending."""
         if self.pending:
             self._merge()
-        for lo in range(0, max(self.sums.size, 1), block):
-            at = np.flatnonzero(self.sums[lo : lo + block]) + lo if self.keys is None else slice(lo, lo + block)
+        for lo in range(0, max(self.sums.size, 1), _SLICE_TERMS):
+            window = slice(lo, lo + _SLICE_TERMS)
+            at = np.flatnonzero(self.sums[window]) + lo if self.keys is None else window
             ks = at if self.keys is None else self.keys[at]
             whole, rems = np.divmod(self.sums[at], ks)
             self.sums[at], self.whole = rems, self.whole + int(whole.sum())
@@ -536,7 +543,7 @@ class _Reduction:
 
     def sum_exact(self) -> Rat:
         """(W + sum_k r_k/k) / scale, added pairwise over lcms."""
-        ((nums, dens),) = self._remainders(1 << 62)  # in one block
+        nums, dens = (np.concatenate(parts) for parts in zip(*self._remainders()))
         whole = self.whole
         order = np.argsort(dens // np.gcd(dens, _SMOOTH), kind="stable")
         nums, dens = nums[order], dens[order]
@@ -566,7 +573,7 @@ class _Reduction:
         Where they cannot decide, `exact` does, or sum_exact() when not given.
         """
         total, live = 0, 0
-        for rems, ks in self._remainders(_SLICE_TERMS):
+        for rems, ks in self._remainders():
             if ks.size and int(ks[-1]) >= 1 << 31:
                 break
             for shift in range(32 * (_DIGITS - 1), -1, -32):
@@ -870,27 +877,6 @@ def _sweep_block(n_max: int) -> int:
     return max(1, n_max // 32)
 
 
-def _half_members(n_max: int, count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced int32 (h, k) of the count members of F_{n_max} in [0, 1/2], ascending.
-
-    Each chunk is written at its position, whichever order the chunks come
-    in.  Rows and streams give reduced pairs, rows already as int32; only
-    value slices, which may give t*h/t*k for h/k, are reduced here by a gcd.
-    The arrays are padded to whole blocks of `width` with 0/(n_max+1), which
-    no order keeps.
-    """
-    hs = np.zeros(-(-count // width) * width, dtype=np.int32)  # n_max < 2**31 under the budget
-    ks = np.full(hs.size, n_max + 1, dtype=np.int32)
-    sliced = _path(n_max, ZERO, _HALF, count) == "slices"
-    for position, h, k in _members(n_max, ZERO, _HALF, count):
-        if sliced:
-            g = np.gcd(h, k)
-            h, k = h // g, k // g
-        hs[position:position + h.size] = h
-        ks[position:position + h.size] = k
-    return hs, ks
-
-
 def _reaching_blocks(v_lo: np.ndarray, v_hi: np.ndarray, edges: np.ndarray, m: int) -> np.ndarray:
     """The blocks that can hold a term within _TERM_SLACK of the largest or smallest term.
 
@@ -920,14 +906,16 @@ def _sweep_maxima(n_max: int, table: TotientTable | None = None):
     smallest t_r, and every member within _TERM_SLACK = 16u of either is
     rechecked in Python ints, as itself and mirrored.
 
-    The members of F_{n_max} in [0, 1/2] are built once, as exact (h, k), and
-    cut into fixed blocks of `_sweep_block(n_max)`.  Order N counts each
-    block's members with k <= N; the running counts rank them, and give
-    float bounds on their terms (`_reaching_blocks`).  A block is live from
-    the order of the least k it holds.  Only the kept members of the few
-    blocks whose bounds reach an extreme are ranked and evaluated, those of
-    many orders at once (`_sweep_extremes`) once they hold _SLICE_TERMS
-    cells.
+    The members of F_{n_max} in [0, 1/2] are built once by rows (`_half`), as
+    reduced int32 (h, k): under SWEEP_MEMBER_BUDGET n_max is at most 3627, so
+    their preimage half F_{n_max//2} in [0, 1/2] stays within _ROW_CAP.  They
+    are padded with 0/(n_max+1), which no order keeps, and cut into fixed
+    blocks of `_sweep_block(n_max)`.  Order N counts each block's members
+    with k <= N; the running counts rank them, and give float bounds on
+    their terms (`_reaching_blocks`).  A block is live from the order of the
+    least k it holds.  Only the kept members of the few blocks whose bounds
+    reach an extreme are ranked and evaluated, those of many orders at once
+    (`_sweep_extremes`) once they hold _SLICE_TERMS cells.
     """
     capacity = (farey_cardinality(n_max, _table_for(n_max, table)) + 1) // 2
     if capacity > SWEEP_MEMBER_BUDGET:
@@ -935,8 +923,12 @@ def _sweep_maxima(n_max: int, table: TotientTable | None = None):
             f"sweep to {n_max} keeps {capacity} members of F_{n_max} in [0, 1/2], "
             f"over budget {SWEEP_MEMBER_BUDGET}"
         )
+    hs, ks = _half(n_max)
+    if hs.size != capacity:
+        raise PreconditionError(f"rows gave {hs.size} members of F_{n_max} in [0, 1/2] but the table gives {capacity}")
     width = min(_sweep_block(n_max), capacity)
-    hs, ks = _half_members(n_max, capacity, width)
+    pad = -capacity % width
+    hs, ks = np.pad(hs, (0, pad)), np.pad(ks, (0, pad), constant_values=n_max + 1)
     vals = hs / ks
     # the floats of each block's first and last member
     v_lo = vals[::width]

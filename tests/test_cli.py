@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction as Rat
 from pathlib import Path
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -296,6 +297,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("farey: usage error: argument --")
         assert err.endswith(f"expected a fraction 'num/den', got {text!r}\n")
+
+    @pytest.mark.parametrize(
+        "argv,conflict",
+        [
+            (["franel", "--order", "20", "--kanemitsu", "--lo", "0/1"], "takes no --lo or --hi"),
+            (["franel", "--order", "20", "--hi", "1/4", "--kanemitsu"], "takes no --lo or --hi"),
+            (["dress", "--order", "20", "--sweep-to", "60"], "--sweep-to: not allowed with argument --order"),
+        ],
+    )
+    def test_flags_the_command_would_ignore_are_refused(self, argv, conflict, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_totient_table", Mock(side_effect=AssertionError("sieved")))
+        assert run_cli(argv) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("farey: usage error: ") and conflict in err
 
     def test_usage_error_unknown_subcommand(self):
         code, _ = run_cli(["frobnicate"])

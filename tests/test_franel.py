@@ -4,7 +4,7 @@ from fractions import Fraction as Rat
 from itertools import islice
 from math import isclose, lcm, log, prod
 from random import Random
-from unittest.mock import patch
+from unittest.mock import Mock, patch
 
 import numpy as np
 import pytest
@@ -489,16 +489,41 @@ class TestDress:
         assert sweep.all_ok and sweep.violations == []
         assert (sweep.worst_ratio, sweep.worst_order) == (worst_ratio, n_max)
 
-    @pytest.mark.parametrize("path", _PATHS)
-    def test_half_members_are_reduced_whatever_the_path(self, path):
-        # value slices may give t*h/t*k, rows give reduced int32 pairs from the top down
-        n_max, width = 120, 7
-        half = [(x.numerator, x.denominator) for x in brute_farey(n_max) if 2 * x <= 1]
-        with _enumeration(path, 64):
-            hs, ks = franel._half_members(n_max, len(half), width)
-        assert hs.dtype == ks.dtype == np.int32
-        assert hs.size % width == 0 and hs.size - len(half) < width
-        assert list(zip(hs.tolist(), ks.tolist())) == half + [(0, n_max + 1)] * (hs.size - len(half))
+    def test_half_is_the_brute_half(self):
+        # the sweep's members: F_n in [0, 1/2], reduced and ascending, as int32 (none at n = 0)
+        upper = [(x.numerator, x.denominator) for x in brute_farey(120) if 2 * x <= 1]
+        for n in range(121):
+            hs, ks = franel._half(n)
+            assert hs.dtype == ks.dtype == np.int32
+            assert list(zip(hs.tolist(), ks.tolist())) == [(h, k) for h, k in upper if k <= n]
+
+    def test_sweep_takes_its_half_from_rows_and_checks_its_count(self, monkeypatch):
+        want = dress_scan_sweep(300)
+        for name in ("_path", "_members"):
+            monkeypatch.setattr(franel, name, Mock(side_effect=AssertionError(name)))
+        assert dress_scan_sweep(300) == want
+        # one member short at n_max only: `_rows` builds its preimage by `_half` too
+        half = franel._half
+        monkeypatch.setattr(franel, "_half", lambda n: tuple(a[1:] for a in half(n)) if n == 300 else half(n))
+        with pytest.raises(PreconditionError, match=r"rows gave 13699 members .* the table gives 13700"):
+            dress_scan_sweep(300)
+
+    def test_the_sweep_budget_keeps_the_rows_within_their_cap(self):
+        # the largest n_max whose half (|F_n| + 1)//2 is within the budget, by binary
+        # search with rank_fast(n, 1/1) = |F_n|; its rows' preimage is F_{n_max//2} in [0, 1/2]
+        def half(n: int) -> int:
+            return (rank_fast(n, ONE).rank + 1) // 2
+
+        below, above = 1, 2 * int((franel.SWEEP_MEMBER_BUDGET / THREE_OVER_PI_SQ) ** 0.5)
+        assert half(above) > franel.SWEEP_MEMBER_BUDGET
+        while above - below > 1:
+            mid = (below + above) // 2
+            if half(mid) > franel.SWEEP_MEMBER_BUDGET:
+                above = mid
+            else:
+                below = mid
+        assert below == 3627
+        assert half(below // 2) <= franel._ROW_CAP
 
     def test_sweep_budget(self, monkeypatch):
         with pytest.raises(BudgetError):
@@ -928,6 +953,22 @@ class TestExactSum:
         assert sum(merged for merged, *_ in merges) <= 3 * sum(grouped)
         assert result.sum_exact == stream_deviations(n, ZERO, ONE, 1, m, m)["sum_exact"]
 
+    def test_fold_reads_a_dense_state_a_block_at_a_time(self):
+        # 10**6 nonzero D_k: a fold in one block would hold five int64 arrays of them (40 MB)
+        n = 10**6
+        red = franel._Reduction(1, 1, None, False, True, n + 1)
+        red.sums[1:] = np.random.default_rng(1).integers(1, 1 << 62, n) * np.where(np.arange(n) % 3, 1, -1)
+        want = np.frompyfunc(divmod, 2, 2)(red.sums[1:].astype(object), np.arange(1, n + 1).astype(object))
+        tracemalloc.start()
+        try:
+            red._fold()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert (red.sums[1:] == want[1]).all() and red.sums[0] == 0
+        assert red.whole == want[0].sum()
+
     def test_dense_from_an_eighth_of_n_plus_one_terms(self):
         # the dense array's n + 1 entries take at most 64 bytes a term, no
         # more than merging sorted groups holds at its peak
@@ -1061,6 +1102,20 @@ class TestEnumerationChoice:
         assert path(5254, ZERO, half) == "slices"
         assert path(6000, ZERO, half) == "slices"
         assert path(2520, Fraction(1, 5), half) == "slices"  # not a prefix
+
+    def test_rows_ahead_of_the_stream_threshold(self):
+        # the 0/1 sections at i = 17 and 18, [0, i/N] at N = lcm(2..18), past the
+        # orders that ever slice: rows cost less than streaming their members
+        n = 12_252_240
+        for hi, count in ((Fraction(1, 720_720), 63_041_858), (Fraction(1, 680_680), 66_885_698)):
+            assert franel._streams(n, count)
+            assert franel._path(n, ZERO, hi, count) == "rows"
+        # int32 rows stop at 2**30: past it the same kind of prefix streams
+        hi = Fraction(1, 1 << 26)
+        assert franel._path(1 << 30, ZERO, hi, 5 * 10**9) == "rows"
+        assert franel._path((1 << 30) + 1, ZERO, hi, 5 * 10**9) == "stream"
+        # whole scans at small orders still stream: full_franel_sum(12) makes one iter_window call
+        assert franel._path(12, ZERO, Fraction(1, 2), 24) == "stream"
 
     def test_sliced_orders_stay_below_two_to_the_twenty(self):
         # the slices' float sort key is exact only there
