@@ -27,6 +27,7 @@ from .errors import BudgetError, FareyError, PreconditionError, TheoremViolation
 from .farey import _size_estimate, _window_pairs, enumerate_window, rank_fast, rank_oracle
 from .franel import (
     DEFAULT_TERM_BUDGET,
+    _prefix_cells,
     _section,
     _sweep_block,
     dress_scan,
@@ -369,6 +370,10 @@ def _cmd_gcd_check(args, config: Config, out: _Output) -> int:
 def _cmd_franel(args, config: Config, out: _Output) -> int:
     if args.kanemitsu and (args.lo, args.hi) != (None, None):
         raise _UsageError("--kanemitsu sums the prefix up to 1/4 and takes no --lo or --hi")
+    if args.kanemitsu:
+        # its per-denominator sums are budgeted in cells, before any sieve
+        _within_budget(f"signed prefix sum at order {args.order}", _prefix_cells(args.order), "cells",
+                       config.term_budget)
     table = build_totient_table(args.order, budget=config.table_limit)
     if args.kanemitsu:
         result = kanemitsu_sum(args.order, table, term_budget=config.term_budget)

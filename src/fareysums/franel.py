@@ -15,8 +15,8 @@ the window's order and term count (`_path`, one cost model):
   every denominator up to N, so it pays off when the slice holds many terms
   per denominator;
 - rows of the paper's map, for prefixes [0/1, 1/M] with M >= 2: whole
-  mirrored scans (M = 2), the Kanemitsu prefix (M = 4) and the vertex-0/1
-  sections (M = N/i).  For m >= 2, F_N in (1/(m+1), 1/m] is
+  mirrored scans (M = 2) and the vertex-0/1 sections (M = N/i).  For
+  m >= 2, F_N in (1/(m+1), 1/m] is
   {k/(m*k + h) : h/k in F_{N//m} in [0, 1), m*k + h <= N}, so rows of m
   against one preimage, the half F_{N//M} in [0, 1/2] built by the same
   rows recursively and mirrored, give reduced pairs with no float and no
@@ -68,6 +68,10 @@ cuts them into fixed blocks; at each order, per-block counts give every
 block's ranks, hence float bounds on its members' deviations, and only the
 few blocks whose bounds reach the extremes are evaluated, those of many
 orders in one gather.
+
+The signed prefix up to 1/4 (`kanemitsu_sum`) is no scan: Mobius sums give
+each denominator's numerator sum, and their fold gives the reduction's D_k
+directly, for the same readers.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Rat
 from itertools import chain, islice
-from math import gcd, log
+from math import gcd, isqrt, log
 
 import numpy as np
 
@@ -89,6 +93,7 @@ from .totient import (
     build_totient_table,
     farey_cardinality,
     lcm_range,
+    mobius_upto,
 )
 
 DEFAULT_TERM_BUDGET = 100_000_000
@@ -380,16 +385,15 @@ def _slices(n: int, lo: Fraction, hi: Fraction, count: int):
 class _Reduction:
     """Running reductions of one scan, fed its chunks of members in rank order.
 
-    A term is dev/den with dev = |h*scale - j*k| at rank j, or the signed
-    h*scale - fixed_rank*k when a fixed rank is given (then no maximum is
-    kept, and no float term is formed).  den is k*scale.  A mirrored scan is
-    fed the members of F_n in [0, 1/2], with scale = |F_n|: each h/k at rank
-    j also stands for its mirror (k-h)/k at rank scale+1-j, whose signed
-    deviation (k-h)*scale - (scale+1-j)*k is -(h*scale - j*k) - k.  Below
-    _ORDER_CAP, |h*|F_n| - j*k| <= k*|F_n|/n <= |F_n| < 2**62 by the 1/n bound
-    (Dress; `kanemitsu_sum` bounds the signed ones), so dev is formed mod 2**64
-    in uint64 and read back as int64.  The float term dev/(k*float(scale)) is
-    within 3u of exact, or 4u once scale >= 2**53 (see _TERM_SLACK).
+    A term is dev/den with dev = |h*scale - j*k| at rank j and den = k*scale.
+    A mirrored scan is fed the members of F_n in [0, 1/2], with scale =
+    |F_n|: each h/k at rank j also stands for its mirror (k-h)/k at rank
+    scale+1-j, whose signed deviation (k-h)*scale - (scale+1-j)*k is
+    -(h*scale - j*k) - k.  Below _ORDER_CAP, |h*|F_n| - j*k| <= k*|F_n|/n <=
+    |F_n| < 2**62 by the 1/n bound (Dress), so h*scale - j*k is formed mod
+    2**64 in uint64 and read back as int64.  The float term
+    dev/(k*float(scale)) is within 3u of exact, or 4u once scale >= 2**53
+    (see _TERM_SLACK).
 
     With sums, the deviations are summed per denominator k into the int64
     D_k: with dense > 0 in `sums`, indexed by k, else in `keys` (the k seen,
@@ -400,10 +404,9 @@ class _Reduction:
     k + 1 terms of denominator k, D_k < (k + 2)*k < 2**63.
     """
 
-    def __init__(self, rank_lo: int, scale: int, fixed_rank: int | None, mirrored: bool, sums: bool, dense: int = 0):
+    def __init__(self, rank_lo: int, scale: int, mirrored: bool, sums: bool, dense: int = 0):
         self.terms = 0
         self.scale = scale
-        self.fixed_rank = fixed_rank
         self.mirrored = mirrored
         self.sums = np.zeros(dense, dtype=np.int64) if sums else None
         self.keys = np.empty(0, dtype=np.int64) if sums and not dense else None
@@ -440,13 +443,10 @@ class _Reduction:
             ]
         steps, js, wrapped, dev, terms = (a[:size] for a in self.work)
         np.add(steps, first, out=js)
-        # h*scale - j*k (or fixed_rank*k) mod 2**64, exact as int64 (see the class docstring)
+        # h*scale - j*k mod 2**64, exact as int64 (see the class docstring)
         np.multiply(hs.view(np.uint64), self.scale, out=wrapped)
-        wrapped -= np.multiply(js if self.fixed_rank is None else self.fixed_rank, ks.view(np.uint64), out=js)
+        wrapped -= np.multiply(js, ks.view(np.uint64), out=js)
         signed = wrapped.view(np.int64)
-        if self.fixed_rank is not None:
-            self._reduce(ks, signed)
-            return
         dev = np.abs(signed, out=dev)
         # js takes the float denominators once the products are used
         den = np.multiply(ks, float(self.scale), out=js.view(np.float64))
@@ -477,10 +477,9 @@ class _Reduction:
         is a float64 array of dev's size to compute the float terms in.
         """
         self.terms += dev.size
-        if self.fixed_rank is None:
-            den = np.multiply(ks, float(self.scale)) if den is None else den
-            for i in self._near_top(dev, den, out):
-                self._take(int(dev[i]), int(ks[i]) * self.scale, first_rank + step * i)
+        den = np.multiply(ks, float(self.scale)) if den is None else den
+        for i in self._near_top(dev, den, out):
+            self._take(int(dev[i]), int(ks[i]) * self.scale, first_rank + step * i)
         if self.sums is not None:
             self._group(ks, dev)
 
@@ -500,12 +499,12 @@ class _Reduction:
     def _group(self, ks: np.ndarray, dev: np.ndarray) -> None:
         """Add the terms into the D_k: by np.add.at, or grouped by k and merged into the sorted groups."""
         if self.dev_bound < 1 << 63:
-            self.dev_bound += max(int(dev.max(initial=0)), -int(dev.min(initial=0))) * dev.size
+            self.dev_bound += int(dev.max(initial=0)) * dev.size
             if self.dev_bound >= 1 << 63:
                 self._fold()
         if self.dev_bound >= 1 << 63:  # folded: dev = q*k + r, 0 <= r < k, adds r to D_k and q to `whole`
             whole, dev = np.divmod(dev, ks)
-            self.whole += int(whole.sum())  # each |q| <= 2*|F_n|/n + 1, or < |F_n| < 2**43 when signed
+            self.whole += int(whole.sum())  # each q <= 2*|F_n|/n + 1
         if self.keys is None:
             np.add.at(self.sums, ks, dev)
             return
@@ -599,20 +598,19 @@ def _scan(
     count: int,
     scale: int,
     sums: bool = True,
-    fixed_rank: int | None = None,
 ) -> _Reduction:
     """The deviation kernel over the `count` members of F_n in [lo, hi], from rank rank_lo.
 
-    Over the whole of F_n without a fixed rank (then scale = count = |F_n|),
-    only the (count+1)//2 members in [0, 1/2] are enumerated, and each is
-    reduced as itself and as its mirror.  Without sums, only the maximum is
-    kept.  The D_k are dense when 8*count >= n + 1: at most 64 bytes a term.
+    Over the whole of F_n (then scale = count = |F_n|), only the (count+1)//2
+    members in [0, 1/2] are enumerated, and each is reduced as itself and as
+    its mirror.  Without sums, only the maximum is kept.  The D_k are dense
+    when 8*count >= n + 1: at most 64 bytes a term.
     """
     if count < 1:
         raise PreconditionError(f"no F_{n} fractions in [{lo}, {hi}]")
-    mirrored = fixed_rank is None and lo == ZERO and hi == ONE
+    mirrored = lo == ZERO and hi == ONE
     dense = n + 1 if n + 1 <= 8 * count else 0
-    red = _Reduction(rank_lo, scale, fixed_rank, mirrored, sums, dense)
+    red = _Reduction(rank_lo, scale, mirrored, sums, dense)
     top, members = (_HALF, (count + 1) // 2) if mirrored else (hi, count)
     sliced = _path(n, lo, top, members) == "slices"
     for position, hs, ks in _members(n, lo, top, members):
@@ -644,14 +642,19 @@ def _franel_result(n: int, lo: Fraction, hi: Fraction, rank_lo: int, count: int,
     )
 
 
+def _check_order(n: int) -> None:
+    """Refuse orders from _ORDER_CAP, past the int64 domain of the deviation sums, before any table."""
+    if n >= _ORDER_CAP:
+        raise PreconditionError(f"order {n} is past the deviation kernel's int64 domain: it must be below {_ORDER_CAP}")
+
+
 def _window(n: int, lo: Fraction, hi: Fraction, table: TotientTable | None, term_budget: int):
     """(rank of lo, term count, |F_n|) of a scan over F_n in [lo, hi], checked before any term.
 
     The table comes first, so that its budget bounds n before rank_fast
     sieves mu up to n; then lo must be in F_n, and the count within term_budget.
     """
-    if n >= _ORDER_CAP:
-        raise PreconditionError(f"order {n} is past the deviation kernel's int64 domain: it must be below {_ORDER_CAP}")
+    _check_order(n)
     m = farey_cardinality(n, _table_for(n, table))
     if lo.den > n:
         raise PreconditionError(f"lo={lo} is not in F_{n}")
@@ -805,23 +808,87 @@ class KanemitsuResult:
     sum_float: float
 
 
+def _prefix_cells(n: int) -> float:
+    """About n*ln(n), the cells of `_prefix_sums(n)`: n/e for each squarefree e <= n."""
+    return n * log(max(n, 1))
+
+
+def _prefix_sums(n: int) -> np.ndarray:
+    """A_k, the sum of the h coprime to k with h/k <= 1/4, for k = 0..n as int64 (A_0 = 0).
+
+    The multiples of e in [0, k/4] add up to e*T(floor(k/(4e))), T(t) =
+    t*(t+1)/2, so by Mobius inversion A_k is the sum over e | k of
+    mu(e)*e*T(floor(k/(4e))).  At k = e*d, floor(k/(4e)) = floor(d/4): each
+    squarefree e <= sqrt(n) adds its terms at every multiple e*d as one
+    strided slice over d, and each d >= 4 (T vanishes below) adds them at
+    every e*d with e > sqrt(n) as one slice over e.  That is about 2*sqrt(n)
+    numpy steps over about n*ln(n) cells.  The terms of A_k add up in
+    absolute value to at most k*sigma(k)/32 + k*d(k)/8 < k**2 < 2**63 below
+    _ORDER_CAP, so every partial sum fits int64.
+    """
+    mu = mobius_upto(n)
+    root = isqrt(n)
+    tri = np.arange(n + 1, dtype=np.int64) // 4
+    tri *= tri + 1
+    tri //= 2  # T(floor(d/4)) at d
+    sums = tri.copy()  # e = 1
+    for e in (np.flatnonzero(mu[2 : root + 1]) + 2).tolist():
+        sums[e::e] += int(mu[e]) * e * tri[1 : n // e + 1]
+    weights = mu[root + 1 :] * np.arange(root + 1, n + 1)  # mu(e)*e for e > root
+    for d in range(4, n // (root + 1) + 1):
+        sums[(root + 1) * d :: d] += int(tri[d]) * weights[: n // d - root]
+    return sums
+
+
+def _signed_fold(sums: np.ndarray, m: int, prefix_rank: int) -> _Reduction:
+    """The reduction of the signed prefix up to 1/4, from its A_k = sums[k], with scale 2m.
+
+    Over denominator k the deviations h/k - R/(2m) (R = prefix_rank) add up
+    to D_k/(2m*k), with D_k = 2m*A_k - R*k*c_k and c_k the count of the h.
+    R*k*c_k is a multiple of k, and the c_k add up to R.  So with A_k = q*k +
+    a and 2m = s*k + t (0 <= a, t < k), D_k = W_k*k + r_k where r_k = t*a
+    mod k, and the W_k add up to W = 2m*sum(q) + sum(s*a + t*a // k) - R**2.
+    Below _ORDER_CAP t*a < k**2 < 2**63, and s*a + t*a // k = floor(2m*a/k)
+    < 2m < 2**63 is summed by 32-bit halves, a block of _SLICE_TERMS at a
+    time, into the Python int W.  The r_k and W are the reduction's folded
+    state, which its sum_exact and sum_float read.
+    """
+    red = _Reduction(1, 2 * m, False, True, sums.size)
+    red.whole = -prefix_rank * prefix_rank
+    for lo in range(1, sums.size, _SLICE_TERMS):
+        block = slice(lo, lo + _SLICE_TERMS)
+        ks = np.arange(lo, lo + sums[block].size, dtype=np.int64)
+        q, a = np.divmod(sums[block], ks)
+        s, t = np.divmod(2 * m, ks)
+        spill, red.sums[block] = np.divmod(t * a, ks)
+        spill += s * a
+        red.whole += 2 * m * int(q.sum()) + (int((spill >> 32).sum()) << 32) + int((spill & 0xFFFFFFFF).sum())
+    return red
+
+
 def kanemitsu_sum(
     n: int, table: TotientTable | None = None, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> KanemitsuResult:
-    """The signed deviation sum over the F_n prefix up to 1/4 (needs n >= 4 and (n + 4)*|F_n| < 2**65).
+    """The signed deviation sum over the F_n prefix up to 1/4 (needs n >= 4), from per-denominator sums.
 
-    h/k in [0, 1/4] deviates by 2*m*h - R*k in [-k*R, k*(m/2 - R)] (m = |F_n|,
-    R the rank of 1/4), and |R - m/4| <= m/n by the 1/n bound: so by at most
-    (n + 4)*m/4 < 2**63.  The first order refused, 4 951 187, has 1.86e12 terms.
+    No member is enumerated: `_prefix_sums` gives the numerators' sum A_k of
+    each denominator, `rank_fast` the rank R of 1/4, and `_signed_fold` the
+    folded D_k that a scan's reduction would hold, so sum_exact and sum_float
+    mean what they mean for a scan.  Orders from _ORDER_CAP are refused, then
+    the about n*ln(n) cells are checked against term_budget, all before the
+    table (see `_table_for`) and mu are sieved.
     """
     if n < 4:
         raise PreconditionError(f"the prefix sum needs n >= 4, got {n}")
-    table = _table_for(n, table)
-    if (n + 4) * farey_cardinality(n, table) >= 1 << 65:
-        raise PreconditionError(f"the prefix sum at order {n} needs (n + 4)*|F_n| < 2**65, for int64 deviations")
-    quarter = Fraction(1, 4)
-    _, prefix_rank, m = _window(n, ZERO, quarter, table, term_budget)
-    red = _scan(n, ZERO, quarter, 1, prefix_rank, 2 * m, fixed_rank=prefix_rank)
+    _check_order(n)
+    cells = _prefix_cells(n)
+    if cells > term_budget:
+        raise BudgetError(
+            f"signed prefix sum at order {n} needs about {cells:.3g} cells, over the term budget {term_budget}"
+        )
+    m = farey_cardinality(n, _table_for(n, table))
+    prefix_rank = rank_fast(n, Fraction(1, 4)).rank
+    red = _signed_fold(_prefix_sums(n), m, prefix_rank)
     exact = red.sum_exact() if prefix_rank <= EXACT_MODE_BUDGET else None
     return KanemitsuResult(n, prefix_rank, m, exact, red.sum_float(exact))
 

@@ -7,7 +7,7 @@ and the test reports that honestly instead of loosening the band.
 """
 
 from fractions import Fraction as Rat
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from math import gcd
 from random import Random
 
@@ -53,12 +53,39 @@ def test_criterion_02_spot_positions():
     report(2, True, "spot positions of 1/2, 1/3, 1/6 in F_6 match the brute listing")
 
 
-def _first_unequal(triples: list) -> int | None:
+def _first_unequal(triples) -> int | None:
     """The index of the first (lo, mid, hi) triple of (num, den) pairs whose three gcds differ, or None."""
-    pairs = list(chain.from_iterable(triples))
-    gcds = gcd_triples([num for num, _ in pairs], [den for _, den in pairs])
+    pairs = np.asarray(triples).reshape(-1, 2)
+    gcds = gcd_triples(pairs[:, 0], pairs[:, 1])
     bad = np.flatnonzero((gcds[:, 0] != gcds[:, 1]) | (gcds[:, 0] != gcds[:, 2]))
     return int(bad[0]) if bad.size else None
+
+
+def _random_pairs(seed: int, count: int) -> np.ndarray:
+    """The first count pairs (randint(0, 10_000), randint(1, 10_000)) of Random(seed), as a (count, 2) int32 array.
+
+    numpy's MT19937, set to Random(seed)'s state, replays its 32-bit words.
+    randint draws getrandbits(14), a word shifted right by 18, until it is in
+    range: a numerator takes the first r <= 10 000, a denominator the first
+    r < 10 000, plus 1.  So only a word r = 10 000 is read two ways: kept at
+    a numerator's turn, skipped at a denominator's.
+    """
+    _, state, _ = Random(seed).getstate()
+    bits = np.random.MT19937()
+    bits.state = {"bit_generator": "MT19937", "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]}}
+    # a word is in range with probability about 10 001/16 384: 2 % more words than expected suffice
+    words, chunks = 2 * count * 16_384 * 102 // (10_001 * 100) + 1000, []
+    for done in range(0, words, 1 << 20):
+        r = (bits.random_raw(min(1 << 20, words - done)) >> 18).astype(np.int32)
+        chunks.append(r[r <= 10_000])
+    draws = np.concatenate(chunks)
+    skipped = []
+    for i in np.flatnonzero(draws == 10_000).tolist():
+        if (i - len(skipped)) % 2:  # a denominator's turn
+            skipped.append(i)
+    draws = np.delete(draws, skipped)[: 2 * count]
+    assert draws.size == 2 * count
+    return draws.reshape(-1, 2) + np.array([0, 1], dtype=np.int32)
 
 
 def test_criterion_03_triple_gcd_identity():
@@ -70,25 +97,42 @@ def test_criterion_03_triple_gcd_identity():
         bad = _first_unequal([[(f.num, f.den) for f in triple] for triple in batch])
         assert bad is None, "counterexample: {}, {}, {}".format(*batch[bad])
         exhaustive += len(batch)
-    rng = Random(20260811)
-    randomized = 0
-    batch = []
-    while randomized < 1_000_000:
-        triple = []
-        while len(triple) < 3:
-            num, den = rng.randint(0, 10_000), rng.randint(1, 10_000)
-            g = gcd(num, den)
-            triple.append((num // g, den // g))
-        a, b, c = sorted(triple, key=lambda t: (t[0] / t[1], t[1]))
-        if a[0] * b[1] == b[0] * a[1] or b[0] * c[1] == c[0] * b[1]:
-            continue
-        batch.append((a, b, c))
-        randomized += 1
-        if len(batch) == _TRIPLES_PER_BATCH or randomized == 1_000_000:
-            bad = _first_unequal(batch)
-            assert bad is None, "counterexample: {}, {}, {}".format(*batch[bad])
-            batch = []
+    # Random(20260811)'s triples of three (numerator, denominator) draws, each
+    # reduced, sorted by (value, denominator), and dropped when two are equal;
+    # the first 10**6 kept, with room for the dropped ones
+    pairs = _random_pairs(20260811, 3 * 1_000_100)
+    pairs //= np.gcd(pairs[:, :1], pairs[:, 1:])
+    triples = pairs.reshape(-1, 3, 2)
+    order = np.lexsort((triples[..., 1], triples[..., 0] / triples[..., 1]))
+    triples = np.take_along_axis(triples, order[..., None], axis=1)
+    (a, b), (c, d), (e, f) = triples[:, 0].T, triples[:, 1].T, triples[:, 2].T
+    triples = triples[(a * d != c * b) & (c * f != e * d)][:1_000_000]
+    randomized = len(triples)
+    assert randomized == 1_000_000
+    for start in range(0, randomized, _TRIPLES_PER_BATCH):
+        batch = triples[start : start + _TRIPLES_PER_BATCH]
+        bad = _first_unequal(batch)
+        assert bad is None, "counterexample: {}, {}, {}".format(*batch[bad])
     report(3, True, f"0 counterexamples among {exhaustive} F_12 triples and {randomized} random triples")
+
+
+def test_random_pairs_replay_randint():
+    # the prefix holds a word r = 10 000 read at a numerator's turn (pair 6073)
+    # and one skipped at a denominator's (pair 932)
+    class Recorded(Random):
+        def __init__(self, seed):
+            self.drawn = []
+            super().__init__(seed)
+
+        def getrandbits(self, k):
+            self.drawn.append(super().getrandbits(k))
+            return self.drawn[-1]
+
+    rng = Recorded(20260811)
+    want = [[rng.randint(0, 10_000), rng.randint(1, 10_000)] for _ in range(10_000)]
+    assert _random_pairs(20260811, 10_000).tolist() == want
+    kept = sum(num == 10_000 for num, _ in want)
+    assert kept > 0 and rng.drawn.count(10_000) > kept
 
 
 def _all_map_params():

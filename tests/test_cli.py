@@ -444,6 +444,26 @@ class TestWorkBudgets:
         assert "1e+03 sieve entries, over budget 1000" in capsys.readouterr().err
         assert run_cli([*argv, "1000"]) == (0, "101401\n")
 
+    def test_kanemitsu_at_a_million_within_the_default_budgets(self):
+        # its 7.6e10 terms are past any enumeration; its about 1.38e7 cells are not
+        code, out = run_cli(["franel", "--order", "1000000", "--kanemitsu", "--format", "json", "--precision", "17"])
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["prefix_rank"] == "75990888179"
+        assert float(row["sum_float"]) == franel.kanemitsu_sum(10**6).sum_float
+
+    def test_kanemitsu_is_budgeted_in_cells_before_any_sieve(self, monkeypatch, capsys):
+        # 10**6 * ln(10**6) = 13 815 510.6 cells
+        for module in (cli, franel):
+            monkeypatch.setattr(module, "build_totient_table", Mock(side_effect=AssertionError("sieved")))
+        for module in (franel, totient):
+            monkeypatch.setattr(module, "mobius_upto", Mock(side_effect=AssertionError("sieved mu")))
+        argv = ["franel", "--order", "1000000", "--kanemitsu", "--term-budget", "13815510"]
+        assert run_cli(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("farey: error: ")
+        assert "1.38e+07 cells" in err and "budget 13815510" in err
+
     def test_exhaustive_triples_are_counted_after_the_window(self, monkeypatch, capsys):
         def refuse(*triple):
             raise AssertionError("a triple was checked over the budget")

@@ -1,4 +1,5 @@
 import tracemalloc
+from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction as Rat
 from itertools import islice
@@ -25,7 +26,7 @@ from fareysums.franel import (
     vertex_partial_sum,
 )
 from fareysums.mapping import MapParams
-from fareysums.totient import DEFAULT_TABLE_LIMIT, THREE_OVER_PI_SQ, build_totient_table
+from fareysums.totient import DEFAULT_TABLE_LIMIT, THREE_OVER_PI_SQ, build_totient_table, mobius_upto
 from oracles import brute_deviation_sum, brute_farey, stream_deviations
 
 # chunk sizes from a few terms, so that chunk boundaries (and exact ties of
@@ -80,14 +81,14 @@ def _grouping(dense: int, folded: bool = False):
         yield
 
 
-def _first_order(bound: int, pad: int = 0) -> int:
-    """The least n with (n + pad)*|F_n| >= bound, by binary search with rank_fast(n, 1/1) = |F_n|."""
+def _first_order(bound: int) -> int:
+    """The least n with n*|F_n| >= bound, by binary search with rank_fast(n, 1/1) = |F_n|."""
     # |F_n| is about 3*n**2/pi**2, so 1.01 times the root of that estimate is past the answer
     below, above = 1, int(1.01 * (bound / THREE_OVER_PI_SQ) ** (1 / 3))
-    assert (above + pad) * rank_fast(above, ONE).rank >= bound
+    assert above * rank_fast(above, ONE).rank >= bound
     while above - below > 1:
         mid = (below + above) // 2
-        if (mid + pad) * rank_fast(mid, ONE).rank >= bound:
+        if mid * rank_fast(mid, ONE).rank >= bound:
             above = mid
         else:
             below = mid
@@ -175,9 +176,7 @@ class TestFullSum:
         assert result.sum_exact is None
         assert result.sum_float > 0
 
-    @pytest.mark.parametrize(
-        "scan,hi", [(full_franel_sum, ONE), (dress_scan, ONE), (kanemitsu_sum, Fraction(1, 4))]
-    )
+    @pytest.mark.parametrize("scan,hi", [(full_franel_sum, ONE), (dress_scan, ONE)])
     def test_term_budget(self, scan, hi):
         count = rank_fast(100, hi).rank
         with patch.object(franel, "_members", side_effect=AssertionError("enumerated")):
@@ -386,6 +385,21 @@ class TestKanemitsu:
         with pytest.raises(PreconditionError):
             kanemitsu_sum(3)
 
+    def test_enumerates_nothing(self):
+        with patch.object(franel, "_members", side_effect=AssertionError("enumerated")), \
+                patch.object(franel, "iter_window", side_effect=AssertionError("streamed")):
+            got = kanemitsu_sum(2520)
+        assert got.prefix_rank == 482_613
+
+    def test_term_budget_counts_cells_before_any_sieve(self):
+        # n*ln(n) cells: about 460.5 at n = 100
+        with patch.object(franel, "build_totient_table", side_effect=AssertionError("sieved")), \
+                patch.object(franel, "mobius_upto", side_effect=AssertionError("sieved mu")), \
+                patch.object(franel, "rank_fast", side_effect=AssertionError("ranked")):
+            with pytest.raises(BudgetError, match="order 100 needs about 461 cells, over the term budget 460$"):
+                kanemitsu_sum(100, term_budget=460)
+        assert kanemitsu_sum(100, term_budget=461).prefix_rank == rank_fast(100, Fraction(1, 4)).rank
+
 
 class TestDress:
     def test_order_six(self):
@@ -583,12 +597,14 @@ class TestOneAccumulator:
         st.sampled_from(["dense", "sorted", "folded"]),
     )
     def test_sum_float_is_the_float_of_the_exact_sum(self, data, n, kind, size, path, grouping):
-        n = max(n, 4) if kind == "kanemitsu" else n
         lo = data.draw(_fraction(n))
         hi = data.draw(_fraction(n, at_least=lo))
-        with _enumeration(path, _slice_size(size, rank_fast(n, ONE).rank)), \
-                _grouping(n + 1 if grouping == "dense" else 0, grouping == "folded"):
-            exact, got = self._sums(n, kind, lo, hi)
+        if kind == "kanemitsu":  # not a scan: no enumeration or grouping reaches its sums
+            exact, got = self._sums(max(n, 4), kind, lo, hi)
+        else:
+            with _enumeration(path, _slice_size(size, rank_fast(n, ONE).rank)), \
+                    _grouping(n + 1 if grouping == "dense" else 0, grouping == "folded"):
+                exact, got = self._sums(n, kind, lo, hi)
         assert got == float(exact)
 
     @pytest.mark.parametrize("kind", ["window", "whole", "kanemitsu"])
@@ -661,11 +677,9 @@ class TestKernelAgainstStream:
         assert report.bound_ok == (dev * n <= den)
 
     @settings(deadline=None, max_examples=40)
-    @given(st.integers(4, 300), _slice_sizes, _paths)
-    def test_prefix_sums(self, n, size, path):
-        count = rank_fast(n, Fraction(1, 4)).rank
-        with _enumeration(path, _slice_size(size, count)):
-            got = kanemitsu_sum(n)
+    @given(st.integers(4, 300))
+    def test_prefix_sums(self, n):
+        got = kanemitsu_sum(n)
         r, m = got.prefix_rank, got.cardinality
         assert (r, m) == (rank_fast(n, Fraction(1, 4)).rank, rank_fast(n, ONE).rank)
         want = stream_deviations(n, ZERO, Fraction(1, 4), 1, 2 * m, EXACT_MODE_BUDGET, fixed_rank=r)
@@ -740,7 +754,7 @@ class TestMirroredScans:
     def test_max_ties_go_to_the_earliest_rank_in_any_arrival_order(self):
         # a chunk's mirrors arrive at descending ranks, before the next chunk's
         # members at lower ranks; no whole-sequence maximum ties below n = 1200
-        red = franel._Reduction(1, 10, None, True, True)
+        red = franel._Reduction(1, 10, True, True)
         ks = np.ones(2, dtype=np.int64)
         red._reduce(ks, np.array([3, 3]), 9, -1)
         assert red.best_rank == 8
@@ -748,7 +762,7 @@ class TestMirroredScans:
         assert (red.best_dev, red.best_den, red.best_rank) == (3, 10, 4)
         # rows hand whole chunks over from the top down: 3/10 at ranks 5 and
         # 6, then again at rank 2
-        red = franel._Reduction(1, 10, None, False, True)
+        red = franel._Reduction(1, 10, False, True)
         red.add(5, np.array([8, 9]), np.array([10, 10]))
         assert (red.best_dev, red.best_den, red.best_rank) == (30, 100, 5)
         red.add(1, np.array([0, 5]), np.array([1, 10]))
@@ -766,7 +780,7 @@ class TestMirroredScans:
         scale, j = 10 * c, (5 * h * c + 1) // 2
         hs, ks = [t * h], [4 * t]
         assert wrapping == (hs[0] * scale >= 1 << 64 and j * ks[0] >= 1 << 64)
-        red = franel._Reduction(1, scale, None, True, True)
+        red = franel._Reduction(1, scale, True, True)
         red.add(j, np.array(hs), np.array(ks))
         best, terms, total = _python_int_reduction([(j, hs, ks)], scale, True)
         assert (red.best_dev, red.best_den, red.best_rank) == best == (2 * t, 4 * t * scale, min(j, scale + 1 - j))
@@ -785,7 +799,7 @@ class TestMirroredScans:
         j = twice // (2 * den)
         assert 0 < twice - 2 * j * den < den
         assert wrapping == (min(hs) * scale >= 1 << 64 and j * min(ks) >= 1 << 64)
-        red = franel._Reduction(1, scale, None, True, False)
+        red = franel._Reduction(1, scale, True, False)
         red.add(j, np.array(hs), np.array(ks))
         best, _, _ = _python_int_reduction([(j, hs, ks)], scale, True)
         assert (red.best_dev, red.best_den, red.best_rank) == best
@@ -798,7 +812,7 @@ class TestMirroredScans:
         # |h*scale - j*k| <= scale/2 while h*scale and j*k pass 2**64; their
         # sum passes 2**63 in the first chunk, so the D_k are folded there
         scale, rng = 10 * _WRAP_C, Random(19)
-        red = franel._Reduction(1, scale, None, mirrored, True)
+        red = franel._Reduction(1, scale, mirrored, True)
         chunks = []
         for first, size in ((scale // 3, 40), (2 * scale // 7 - 50, 50), (scale // 3 + 40, 30)):
             ks = [rng.randint(12, 10_000) for _ in range(size)]
@@ -836,13 +850,13 @@ class TestExactSum:
     """The per-denominator exact sum, fed to _Reduction directly, against sum(Rat(d, k*scale))."""
 
     @staticmethod
-    def _fed(chunks, scale=1, fixed_rank=None, folded=False, dense=0):
+    def _fed(chunks, scale=1, folded=False, dense=0):
         """A reduction keeping the D_k, fed (ks, devs) chunks, and the sum of its terms.
 
         folded starts its bound on sum|dev| at 2**63 - 1, as `_grouping` does.
         Both of its sums are checked against that sum on the way.
         """
-        red = franel._Reduction(1, scale, fixed_rank, False, True, dense)
+        red = franel._Reduction(1, scale, False, True, dense)
         red.dev_bound = (1 << 63) - 1 if folded else 0
         for ks, devs in chunks:
             red._reduce(np.array(ks, dtype=np.int64), np.array(devs, dtype=np.int64))
@@ -872,15 +886,6 @@ class TestExactSum:
         # first, and stay int64 and exact
         red, _ = self._fed(terms + [([3], [2])], dense=dense)
         assert red.dev_bound == 2**63 + 1 and red.sums.dtype == np.int64
-
-    @pytest.mark.parametrize("dense", [0, 10])
-    @pytest.mark.parametrize("folded", [False, True])
-    def test_signed_deviations_with_a_negative_whole_part(self, folded, dense):
-        # D_7 = -75 = -11*7 + 2: floor division keeps every remainder in [0, k),
-        # of the D_k and, folded, of each deviation
-        chunks = [([7, 4, 9], [-30, 3, -100]), ([7, 1], [-45, -9])]
-        red, want = self._fed(chunks, scale=10, fixed_rank=3, folded=folded, dense=dense)
-        assert want < -1
 
     def test_a_near_tie_falls_back_to_the_exact_sum(self):
         # r/p over four primes below 2**31 (r by the CRT) add up to 2 + 1/P,
@@ -956,7 +961,7 @@ class TestExactSum:
     def test_fold_reads_a_dense_state_a_block_at_a_time(self):
         # 10**6 nonzero D_k: a fold in one block would hold five int64 arrays of them (40 MB)
         n = 10**6
-        red = franel._Reduction(1, 1, None, False, True, n + 1)
+        red = franel._Reduction(1, 1, False, True, n + 1)
         red.sums[1:] = np.random.default_rng(1).integers(1, 1 << 62, n) * np.where(np.arange(n) % 3, 1, -1)
         want = np.frompyfunc(divmod, 2, 2)(red.sums[1:].astype(object), np.arange(1, n + 1).astype(object))
         tracemalloc.start()
@@ -1035,13 +1040,17 @@ class TestRows:
         assert (full.sum_float.hex(), full.max_term.hex()) == (sum_float, max_term)
 
     @pytest.mark.parametrize(
-        "n,prefix_rank,sum_float", [(2520, 482_613, "0x1.3cf2a89c2abd7p-1"), (5040, 1_930_416, "0x1.6d574a8e75223p+0")]
+        "n,prefix_rank,sum_float",
+        [
+            (2520, 482_613, "0x1.3cf2a89c2abd7p-1"),
+            (5040, 1_930_416, "0x1.6d574a8e75223p+0"),
+            (20_000, 30_397_613, "0x1.8a119c8b11346p-3"),
+            (50_000, 189_981_067, "0x1.9466efbc11b8bp-1"),
+        ],
     )
     def test_kanemitsu_sums_keep_every_bit(self, n, prefix_rank, sum_float):
-        # the correctly rounded exact sums
-        with patch.object(franel, "_rows", wraps=franel._rows) as rows:
-            got = kanemitsu_sum(n)
-        assert rows.call_args_list[0].args == (n, 4)
+        # the correctly rounded exact sums, as the kernel's enumeration of the prefix gave them
+        got = kanemitsu_sum(n)
         assert (got.prefix_rank, got.sum_float.hex()) == (prefix_rank, sum_float)
 
     def test_vertex_zero_section_keeps_every_bit(self):
@@ -1092,7 +1101,7 @@ class TestEnumerationChoice:
 
         half = Fraction(1, 2)
         assert path(2520, ZERO, half) == "rows"  # a whole scan
-        assert path(2520, ZERO, Fraction(1, 4)) == "rows"  # kanemitsu_sum's prefix
+        assert path(2520, ZERO, Fraction(1, 4)) == "rows"  # the prefix to 1/4
         assert path(27_720, ZERO, Fraction(1, 2310)) == "rows"  # the 0/1 section at i = 12
         assert path(12, ZERO, half) == "stream"  # full_franel_sum(12) stays streamed
         # at 300 the recursion's fixed cost outweighs what rows save per member
@@ -1147,7 +1156,7 @@ class TestEnumerationChoice:
 class TestInt64Margin:
     @pytest.fixture(scope="class")
     def table(self):
-        return build_totient_table(_first_order(1 << 65, pad=4))
+        return build_totient_table(_first_order(1 << 63))
 
     def test_tiny_windows_either_side_of_two_to_the_63(self, table):
         # every h*|F_n| and j*k is below n*|F_n|; from the first order where
@@ -1164,15 +1173,51 @@ class TestInt64Margin:
                 want = stream_deviations(n, lo, hi, result.rank_lo, m, EXACT_MODE_BUDGET)
                 _assert_matches_stream(result, want)
 
-    def test_kanemitsu_sum_refuses_orders_past_its_bound(self, table):
-        # signed deviations reach (n + 4)*|F_n|/4, which must stay below 2**63
-        first = _first_order(1 << 65, pad=4)
-        assert first == table.limit
-        with pytest.raises(BudgetError, match="over the term budget 10"):
-            kanemitsu_sum(first - 1, table, term_budget=10)
-        with patch.object(franel, "_window", side_effect=AssertionError("ranked")), \
-                pytest.raises(PreconditionError, match=r"needs \(n \+ 4\)\*\|F_n\| < 2\*\*65"):
-            kanemitsu_sum(first, table, term_budget=10)
+    def test_kanemitsu_sum_refuses_orders_from_the_cap_before_any_sieve(self):
+        cap = franel._ORDER_CAP
+        with pytest.raises(BudgetError, match=f"table limit {cap - 1} exceeds budget"):
+            kanemitsu_sum(cap - 1, term_budget=10**12)
+        with patch.object(franel, "build_totient_table", side_effect=AssertionError("sieved")), \
+                patch.object(franel, "mobius_upto", side_effect=AssertionError("sieved mu")), \
+                pytest.raises(PreconditionError, match="int64 domain"):
+            kanemitsu_sum(cap, term_budget=10**12)
+
+    def test_signed_fold_from_the_first_order_past_int64_products(self):
+        # from the first order where 2*|F_n|*max A_k reaches 2**63, the D_k =
+        # 2*|F_n|*A_k - R*k*c_k can no longer be formed in int64; the fold must
+        # still give their whole parts' sum and remainders mod k exactly
+        top = 160_000
+        sums = franel._prefix_sums(top)
+        table = build_totient_table(top)
+        peaks = np.maximum.accumulate(sums).tolist()
+        n = bisect_left(range(top + 1), True, key=lambda n: 2 * (1 + int(table.phi_sum[n])) * peaks[n] >= 1 << 63)
+        assert 0 < n < top
+        m, r = 1 + int(table.phi_sum[n]), rank_fast(n, Fraction(1, 4)).rank
+        # c_k and A_k by the Mobius sums over every e, one slice each
+        mu = mobius_upto(n)
+        counts, totals = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
+        for e in np.flatnonzero(mu).tolist():
+            quarters = np.arange(1, n // e + 1) // 4
+            counts[e::e] += int(mu[e]) * (quarters + 1)
+            totals[e::e] += int(mu[e]) * e * (quarters * (quarters + 1) // 2)
+        assert np.array_equal(totals, sums[: n + 1]) and int(counts.sum()) == r
+        whole, rems = 0, [0]
+        for k, (c, a) in enumerate(zip(counts[1:].tolist(), totals[1:].tolist()), start=1):
+            w, rem = divmod(2 * m * a - r * k * c, k)
+            whole += w
+            rems.append(rem)
+        red = franel._signed_fold(sums[: n + 1], m, r)
+        assert red.whole == whole and red.sums.tolist() == rems
+
+    def test_signed_fold_sums_its_whole_parts_past_int64(self):
+        # with |F_n| near 2**62, as near the cap, each floor(2*|F_n|*a/k) is
+        # near 2**63, and a block of them adds up far past int64
+        n, m, r = 70_000, (1 << 62) - 57, 12_345_678_901
+        sums = np.random.default_rng(7).integers(0, np.arange(n + 1) ** 2 // 32 + 1)
+        red = franel._signed_fold(sums, m, r)
+        pairs = [divmod(2 * m * a, k) for k, a in enumerate(sums.tolist()) if k]
+        assert red.whole == sum(w for w, _ in pairs) - r * r
+        assert red.sums.tolist() == [0] + [rem for _, rem in pairs]
 
     def test_orders_from_the_cap_are_refused_before_any_table(self):
         # below the cap |F_n| <= 1 + n*(n + 1)/2 < 2**62 and a folded D_k < (k + 2)*k < 2**63
