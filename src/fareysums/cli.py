@@ -29,7 +29,7 @@ from .franel import (
     DEFAULT_TERM_BUDGET,
     _prefix_cells,
     _section,
-    _sweep_block,
+    _sweep_cells,
     dress_scan,
     dress_scan_sweep,
     full_franel_sum,
@@ -42,7 +42,7 @@ from .mapping import (
     MapParams, build_f_prime, cardinality_relation, forward_map, inverse_map, make_params, map_window,
 )
 from .totient import (
-    DEFAULT_TABLE_LIMIT, THREE_OVER_PI_SQ, build_totient_table, error_term_rows, farey_cardinality, lcm_range,
+    DEFAULT_TABLE_LIMIT, build_totient_table, error_term_rows, farey_cardinality, lcm_range,
 )
 
 
@@ -371,13 +371,14 @@ def _cmd_franel(args, config: Config, out: _Output) -> int:
     if args.kanemitsu and (args.lo, args.hi) != (None, None):
         raise _UsageError("--kanemitsu sums the prefix up to 1/4 and takes no --lo or --hi")
     if args.kanemitsu:
-        # its per-denominator sums are budgeted in cells, before any sieve
+        # its per-denominator sums are budgeted in cells, before any sieve; the table is
+        # handed over unnamed, so that it is freed once kanemitsu_sum has read |F_N|
         _within_budget(f"signed prefix sum at order {args.order}", _prefix_cells(args.order), "cells",
                        config.term_budget)
-    table = build_totient_table(args.order, budget=config.table_limit)
-    if args.kanemitsu:
-        result = kanemitsu_sum(args.order, table, term_budget=config.term_budget)
+        result = kanemitsu_sum(args.order, build_totient_table(args.order, budget=config.table_limit),
+                               term_budget=config.term_budget)
     else:
+        table = build_totient_table(args.order, budget=config.table_limit)
         lo = ZERO if args.lo is None else args.lo
         hi = ONE if args.hi is None else args.hi
         result = partial_franel_sum_range(args.order, lo, hi, None, table, term_budget=config.term_budget)
@@ -415,11 +416,7 @@ def _cmd_growth(args, config: Config, out: _Output) -> int:
 def _cmd_dress(args, config: Config, out: _Output) -> int:
     if args.sweep_to is not None:
         n = args.sweep_to
-        # the sweep holds the about 3n^2/(2pi^2) members of F_n in [0, 1/2] and passes over
-        # their blocks of _sweep_block(n) once per order
-        held = THREE_OVER_PI_SQ * n * n / 2
-        steps = held + (n - 1) * held / _sweep_block(n)
-        _within_budget(f"dress sweep to order {n}", steps, "block steps", config.term_budget)
+        _within_budget(f"dress sweep to order {n}", _sweep_cells(n), "cells", config.term_budget)
         sweep = dress_scan_sweep(n, build_totient_table(n, budget=config.table_limit))
         out.table(
             ["n_max", "all_ok", "violations", "worst_ratio", "worst_order"],

@@ -35,10 +35,10 @@ reduces the terms, chunk by chunk in any order and in work arrays, to:
 
 - the exact maximum and its earliest rank: a float prefilter (3u, or 4u once
   M >= 2**53) keeps the terms near the largest, and Python ints recheck them;
-- for scans that report a sum, one running int64 sum D_k of the integer
-  deviations per denominator k: dense (np.add.at into n + 1 entries) when
-  the scan holds at least (n + 1)/8 terms, else sorted groups, one per k
-  seen, so a tiny window at a large order costs only its members.
+- one running int64 sum D_k of the integer deviations per denominator k:
+  dense (np.add.at into n + 1 entries) when the scan holds at least
+  (n + 1)/8 terms, else sorted groups, one per k seen, so a tiny window at
+  a large order costs only its members.
 
 With D_k = W_k*k + r_k, 0 <= r_k < k and W the sum of the W_k, the sum is
 (W + sum_k r_k/k)/M.  The fold, sum_float and sum_exact all read the D_k
@@ -62,12 +62,19 @@ of the whole of F_N enumerates only its (m+1)//2 members in [0, 1/2] and
 reduces each h/k at rank j as itself and as (k-h)/k at rank m+1-j (1/2
 once), both in one pass over the chunk.  The mirror's integer pair is the
 one a direct enumeration would give, so every term, and so every
-reduction, is the same.  The order sweep of the 1/N bound builds the
-members of F_{n_max} in [0, 1/2] once, by rows, and mirrors them too.  It
-cuts them into fixed blocks; at each order, per-block counts give every
-block's ranks, hence float bounds on its members' deviations, and only the
-few blocks whose bounds reach the extremes are evaluated, those of many
-orders in one gather.
+reduction, is the same.
+
+The largest deviation of F_N needs no sum: (N-1)/N at rank |F_N| - 1
+deviates by exactly c = 1/N - 1/|F_N|, so only the members of [0, 1/2]
+whose deviation d has d >= c - 1/|F_N| or d <= -c can hold it, as
+themselves or mirrored.  A float filter against these two thresholds,
+widened by the float slack, keeps them, and Python ints recheck them
+(`_reaching`).  `dress_scan` filters the half chunk by chunk.  The order
+sweep of the 1/N bound builds the members of F_{n_max} in [0, 1/2] once, by
+rows, and cuts them into fixed blocks; a pass over a batch of orders by all
+blocks takes every block's ranks from its counts, hence float bounds on
+its members' terms, and only the few blocks whose bounds pass a threshold
+are evaluated.
 
 The signed prefix up to 1/4 (`kanemitsu_sum`) is no scan: Mobius sums give
 each denominator's numerator sum, and their fold gives the reduction's D_k
@@ -79,7 +86,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Rat
 from itertools import chain, islice
-from math import gcd, isqrt, log
+from math import ceil, gcd, isqrt, log
 
 import numpy as np
 
@@ -126,8 +133,8 @@ _ROW_CAP = 1 << 20
 # one rounding each for dev, k*float(scale) and the quotient; 4u once scale >=
 # 2**53, where float(scale) rounds too.  Every exact maximum and tie is then
 # within 8u (and a hair) of the largest float, so every float within 16u of it
-# is rechecked in Python ints.  The sweep's terms are within 3u absolutely, and
-# it uses the same slack for its members and for the float bounds of its blocks.
+# is rechecked in Python ints.  The Dress maxima's terms and thresholds are each
+# within 4u absolutely, and they widen the thresholds by the same slack (`_reaching`).
 _TERM_SLACK = 2.0**-49
 # base-2**32 digits of each r_k/k that sum_float adds before its interval check
 _DIGITS = 3
@@ -395,8 +402,8 @@ class _Reduction:
     dev/(k*float(scale)) is within 3u of exact, or 4u once scale >= 2**53
     (see _TERM_SLACK).
 
-    With sums, the deviations are summed per denominator k into the int64
-    D_k: with dense > 0 in `sums`, indexed by k, else in `keys` (the k seen,
+    The deviations are summed per denominator k into the int64 D_k: with
+    dense > 0 in `sums`, indexed by k, else in `keys` (the k seen,
     ascending) and their `sums`, which the chunks in `pending` join once they
     hold as many terms.  Once dev_bound (at least the sum of every |dev|
     grouped) reaches 2**63, each D_k = W_k*k + r_k keeps only r_k, W_k goes
@@ -404,12 +411,12 @@ class _Reduction:
     k + 1 terms of denominator k, D_k < (k + 2)*k < 2**63.
     """
 
-    def __init__(self, rank_lo: int, scale: int, mirrored: bool, sums: bool, dense: int = 0):
+    def __init__(self, rank_lo: int, scale: int, mirrored: bool, dense: int = 0):
         self.terms = 0
         self.scale = scale
         self.mirrored = mirrored
-        self.sums = np.zeros(dense, dtype=np.int64) if sums else None
-        self.keys = np.empty(0, dtype=np.int64) if sums and not dense else None
+        self.sums = np.zeros(dense, dtype=np.int64)
+        self.keys = None if dense else np.empty(0, dtype=np.int64)
         self.pending: list[tuple[np.ndarray, np.ndarray]] = []  # (ks, dev) of chunks not merged yet
         self.pending_size = 0
         self.whole = 0  # the whole parts W_k carried out of the D_k
@@ -462,10 +469,9 @@ class _Reduction:
             q = int(ks[i]) * self.scale
             self._take(int(dev[i]), q, first + i)
             self._take(int(mirror[i]), q, self.scale + 1 - first - i)
-        if self.sums is not None:
-            if half:
-                mirror[-1] = 0
-            self._group(ks, np.add(dev, mirror, out=dev))
+        if half:
+            mirror[-1] = 0
+        self._group(ks, np.add(dev, mirror, out=dev))
 
     def _reduce(
         self, ks: np.ndarray, dev: np.ndarray, first_rank: int = 0, step: int = 0,
@@ -480,8 +486,7 @@ class _Reduction:
         den = np.multiply(ks, float(self.scale)) if den is None else den
         for i in self._near_top(dev, den, out):
             self._take(int(dev[i]), int(ks[i]) * self.scale, first_rank + step * i)
-        if self.sums is not None:
-            self._group(ks, dev)
+        self._group(ks, dev)
 
     @staticmethod
     def _near_top(dev: np.ndarray, den: np.ndarray, out: np.ndarray | None) -> list[int]:
@@ -569,8 +574,12 @@ class _Reduction:
     def sum_float(self, exact: Rat | None = None) -> float:
         """(W + sum_k r_k/k) / scale, correctly rounded, from _DIGITS base-2**32 digits of each r_k/k.
 
-        Where they cannot decide, `exact` does, or sum_exact() when not given.
+        A given `exact` is the answer at once: int / int rounds correctly, so
+        its float is the same.  Where the digits cannot decide, sum_exact()
+        does.
         """
+        if exact is not None:
+            return float(exact)
         total, live = 0, 0
         for rems, ks in self._remainders():
             if ks.size and int(ks[-1]) >= 1 << 31:
@@ -587,7 +596,7 @@ class _Reduction:
             low, high = total / den, (total + live) / den
             if low == high:
                 return low
-        return float(self.sum_exact() if exact is None else exact)
+        return float(self.sum_exact())
 
 
 def _scan(
@@ -597,20 +606,19 @@ def _scan(
     rank_lo: int,
     count: int,
     scale: int,
-    sums: bool = True,
 ) -> _Reduction:
     """The deviation kernel over the `count` members of F_n in [lo, hi], from rank rank_lo.
 
     Over the whole of F_n (then scale = count = |F_n|), only the (count+1)//2
     members in [0, 1/2] are enumerated, and each is reduced as itself and as
-    its mirror.  Without sums, only the maximum is kept.  The D_k are dense
-    when 8*count >= n + 1: at most 64 bytes a term.
+    its mirror.  The D_k are dense when 8*count >= n + 1: at most 64 bytes a
+    term.
     """
     if count < 1:
         raise PreconditionError(f"no F_{n} fractions in [{lo}, {hi}]")
     mirrored = lo == ZERO and hi == ONE
     dense = n + 1 if n + 1 <= 8 * count else 0
-    red = _Reduction(rank_lo, scale, mirrored, sums, dense)
+    red = _Reduction(rank_lo, scale, mirrored, dense)
     top, members = (_HALF, (count + 1) // 2) if mirrored else (hi, count)
     sliced = _path(n, lo, top, members) == "slices"
     for position, hs, ks in _members(n, lo, top, members):
@@ -853,7 +861,7 @@ def _signed_fold(sums: np.ndarray, m: int, prefix_rank: int) -> _Reduction:
     time, into the Python int W.  The r_k and W are the reduction's folded
     state, which its sum_exact and sum_float read.
     """
-    red = _Reduction(1, 2 * m, False, True, sums.size)
+    red = _Reduction(1, 2 * m, False, sums.size)
     red.whole = -prefix_rank * prefix_rank
     for lo in range(1, sums.size, _SLICE_TERMS):
         block = slice(lo, lo + _SLICE_TERMS)
@@ -887,6 +895,7 @@ def kanemitsu_sum(
             f"signed prefix sum at order {n} needs about {cells:.3g} cells, over the term budget {term_budget}"
         )
     m = farey_cardinality(n, _table_for(n, table))
+    del table  # only |F_n| is read: the sums below do not hold the table
     prefix_rank = rank_fast(n, Fraction(1, 4)).rank
     red = _signed_fold(_prefix_sums(n), m, prefix_rank)
     exact = red.sum_exact() if prefix_rank <= EXACT_MODE_BUDGET else None
@@ -909,17 +918,59 @@ class DressReport:
     rank2_term: float
 
 
+def _reaching(n, m):
+    """Float thresholds (high, low) of order n, |F_n| = m: a member whose float term t has low < t < high holds no maximum.
+
+    (n-1)/n at rank m-1 deviates by exactly c = 1/n - 1/m, so the maximum
+    of F_n is at least c.  A member of [0, 1/2] at rank r with d = h/k - r/m
+    deviates by |d|, and its mirror at rank m+1-r by |d + 1/m|: the larger
+    reaches c only if d >= c - 1/m or d <= -c.  t = fl(fl(h/k) - fl(r/m)) is
+    within 4u of d (u = 2**-53), and each float threshold within 4u of its
+    own, so widened by _TERM_SLACK = 16u they let every such member through.
+    The bound c is a member's exact deviation: Dress's 1/n is never assumed.
+    n and m may be arrays, which broadcast.
+    """
+    return 1 / n - 2 / m - _TERM_SLACK, 1 / m - 1 / n + _TERM_SLACK
+
+
+def _mirrored(h: int, k: int, r: int, m: int):
+    """The exact (dev, rank) pairs, dev over k*m, of h/k at rank r of F_N (|F_N| = m) and of its mirror (k-h)/k at rank m+1-r."""
+    return (abs(h * m - r * k), r), (abs((k - h) * m - (m + 1 - r) * k), m + 1 - r)
+
+
 def dress_scan(
     n: int,
     table: TotientTable | None = None,
     term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> DressReport:
-    """Scan every term of F_n for the maximum deviation and the 1/n bound."""
+    """Scan every term of F_n for the maximum deviation and the 1/n bound.
+
+    The members of F_n in [0, 1/2] come in chunks by `_members` (rows where
+    they serve), each member standing for itself and its mirror.  Only those
+    whose float term passes `_reaching`'s thresholds can hold the maximum;
+    they are rechecked in Python ints, as themselves and mirrored, and exact
+    ties go to the earliest rank.
+    """
     _, m, _ = _window(n, ZERO, ONE, table, term_budget)
-    red = _scan(n, ZERO, ONE, 1, m, m, sums=False)
-    ok = red.best_dev * n <= red.best_den  # the bound holds for every term iff for the largest
+    half = (m + 1) // 2
+    high, low = _reaching(n, m)
+    best_dev, best_den, best_rank = 0, 1, 1
+    enumerated = 0
+    for position, hs, ks in _members(n, ZERO, _HALF, half):
+        enumerated += hs.size
+        ranks = np.arange(position + 1, position + 1 + hs.size)
+        terms = np.divide(hs, ks)
+        terms -= ranks / m
+        for i in np.flatnonzero((terms >= high) | (terms <= low)).tolist():
+            k = int(ks[i])
+            for dev, rank in _mirrored(int(hs[i]), k, position + 1 + i, m):
+                if (dev * best_den, best_rank) > (best_dev * k * m, rank):
+                    best_dev, best_den, best_rank = dev, k * m, rank
+    if enumerated != half:
+        raise PreconditionError(f"dress scan at order {n} enumerated {enumerated} members of [0, 1/2] but the ranks give {half}")
+    ok = best_dev * n <= best_den  # the bound holds for every term iff for the largest
     rank2_term = abs(m - 2 * n) / (n * m)
-    return DressReport(n, red.best_dev / red.best_den, red.best_rank, ok, rank2_term)
+    return DressReport(n, best_dev / best_den, best_rank, ok, rank2_term)
 
 
 @dataclass
@@ -934,55 +985,75 @@ class DressSweep:
 
 
 def _sweep_block(n_max: int) -> int:
-    """Members per block of the Dress sweep to n_max.
+    """Members per block of the Dress sweep to n_max: n_max//4.
 
-    B consecutive members of F_{n_max} bound their deviations to within
-    about 2B/|F_{n_max}|, which must stay well below the 1/n_max scale of
-    the extremes for the bounds to prune: n_max//32 does, while at n_max//12
-    the sweep to 2000 ran 13 times slower.
+    Against the candidate thresholds (`_reaching`), 1.7 to 1.9 blocks of
+    n_max//4 members are picked at each order of the sweeps to 300, 1000,
+    2000 and 3627, and about 125 blocks of n_max//2.  Narrower blocks add
+    cells to every order's pass over all of them.
     """
-    return max(1, n_max // 32)
+    return max(1, n_max // 4)
 
 
-def _reaching_blocks(v_lo: np.ndarray, v_hi: np.ndarray, edges: np.ndarray, m: int) -> np.ndarray:
-    """The blocks that can hold a term within _TERM_SLACK of the largest or smallest term.
+def _sweep_batch(blocks: int) -> int:
+    """Orders per pass of the Dress sweep over `blocks` blocks: at most _SLICE_TERMS cells, at least one order."""
+    return max(1, _SLICE_TERMS // blocks)
 
-    At |F_N| = m, the kept members of block b hold the ranks edges[b]+1 ..
-    edges[b+1] and floats in [v_lo[b], v_hi[b]] (NaN when it holds none, so
-    that no fmax, fmin or comparison picks it).  Rounding is monotone, so
-    each of their terms fl(fl(h/k) - fl(r/m)) lies in
-    [fl(v_lo - fl(edges[b+1]/m)), fl(v_hi - fl(edges[b]/m))].  The largest
-    lower bound is then at most the largest term, and the smallest upper
-    bound at least the smallest term: a block whose bounds come within the
-    slack of neither holds no term the float filter keeps.
+
+def _sweep_cells(n_max: int) -> float:
+    """About the cells of the Dress sweep to n_max: the members of F_{n_max} in [0, 1/2], plus its passes.
+
+    It holds about 3n^2/(2pi^2) members, cut into blocks of `_sweep_block`,
+    and each pass covers a whole batch of orders by all blocks.
     """
-    cuts = edges / m
-    lower, upper = v_lo - cuts[1:], v_hi - cuts[:-1]
-    top, bottom = np.fmax.reduce(lower), np.fmin.reduce(upper)
-    return np.flatnonzero((upper >= top - _TERM_SLACK) | (lower <= bottom + _TERM_SLACK))
+    held = THREE_OVER_PI_SQ * n_max * n_max / 2
+    blocks = max(1, ceil(held / _sweep_block(n_max)))
+    batch = _sweep_batch(blocks)
+    return held + ceil((n_max - 1) / batch) * batch * blocks
+
+
+def _reaching_blocks(orders: np.ndarray, counts: np.ndarray, v_lo: np.ndarray, v_hi: np.ndarray):
+    """One pass of the sweep: the (row, block) pairs whose members can pass `_reaching`.
+
+    counts[i, b] members of block b are kept at order orders[i]; they hold
+    the ranks before[i, b]+1 .. after[i, b] and floats in [v_lo[b], v_hi[b]].
+    Rounding is monotone, so each of their terms fl(fl(h/k) - fl(r/m)) lies
+    in [fl(v_lo - fl(after/m)), fl(v_hi - fl(before/m))]: a block whose
+    bounds pass neither threshold holds no term that does.  Returns the
+    picked rows and blocks, before, and the column of each order's |F_N|.
+    """
+    after = np.cumsum(counts, axis=1)
+    m = 2 * after[:, -1:] - 1  # 1/2 is the middle member, for N >= 2
+    high, low = _reaching(orders[:, None], m)
+    bound = np.divide(after, m)
+    picked = np.subtract(v_lo, bound, out=bound) <= low
+    before = np.subtract(after, counts, out=after)
+    picked |= np.subtract(v_hi, np.divide(before, m, out=bound), out=bound) >= high
+    picked &= counts > 0
+    rows, blocks = np.nonzero(picked)
+    return rows, blocks, before, m
 
 
 def _sweep_maxima(n_max: int, table: TotientTable | None = None):
     """(N, dev, den) for N = 2..n_max: the largest deviation of F_N is exactly dev/den.
 
     As F_N(m+1-r) = 1 - F_N(r) with m = |F_N|, only the members in [0, 1/2]
-    are kept; with d_r = F_N(r) - r/m the mirrored rank m+1-r deviates by
-    |d_r + 1/m|, so the maximum is max(max d_r + 1/m, -min d_r).  The float
-    t_r = fl(fl(h/k) - fl(r/m)) is within 3u of d_r (u = 2**-53), so every
-    largest or smallest d_r, ties included, is within 6u of the largest or
-    smallest t_r, and every member within _TERM_SLACK = 16u of either is
-    rechecked in Python ints, as itself and mirrored.
+    are kept; the member at rank r stands for itself and for its mirror at
+    rank m+1-r.  Only members whose float term passes the thresholds of
+    `_reaching` can hold the maximum, which is at least the exact deviation
+    of (N-1)/N; they are rechecked in Python ints, as themselves and
+    mirrored, ascending, the first exact maximum kept.
 
     The members of F_{n_max} in [0, 1/2] are built once by rows (`_half`), as
     reduced int32 (h, k): under SWEEP_MEMBER_BUDGET n_max is at most 3627, so
     their preimage half F_{n_max//2} in [0, 1/2] stays within _ROW_CAP.  They
     are padded with 0/(n_max+1), which no order keeps, and cut into fixed
-    blocks of `_sweep_block(n_max)`.  Order N counts each block's members
-    with k <= N; the running counts rank them, and give float bounds on
-    their terms (`_reaching_blocks`).  A block is live from the order of the
-    least k it holds.  Only the kept members of the few blocks whose bounds
-    reach an extreme are ranked and evaluated, those of many orders at once
-    (`_sweep_extremes`) once they hold _SLICE_TERMS cells.
+    blocks of `_sweep_block(n_max)`.  A pass takes a batch of orders, at
+    most _SLICE_TERMS cells of orders by blocks: one bincount of the members
+    born in it gives each block's count at each of its orders, and their
+    running sums the ranks, hence float bounds on the terms
+    (`_reaching_blocks`).  The kept members of the picked blocks are ranked
+    and filtered in gathers of at most _SLICE_TERMS cells (`_pass_maxima`).
     """
     capacity = (farey_cardinality(n_max, _table_for(n_max, table)) + 1) // 2
     if capacity > SWEEP_MEMBER_BUDGET:
@@ -996,72 +1067,64 @@ def _sweep_maxima(n_max: int, table: TotientTable | None = None):
     width = min(_sweep_block(n_max), capacity)
     pad = -capacity % width
     hs, ks = np.pad(hs, (0, pad)), np.pad(ks, (0, pad), constant_values=n_max + 1)
-    vals = hs / ks
     # the floats of each block's first and last member
-    v_lo = vals[::width]
-    v_hi = vals[np.minimum(np.arange(width, hs.size + 1, width), capacity) - 1]
-    # the slots of the members of denominator k are by_k[firsts[k-1]:firsts[k]]
+    v_lo = hs[::width] / ks[::width]
+    ends = np.minimum(np.arange(width, hs.size + 1, width), capacity) - 1
+    v_hi = hs[ends] / ks[ends]
+    # the blocks of the members of denominator k are block_of[firsts[k-1]:firsts[k]]
     # (a stable sort of k below 2**16 is a radix sort)
     by_k = np.argsort(ks[:capacity].astype(np.min_scalar_type(n_max)), kind="stable")
     firsts = np.cumsum(np.bincount(ks[:capacity], minlength=n_max + 1))
     block_of = (by_k // width).astype(np.int32)
     del by_k
-    hs, ks, vals = (a.reshape(-1, width) for a in (hs, ks, vals))
-    # the blocks born at order k (the least k they hold) are by_birth[births[k-1]:births[k]]
-    least = ks.min(axis=1)
-    by_birth = np.argsort(least, kind="stable")
-    births = np.cumsum(np.bincount(least, minlength=n_max + 1))
-    count = np.zeros(v_lo.size, dtype=np.int64)
-    edges = np.zeros(v_lo.size + 1, dtype=np.int64)
-    # v_lo and v_hi of the blocks holding a member of F_n, NaN for the others
-    live_lo, live_hi = np.full(v_lo.size, np.nan), np.full(v_lo.size, np.nan)
-    queue, cells = [], 0
-    for n in range(1, n_max + 1):
-        count += np.bincount(block_of[firsts[n - 1]:firsts[n]], minlength=count.size)
-        born = by_birth[births[n - 1]:births[n]]
-        live_lo[born], live_hi[born] = v_lo[born], v_hi[born]
-        if n == 1:
-            continue
-        np.cumsum(count, out=edges[1:])
-        m = 2 * int(edges[-1]) - 1  # 1/2 is the middle member, for n >= 2
-        picks = _reaching_blocks(live_lo, live_hi, edges, m)
-        queue.append((n, m, picks, edges[picks]))
-        cells += picks.size * width
-        if cells >= _SLICE_TERMS:
-            yield from _sweep_extremes(queue, hs, ks, vals)
-            queue, cells = [], 0
-    if queue:
-        yield from _sweep_extremes(queue, hs, ks, vals)
+    hs, ks = hs.reshape(-1, width), ks.reshape(-1, width)
+    blocks = v_lo.size
+    count = np.bincount(block_of[:firsts[1]], minlength=blocks)  # F_1's 0/1
+    batch = _sweep_batch(blocks)
+    for first in range(2, n_max + 1, batch):
+        orders = np.arange(first, min(first + batch, n_max + 1))
+        last = int(orders[-1])
+        born = np.repeat(np.arange(orders.size) * blocks, np.diff(firsts[first - 1 : last + 1]))
+        born += block_of[firsts[first - 1] : firsts[last]]
+        counts = np.bincount(born, minlength=orders.size * blocks).reshape(orders.size, blocks)
+        del born
+        np.cumsum(counts, axis=0, out=counts)
+        counts += count
+        count = counts[-1].copy()
+        picked = _reaching_blocks(orders, counts, v_lo, v_hi)
+        del counts
+        yield from _pass_maxima(orders, *picked, hs, ks)
 
 
-def _sweep_extremes(queue: list, hs: np.ndarray, ks: np.ndarray, vals: np.ndarray):
-    """(N, dev, den) for each queued order (N, |F_N|, picked blocks, the ranks before them), in turn.
+def _pass_maxima(orders, rows, picks, before, m, hs: np.ndarray, ks: np.ndarray):
+    """(N, dev, den) for each order of a pass, from its picked (row, block) pairs.
 
-    The picked blocks of every queued order are ranked and evaluated in one
-    gather, and each order's least and most float term taken over its own
-    blocks by reduceat.
+    The kept members of at most _SLICE_TERMS // width picks at a time are
+    ranked and filtered against `_reaching` in one gather; those that pass
+    are rechecked in Python ints, pick after pick, so each order's members
+    come ascending.
     """
-    orders, ms, picks, starts = zip(*queue)
-    blocks = [p.size for p in picks]
-    owner = np.repeat(np.arange(len(queue)), blocks)
-    picks, starts = np.concatenate(picks), np.concatenate(starts)
-    kept = ks[picks] <= np.array(orders)[owner, None]
-    ranks = starts[:, None] + np.cumsum(kept, axis=1)
-    terms = np.where(kept, vals[picks] - ranks / np.array(ms)[owner, None], np.nan)
-    firsts = kept.shape[1] * (np.cumsum(blocks) - blocks)
-    least = np.fmin.reduceat(terms.ravel(), firsts)[owner, None]
-    most = np.fmax.reduceat(terms.ravel(), firsts)[owner, None]
-    rows, cols = np.nonzero((terms <= least + _TERM_SLACK) | (terms >= most - _TERM_SLACK))
-    slots = picks[rows], cols
-    best = [(0, 1)] * len(queue)
-    cells = zip(owner[rows].tolist(), hs[slots].tolist(), ks[slots].tolist(), ranks[rows, cols].tolist())
-    for i, h, k, r in cells:
-        # rank r holds h/k, and the mirrored rank m+1-r holds (k-h)/k
-        m = ms[i]
-        dev = max(abs(h * m - r * k), abs((k - h) * m - (m + 1 - r) * k))
-        if dev * best[i][1] > best[i][0] * k * m:
-            best[i] = dev, k * m
-    for n, (dev, den) in zip(orders, best):
+    high, low = _reaching(orders[:, None], m)
+    ns, ms = orders.tolist(), m.ravel().tolist()
+    best = [(0, 1)] * len(ns)
+    step = max(1, _SLICE_TERMS // hs.shape[1])
+    for at in range(0, picks.size, step):
+        i, b = rows[at : at + step], picks[at : at + step]
+        block_h, block_k = hs[b], ks[b]
+        kept = block_k <= orders[i, None]
+        ranks = np.cumsum(kept, axis=1)
+        ranks += before[i, b][:, None]
+        terms = np.divide(block_h, block_k)
+        terms -= ranks / m[i]
+        kept &= (terms >= high[i]) | (terms <= low[i])
+        del terms
+        cells = np.nonzero(kept)
+        for j, h, k, r in zip(i[cells[0]].tolist(), block_h[cells].tolist(), block_k[cells].tolist(), ranks[cells].tolist()):
+            (dev, _), (mirror, _) = _mirrored(h, k, r, ms[j])
+            dev = max(dev, mirror)
+            if dev * best[j][1] > best[j][0] * k * ms[j]:
+                best[j] = dev, k * ms[j]
+    for n, (dev, den) in zip(ns, best):
         yield n, dev, den
 
 

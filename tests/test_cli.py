@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction as Rat
 from pathlib import Path
 from unittest.mock import Mock
@@ -411,8 +412,9 @@ class TestWorkBudgets:
             (["index", "--imax", "20", "--sweep"], "2.21e+08 rows", "budget 100000000"),
             (["gcd-check", "--exhaustive", "60"], "2.23e+08 triples", "budget 100000000"),
             (["dress", "--sweep-to", "600", "--table-limit", "10"], "table limit 600", "budget 10"),
-            # about 5.47e4 members of F_600 in [0, 1/2], and 599 passes over their 3.04e3 blocks
-            (["dress", "--sweep-to", "600", "--term-budget", "10"], "1.88e+06 block steps", "budget 10"),
+            # about 5.47e4 members of F_600 in [0, 1/2] in 365 blocks of 150, and 4 passes
+            # over batches of 179 orders by all blocks
+            (["dress", "--sweep-to", "600", "--term-budget", "10"], "3.16e+05 cells", "budget 10"),
             (["gcd-check", "--random", "1000", "--term-budget", "999"], "1e+03 triples", "budget 999"),
             # F_400 holds about 4.9e4 members, about 5.34e4 by the density estimate
             (["map", "--vertex", "0/1", "--covertex", "1/0", "--q", "401", "--order", "160400",
@@ -463,6 +465,26 @@ class TestWorkBudgets:
         err = capsys.readouterr().err
         assert err.startswith("farey: error: ")
         assert "1.38e+07 cells" in err and "budget 13815510" in err
+
+    def test_kanemitsu_frees_the_table_before_its_sums(self, monkeypatch):
+        # only |F_N| is read from the table, so nothing holds it while the sums run
+        tables, alive = [], []
+        sieve, sums = cli.build_totient_table, franel._prefix_sums
+
+        def build(*args, **kwargs):
+            table = sieve(*args, **kwargs)
+            tables.append(weakref.ref(table))
+            return table
+
+        def prefix_sums(n):
+            alive.extend(ref() is not None for ref in tables)
+            return sums(n)
+
+        monkeypatch.setattr(cli, "build_totient_table", build)
+        monkeypatch.setattr(franel, "_prefix_sums", prefix_sums)
+        code, out = run_cli(["franel", "--order", "2520", "--kanemitsu"])
+        assert code == 0 and "sum_float" in out
+        assert alive == [False]
 
     def test_exhaustive_triples_are_counted_after_the_window(self, monkeypatch, capsys):
         def refuse(*triple):

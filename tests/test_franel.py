@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction as Rat
@@ -363,6 +364,25 @@ class TestKanemitsu:
         assert kanemitsu_sum(5).sum_exact == Rat(9, 220)
         assert kanemitsu_sum(4).sum_exact == Rat(-1, 28)
 
+    def test_a_handed_over_table_is_freed_before_the_sums(self, monkeypatch):
+        # kanemitsu_sum reads only |F_n| from its table and then drops it
+        refs, alive, sums = [], [], franel._prefix_sums
+
+        def table(n):
+            built = build_totient_table(n)
+            refs.append(weakref.ref(built))
+            return built
+
+        def prefix_sums(n):
+            alive.append(refs[-1]() is not None)
+            return sums(n)
+
+        monkeypatch.setattr(franel, "_prefix_sums", prefix_sums)
+        kept = table(100)  # a table its caller still holds stays alive
+        want = kanemitsu_sum(100, kept)
+        got = kanemitsu_sum(100, table(100))  # not inside an assert, whose rewrite names the argument
+        assert got == want and alive == [True, False]
+
     def test_matches_brute(self):
         for n in range(4, 60, 5):
             seq = brute_farey(n)
@@ -441,7 +461,7 @@ class TestDress:
             orders.append(n)
             m = rank_fast(n, ONE).rank
             # dress_scan's scan: the exact maximum over every rank, and its earliest rank
-            red = franel._scan(n, ZERO, ONE, 1, m, m, sums=False)
+            red = franel._scan(n, ZERO, ONE, 1, m, m)
             assert (dev, den) == (red.best_dev, red.best_den)
             met_in_lower_half.add(2 * red.best_rank <= m + 1)
         assert orders == list(range(2, 201))
@@ -455,47 +475,64 @@ class TestDress:
         monkeypatch.setattr(franel, "_sweep_block", lambda n_max: block)
         assert list(franel._sweep_maxima(300)) == want
 
-    @pytest.mark.parametrize("threshold,flushes", [(1, [1] * 299), (10**12, [299])])
-    def test_sweep_maxima_do_not_depend_on_the_flush(self, threshold, flushes, monkeypatch):
+    @pytest.mark.parametrize("cells,passes", [(1, [1] * 299), (10**12, [299])])
+    def test_sweep_maxima_do_not_depend_on_the_batch(self, cells, passes, monkeypatch):
         want = list(franel._sweep_maxima(300))
-        # each of the 299 orders evaluated in a flush of its own, or all in one at the end
+        # each of the 299 orders in a pass of its own, with one picked block a
+        # gather, or all of them in one pass and one gather
         sizes = []
-        extremes = franel._sweep_extremes
+        reaching = franel._reaching_blocks
 
-        def spy(queue, *blocks):
-            sizes.append(len(queue))
-            yield from extremes(queue, *blocks)
+        def spy(orders, *args):
+            sizes.append(orders.size)
+            return reaching(orders, *args)
 
-        monkeypatch.setattr(franel, "_SLICE_TERMS", threshold)
-        monkeypatch.setattr(franel, "_sweep_extremes", spy)
+        monkeypatch.setattr(franel, "_SLICE_TERMS", cells)
+        monkeypatch.setattr(franel, "_reaching_blocks", spy)
         assert list(franel._sweep_maxima(300)) == want
-        assert sizes == flushes
+        assert sizes == passes
 
     @pytest.mark.parametrize("width", [1, 2, 5, 17])
-    def test_reaching_blocks_hold_every_term_near_an_extreme(self, width):
+    def test_reaching_blocks_hold_every_member_that_reaches_a_threshold(self, width):
         n_max = 40
         half = [x for x in brute_farey(n_max) if 2 * x <= 1]
         hs = np.array([x.numerator for x in half])
         ks = np.array([x.denominator for x in half])
         vals = hs / ks
-        blocks = range(0, len(half), width)
-        for n in range(2, n_max + 1):
-            kept = ks <= n
-            m = 2 * int(kept.sum()) - 1
-            # the sweep's float terms, and the ones its filter keeps
-            terms = np.where(kept, vals - np.cumsum(kept) / m, np.nan)
-            near = (terms <= np.nanmin(terms) + franel._TERM_SLACK) | (
-                terms >= np.nanmax(terms) - franel._TERM_SLACK
-            )
-            edges = np.cumsum([0] + [int(kept[b:b + width].sum()) for b in blocks])
-            live = np.diff(edges) > 0
-            v_lo = np.where(live, [vals[b] for b in blocks], np.nan)
-            v_hi = np.where(live, [vals[min(b + width, len(half)) - 1] for b in blocks], np.nan)
-            picks = franel._reaching_blocks(v_lo, v_hi, edges, m)
-            assert set(np.flatnonzero(near) // width) <= set(picks.tolist())
-            if width <= 2 and n >= 20:
-                # blocks well below 1/n_max wide prune: n_max//32 is 1 here
-                assert 4 * picks.size < live.sum()
+        starts = list(range(0, len(half), width))
+        v_lo, v_hi = vals[starts], vals[[min(b + width, len(half)) - 1 for b in starts]]
+        orders = np.arange(2, n_max + 1)
+        kept = ks <= orders[:, None]
+        counts = np.add.reduceat(kept, starts, axis=1, dtype=np.int64)
+        rows, blocks, before, ms = franel._reaching_blocks(orders, counts, v_lo, v_hi)
+        picked = set(zip(rows.tolist(), blocks.tolist()))
+        for i, n in enumerate(orders.tolist()):
+            m = 2 * int(kept[i].sum()) - 1
+            ranks = np.cumsum(kept[i])
+            assert ms[i, 0] == m and before[i].tolist() == [int(ranks[b] - kept[i, b]) for b in starts]
+            # the sweep's float terms and thresholds, and the exact ones of the candidate 1/n - 1/m
+            terms = vals - ranks / m
+            high, low = franel._reaching(n, m)
+            c = Rat(1, n) - Rat(1, m)
+            devs = {}
+            for j in np.flatnonzero(kept[i]).tolist():
+                d = half[j] - Rat(int(ranks[j]), m)
+                devs[j] = max(abs(d), abs(d + Rat(1, m)))
+                if d >= c - Rat(1, m) or d <= -c:
+                    assert terms[j] >= high or terms[j] <= low
+                if terms[j] >= high or terms[j] <= low:
+                    assert (i, j // width) in picked
+            # the maximum is at least c, and the members holding it pass the thresholds exactly
+            top = max(devs.values())
+            assert top >= c
+            for j, dev in devs.items():
+                if dev == top:
+                    d = half[j] - Rat(int(ranks[j]), m)
+                    assert d >= c - Rat(1, m) or d <= -c
+        if width <= 5:
+            # blocks of at most n_max//8 members prune: under a tenth of the live ones are picked
+            assert 10 * len(picked) < np.count_nonzero(counts)
+
 
     @pytest.mark.parametrize("n_max,worst_ratio", [(1000, 0.9967126133737463), (2000, 0.9983560594416027)])
     def test_sweep_worst_ratio(self, n_max, worst_ratio):
@@ -521,6 +558,24 @@ class TestDress:
         monkeypatch.setattr(franel, "_half", lambda n: tuple(a[1:] for a in half(n)) if n == 300 else half(n))
         with pytest.raises(PreconditionError, match=r"rows gave 13699 members .* the table gives 13700"):
             dress_scan_sweep(300)
+
+    @pytest.mark.parametrize("path", _PATHS)
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_scan_checks_its_enumeration_against_the_ranks(self, path, extra, monkeypatch):
+        # F_6 holds 7 members in [0, 1/2]; the last chunk loses its last member or gains a copy of its first
+        members = franel._members
+
+        def miscounted(*args):
+            chunks = list(members(*args))
+            position, hs, ks = chunks[-1]
+            cut = hs.size + min(extra, 0)
+            chunks[-1] = position, np.resize(hs, cut + max(extra, 0)), np.resize(ks, cut + max(extra, 0))
+            yield from chunks
+
+        monkeypatch.setattr(franel, "_members", miscounted)
+        with _enumeration(path, franel._SLICE_TERMS):
+            with pytest.raises(PreconditionError, match=f"enumerated {7 + extra} members .* the ranks give 7"):
+                dress_scan(6)
 
     def test_the_sweep_budget_keeps_the_rows_within_their_cap(self):
         # the largest n_max whose half (|F_n| + 1)//2 is within the budget, by binary
@@ -713,7 +768,7 @@ class TestKernelAgainstStream:
     def test_enumeration_is_checked_against_the_ranks(self, path):
         with _enumeration(path, franel._SLICE_TERMS):
             with pytest.raises(PreconditionError, match="enumerated 13 terms but the ranks give 12"):
-                franel._scan(6, ZERO, ONE, 1, 12, 13, True)
+                franel._scan(6, ZERO, ONE, 1, 12, 13)
 
 
 class TestMirroredScans:
@@ -754,7 +809,7 @@ class TestMirroredScans:
     def test_max_ties_go_to_the_earliest_rank_in_any_arrival_order(self):
         # a chunk's mirrors arrive at descending ranks, before the next chunk's
         # members at lower ranks; no whole-sequence maximum ties below n = 1200
-        red = franel._Reduction(1, 10, True, True)
+        red = franel._Reduction(1, 10, True)
         ks = np.ones(2, dtype=np.int64)
         red._reduce(ks, np.array([3, 3]), 9, -1)
         assert red.best_rank == 8
@@ -762,7 +817,7 @@ class TestMirroredScans:
         assert (red.best_dev, red.best_den, red.best_rank) == (3, 10, 4)
         # rows hand whole chunks over from the top down: 3/10 at ranks 5 and
         # 6, then again at rank 2
-        red = franel._Reduction(1, 10, False, True)
+        red = franel._Reduction(1, 10, False)
         red.add(5, np.array([8, 9]), np.array([10, 10]))
         assert (red.best_dev, red.best_den, red.best_rank) == (30, 100, 5)
         red.add(1, np.array([0, 5]), np.array([1, 10]))
@@ -780,7 +835,7 @@ class TestMirroredScans:
         scale, j = 10 * c, (5 * h * c + 1) // 2
         hs, ks = [t * h], [4 * t]
         assert wrapping == (hs[0] * scale >= 1 << 64 and j * ks[0] >= 1 << 64)
-        red = franel._Reduction(1, scale, True, True)
+        red = franel._Reduction(1, scale, True)
         red.add(j, np.array(hs), np.array(ks))
         best, terms, total = _python_int_reduction([(j, hs, ks)], scale, True)
         assert (red.best_dev, red.best_den, red.best_rank) == best == (2 * t, 4 * t * scale, min(j, scale + 1 - j))
@@ -799,7 +854,7 @@ class TestMirroredScans:
         j = twice // (2 * den)
         assert 0 < twice - 2 * j * den < den
         assert wrapping == (min(hs) * scale >= 1 << 64 and j * min(ks) >= 1 << 64)
-        red = franel._Reduction(1, scale, True, False)
+        red = franel._Reduction(1, scale, True)
         red.add(j, np.array(hs), np.array(ks))
         best, _, _ = _python_int_reduction([(j, hs, ks)], scale, True)
         assert (red.best_dev, red.best_den, red.best_rank) == best
@@ -812,7 +867,7 @@ class TestMirroredScans:
         # |h*scale - j*k| <= scale/2 while h*scale and j*k pass 2**64; their
         # sum passes 2**63 in the first chunk, so the D_k are folded there
         scale, rng = 10 * _WRAP_C, Random(19)
-        red = franel._Reduction(1, scale, mirrored, True)
+        red = franel._Reduction(1, scale, mirrored)
         chunks = []
         for first, size in ((scale // 3, 40), (2 * scale // 7 - 50, 50), (scale // 3 + 40, 30)):
             ks = [rng.randint(12, 10_000) for _ in range(size)]
@@ -856,7 +911,7 @@ class TestExactSum:
         folded starts its bound on sum|dev| at 2**63 - 1, as `_grouping` does.
         Both of its sums are checked against that sum on the way.
         """
-        red = franel._Reduction(1, scale, False, True, dense)
+        red = franel._Reduction(1, scale, False, dense)
         red.dev_bound = (1 << 63) - 1 if folded else 0
         for ks, devs in chunks:
             red._reduce(np.array(ks, dtype=np.int64), np.array(devs, dtype=np.int64))
@@ -899,6 +954,22 @@ class TestExactSum:
         assert want == 2**53 + 1 + Rat(1, big)
         assert red.sum_float() == 2.0**53 + 2
 
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.lists(st.tuples(st.integers(1, 2**31 + 100), st.integers(0, 2**62)), min_size=1, max_size=30),
+        st.integers(1, 2**62),
+    )
+    def test_a_given_exact_sum_gives_the_digits_float(self, terms, scale):
+        # sum_float(exact) is float(exact), with no pass over the D_k: the same
+        # bits as the digits give (or the exact sum, for k >= 2**31 or a near tie)
+        red = franel._Reduction(1, scale, False)
+        red._reduce(*(np.array(column, dtype=np.int64) for column in zip(*terms)))
+        exact = red.sum_exact()
+        assert exact == sum((Rat(d, k * scale) for k, d in terms), start=Rat(0))
+        with patch.object(franel._Reduction, "_remainders", side_effect=AssertionError("read the D_k")):
+            given = red.sum_float(exact)
+        assert given == red.sum_float() == float(exact)
+
     @pytest.mark.parametrize(
         "primes",
         [
@@ -921,7 +992,7 @@ class TestExactSum:
         seq = brute_farey(n)
         want = sum((abs(x - Rat(j, m)) for j, x in enumerate(seq, start=1)), start=Rat(0))
         with _enumeration(path, 1):
-            red = franel._scan(n, ZERO, ONE, 1, m, m, True)
+            red = franel._scan(n, ZERO, ONE, 1, m, m)
         assert red.sum_exact() == want
 
     @pytest.mark.parametrize("path", _PATHS)
@@ -961,7 +1032,7 @@ class TestExactSum:
     def test_fold_reads_a_dense_state_a_block_at_a_time(self):
         # 10**6 nonzero D_k: a fold in one block would hold five int64 arrays of them (40 MB)
         n = 10**6
-        red = franel._Reduction(1, 1, False, True, n + 1)
+        red = franel._Reduction(1, 1, False, n + 1)
         red.sums[1:] = np.random.default_rng(1).integers(1, 1 << 62, n) * np.where(np.arange(n) % 3, 1, -1)
         want = np.frompyfunc(divmod, 2, 2)(red.sums[1:].astype(object), np.arange(1, n + 1).astype(object))
         tracemalloc.start()
@@ -1143,7 +1214,7 @@ class TestEnumerationChoice:
         tracemalloc.start()
         try:
             with patch.object(franel, "_slices", side_effect=AssertionError("sliced")):
-                red = franel._scan(n, lo, hi, rank_lo, 4, m, True)
+                red = franel._scan(n, lo, hi, rank_lo, 4, m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
