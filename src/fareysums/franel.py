@@ -34,13 +34,16 @@ Ranks follow from the rank of lo, so each term is the exact integer pair
 reduces the terms, chunk by chunk in any order and in work arrays, to:
 
 - the exact maximum and its earliest rank: a float prefilter (3u, or 4u once
-  M >= 2**53) keeps the terms near the largest, and Python ints recheck them;
+  M >= 2**53) keeps the terms near the largest, and Python ints recheck them
+  (`_beats`, the one rule for every maximum of this module);
 - one running int64 sum D_k of the integer deviations per denominator k:
   dense (np.add.at into n + 1 entries) when the scan holds at least
   (n + 1)/8 terms, else sorted groups, one per k seen, so a tiny window at
-  a large order costs only its members.
+  a large order costs only its members.  The groups' chunks are merged
+  once, when the D_k are read.
 
-With D_k = W_k*k + r_k, 0 <= r_k < k and W the sum of the W_k, the sum is
+With D_k = W_k*k + r_k, 0 <= r_k < k and W the sum of the W_k (a Python
+int, each block's whole parts summed exactly by 32-bit halves), the sum is
 (W + sum_k r_k/k)/M.  The fold, sum_float and sum_exact all read the D_k
 _SLICE_TERMS = 2**16 entries at a time (`_remainders`).  sum_float is the
 sum correctly rounded: each r_k/k cut to three base-2**32 digits (in int64
@@ -68,13 +71,13 @@ The largest deviation of F_N needs no sum: (N-1)/N at rank |F_N| - 1
 deviates by exactly c = 1/N - 1/|F_N|, so only the members of [0, 1/2]
 whose deviation d has d >= c - 1/|F_N| or d <= -c can hold it, as
 themselves or mirrored.  A float filter against these two thresholds,
-widened by the float slack, keeps them, and Python ints recheck them
-(`_reaching`).  `dress_scan` filters the half chunk by chunk.  The order
-sweep of the 1/N bound builds the members of F_{n_max} in [0, 1/2] once, by
-rows, and cuts them into fixed blocks; a pass over a batch of orders by all
-blocks takes every block's ranks from its counts, hence float bounds on
-its members' terms, and only the few blocks whose bounds pass a threshold
-are evaluated.
+widened by the float slack, keeps them (`_reaching`, `_passing`), and
+Python ints recheck them (`_rechecked`).  `dress_scan` filters the half
+chunk by chunk.  The order sweep of the 1/N bound builds the members of
+F_{n_max} in [0, 1/2] once, by rows, and cuts them into fixed blocks; a
+pass over a batch of orders by all blocks takes every block's ranks from
+its counts, hence float bounds on its members' terms, and only the few
+blocks whose bounds pass a threshold are evaluated.
 
 The signed prefix up to 1/4 (`kanemitsu_sum`) is no scan: Mobius sums give
 each denominator's numerator sum, and their fold gives the reduction's D_k
@@ -389,6 +392,19 @@ def _slices(n: int, lo: Fraction, hi: Fraction, count: int):
         lower = upper
 
 
+def _total(a: np.ndarray) -> int:
+    """The sum of an int64 array as a Python int, exact for up to 2**31 entries: its 32-bit halves are summed apart."""
+    return (int((a >> 32).sum()) << 32) + int((a & 0xFFFFFFFF).sum())
+
+
+def _beats(term: tuple[int, int, int], best: tuple[int, int, int]) -> bool:
+    """Whether the term (dev, den, rank), dev/den exactly, is larger than best, or equal to it at an earlier rank.
+
+    So exact ties go to the earliest rank, whatever order the ranks come in.
+    """
+    return (term[0] * best[1], best[2]) > (best[0] * term[1], term[2])
+
+
 class _Reduction:
     """Running reductions of one scan, fed its chunks of members in rank order.
 
@@ -404,11 +420,11 @@ class _Reduction:
 
     The deviations are summed per denominator k into the int64 D_k: with
     dense > 0 in `sums`, indexed by k, else in `keys` (the k seen,
-    ascending) and their `sums`, which the chunks in `pending` join once they
-    hold as many terms.  Once dev_bound (at least the sum of every |dev|
-    grouped) reaches 2**63, each D_k = W_k*k + r_k keeps only r_k, W_k goes
-    to `whole`, and so do those of each later dev: as a scan groups at most
-    k + 1 terms of denominator k, D_k < (k + 2)*k < 2**63.
+    ascending) and their `sums`, which the chunks in `pending` join once,
+    when the D_k are read (`_remainders`).  Once dev_bound (at least the sum
+    of every |dev| grouped) reaches 2**63, each D_k = W_k*k + r_k keeps only
+    r_k, W_k goes to `whole`, and so do those of each later dev: as a scan
+    groups at most k + 1 terms of denominator k, D_k < (k + 2)*k < 2**63.
     """
 
     def __init__(self, rank_lo: int, scale: int, mirrored: bool, dense: int = 0):
@@ -418,7 +434,6 @@ class _Reduction:
         self.sums = np.zeros(dense, dtype=np.int64)
         self.keys = None if dense else np.empty(0, dtype=np.int64)
         self.pending: list[tuple[np.ndarray, np.ndarray]] = []  # (ks, dev) of chunks not merged yet
-        self.pending_size = 0
         self.whole = 0  # the whole parts W_k carried out of the D_k
         # uint64, int64 and float64 arrays that chunk after chunk is reduced in.  Rows
         # and streams free little between chunks, so fresh arrays per chunk
@@ -455,77 +470,59 @@ class _Reduction:
         wrapped -= np.multiply(js, ks.view(np.uint64), out=js)
         signed = wrapped.view(np.int64)
         dev = np.abs(signed, out=dev)
+        sides, top, half = [(dev, first, 1)], dev, 0  # (deviations, first rank, rank step) of each orientation
+        if self.mirrored:
+            signed += ks
+            mirror = np.abs(signed, out=signed)
+            sides.append((mirror, self.scale + 1 - first, -1))
+            # rounding is monotone, so the larger deviation's float term is the larger one
+            top = np.maximum(dev, mirror, out=terms)
+            half = int(2 * hs[-1] == ks[-1])
+        self.terms += len(sides) * size - half
         # js takes the float denominators once the products are used
         den = np.multiply(ks, float(self.scale), out=js.view(np.float64))
-        if not self.mirrored:
-            self._reduce(ks, dev, first, 1, den, terms)
-            return
-        signed += ks
-        mirror = np.abs(signed, out=signed)
-        half = int(2 * hs[-1] == ks[-1])
-        self.terms += 2 * size - half
-        # rounding is monotone, so the larger deviation's float term is the larger one
-        for i in self._near_top(np.maximum(dev, mirror, out=terms), den, terms):
+        for i in self._near_top(top, den, terms):
             q = int(ks[i]) * self.scale
-            self._take(int(dev[i]), q, first + i)
-            self._take(int(mirror[i]), q, self.scale + 1 - first - i)
+            for devs, rank, step in sides:
+                self._take(int(devs[i]), q, rank + step * i)
         if half:
             mirror[-1] = 0
-        self._group(ks, np.add(dev, mirror, out=dev))
-
-    def _reduce(
-        self, ks: np.ndarray, dev: np.ndarray, first_rank: int = 0, step: int = 0,
-        den: np.ndarray | None = None, out: np.ndarray | None = None,
-    ) -> None:
-        """Fold the terms dev/(k*scale) in, the i-th at rank first_rank + step*i.
-
-        den, when given, holds the float denominators k*float(scale), and out
-        is a float64 array of dev's size to compute the float terms in.
-        """
-        self.terms += dev.size
-        den = np.multiply(ks, float(self.scale)) if den is None else den
-        for i in self._near_top(dev, den, out):
-            self._take(int(dev[i]), int(ks[i]) * self.scale, first_rank + step * i)
-        self._group(ks, dev)
+        self._group(ks, np.add(dev, mirror, out=dev) if self.mirrored else dev)
 
     @staticmethod
-    def _near_top(dev: np.ndarray, den: np.ndarray, out: np.ndarray | None) -> list[int]:
+    def _near_top(dev: np.ndarray, den: np.ndarray, out: np.ndarray) -> list[int]:
         """The indices whose float term dev/den is within _TERM_SLACK of the largest: every exact maximum."""
         terms = np.divide(dev, den, out=out)
         top = terms.max()
         return np.flatnonzero(terms >= top - top * _TERM_SLACK).tolist()
 
     def _take(self, dev: int, den: int, rank: int) -> None:
-        """Keep dev/den at rank if it is the largest term so far."""
-        # exact ties go to the earliest rank, whatever order the ranks come in
-        if (dev * self.best_den, self.best_rank) > (self.best_dev * den, rank):
+        """Keep dev/den at rank if it is the largest term so far, or ties it at an earlier rank."""
+        if _beats((dev, den, rank), (self.best_dev, self.best_den, self.best_rank)):
             self.best_dev, self.best_den, self.best_rank = dev, den, rank
 
     def _group(self, ks: np.ndarray, dev: np.ndarray) -> None:
-        """Add the terms into the D_k: by np.add.at, or grouped by k and merged into the sorted groups."""
+        """Add the terms into the D_k: by np.add.at, or kept for the sorted groups' merge (`_merge`)."""
         if self.dev_bound < 1 << 63:
             self.dev_bound += int(dev.max(initial=0)) * dev.size
             if self.dev_bound >= 1 << 63:
                 self._fold()
         if self.dev_bound >= 1 << 63:  # folded: dev = q*k + r, 0 <= r < k, adds r to D_k and q to `whole`
             whole, dev = np.divmod(dev, ks)
-            self.whole += int(whole.sum())  # each q <= 2*|F_n|/n + 1
+            self.whole += _total(whole)
         if self.keys is None:
             np.add.at(self.sums, ks, dev)
-            return
-        self.pending.append((ks.copy(), dev.copy()))  # dev may be a work array, ks a view of more
-        self.pending_size += ks.size
-        if self.pending_size >= self.keys.size:  # so a term takes part in O(log) merges
-            self._merge()
+        else:
+            self.pending.append((ks.copy(), dev.copy()))  # dev may be a work array, ks a view of more
 
     def _merge(self) -> None:
-        """Join the pending chunks to the sorted groups: one sort by k (a run merge), one reduceat."""
+        """Join the pending chunks to the sorted groups: one stable sort by k, one reduceat."""
         ks, devs = zip(*self.pending)
         ks, devs = np.concatenate((self.keys, *ks)), np.concatenate((self.sums, *devs))
         order = np.argsort(ks, kind="stable")
         ks, devs = ks[order], devs[order]
         starts = np.flatnonzero(np.diff(ks, prepend=-1))
-        self.keys, self.sums, self.pending, self.pending_size = ks[starts], np.add.reduceat(devs, starts), [], 0
+        self.keys, self.sums, self.pending = ks[starts], np.add.reduceat(devs, starts), []
 
     def _fold(self) -> None:
         """Keep only the r_k of the D_k = W_k*k + r_k, and carry the W_k out to `whole`."""
@@ -541,7 +538,7 @@ class _Reduction:
             at = np.flatnonzero(self.sums[window]) + lo if self.keys is None else window
             ks = at if self.keys is None else self.keys[at]
             whole, rems = np.divmod(self.sums[at], ks)
-            self.sums[at], self.whole = rems, self.whole + int(whole.sum())
+            self.sums[at], self.whole = rems, self.whole + _total(whole)
             live = np.flatnonzero(rems)
             yield rems[live], ks[live]  # 0 <= r_k < k
 
@@ -870,7 +867,7 @@ def _signed_fold(sums: np.ndarray, m: int, prefix_rank: int) -> _Reduction:
         s, t = np.divmod(2 * m, ks)
         spill, red.sums[block] = np.divmod(t * a, ks)
         spill += s * a
-        red.whole += 2 * m * int(q.sum()) + (int((spill >> 32).sum()) << 32) + int((spill & 0xFFFFFFFF).sum())
+        red.whole += 2 * m * int(q.sum()) + _total(spill)
     return red
 
 
@@ -933,9 +930,20 @@ def _reaching(n, m):
     return 1 / n - 2 / m - _TERM_SLACK, 1 / m - 1 / n + _TERM_SLACK
 
 
-def _mirrored(h: int, k: int, r: int, m: int):
-    """The exact (dev, rank) pairs, dev over k*m, of h/k at rank r of F_N (|F_N| = m) and of its mirror (k-h)/k at rank m+1-r."""
-    return (abs(h * m - r * k), r), (abs((k - h) * m - (m + 1 - r) * k), m + 1 - r)
+def _passing(hs: np.ndarray, ks: np.ndarray, ranks: np.ndarray, n, m) -> np.ndarray:
+    """Where the float term fl(fl(h/k) - fl(r/m)) of h/k at rank r of F_n (|F_n| = m) passes `_reaching`'s thresholds."""
+    high, low = _reaching(n, m)
+    terms = np.divide(hs, ks)
+    terms -= ranks / m
+    return (terms >= high) | (terms <= low)
+
+
+def _rechecked(best: tuple[int, int, int], h: int, k: int, r: int, m: int) -> tuple[int, int, int]:
+    """best (dev, den, rank), by `_beats` against h/k at rank r of F_N (|F_N| = m) and its mirror (k-h)/k at rank m+1-r."""
+    for term in ((abs(h * m - r * k), k * m, r), (abs((k - h) * m - (m + 1 - r) * k), k * m, m + 1 - r)):
+        if _beats(term, best):
+            best = term
+    return best
 
 
 def dress_scan(
@@ -953,21 +961,15 @@ def dress_scan(
     """
     _, m, _ = _window(n, ZERO, ONE, table, term_budget)
     half = (m + 1) // 2
-    high, low = _reaching(n, m)
-    best_dev, best_den, best_rank = 0, 1, 1
-    enumerated = 0
+    best, enumerated = (0, 1, 1), 0
     for position, hs, ks in _members(n, ZERO, _HALF, half):
         enumerated += hs.size
         ranks = np.arange(position + 1, position + 1 + hs.size)
-        terms = np.divide(hs, ks)
-        terms -= ranks / m
-        for i in np.flatnonzero((terms >= high) | (terms <= low)).tolist():
-            k = int(ks[i])
-            for dev, rank in _mirrored(int(hs[i]), k, position + 1 + i, m):
-                if (dev * best_den, best_rank) > (best_dev * k * m, rank):
-                    best_dev, best_den, best_rank = dev, k * m, rank
+        for i in np.flatnonzero(_passing(hs, ks, ranks, n, m)).tolist():
+            best = _rechecked(best, int(hs[i]), int(ks[i]), position + 1 + i, m)
     if enumerated != half:
         raise PreconditionError(f"dress scan at order {n} enumerated {enumerated} members of [0, 1/2] but the ranks give {half}")
+    best_dev, best_den, best_rank = best
     ok = best_dev * n <= best_den  # the bound holds for every term iff for the largest
     rank2_term = abs(m - 2 * n) / (n * m)
     return DressReport(n, best_dev / best_den, best_rank, ok, rank2_term)
@@ -1042,7 +1044,7 @@ def _sweep_maxima(n_max: int, table: TotientTable | None = None):
     rank m+1-r.  Only members whose float term passes the thresholds of
     `_reaching` can hold the maximum, which is at least the exact deviation
     of (N-1)/N; they are rechecked in Python ints, as themselves and
-    mirrored, ascending, the first exact maximum kept.
+    mirrored (`_rechecked`).
 
     The members of F_{n_max} in [0, 1/2] are built once by rows (`_half`), as
     reduced int32 (h, k): under SWEEP_MEMBER_BUDGET n_max is at most 3627, so
@@ -1100,13 +1102,11 @@ def _pass_maxima(orders, rows, picks, before, m, hs: np.ndarray, ks: np.ndarray)
     """(N, dev, den) for each order of a pass, from its picked (row, block) pairs.
 
     The kept members of at most _SLICE_TERMS // width picks at a time are
-    ranked and filtered against `_reaching` in one gather; those that pass
-    are rechecked in Python ints, pick after pick, so each order's members
-    come ascending.
+    ranked and filtered against `_reaching` in one gather (`_passing`);
+    those that pass are rechecked in Python ints (`_rechecked`).
     """
-    high, low = _reaching(orders[:, None], m)
     ns, ms = orders.tolist(), m.ravel().tolist()
-    best = [(0, 1)] * len(ns)
+    best = [(0, 1, 1)] * len(ns)
     step = max(1, _SLICE_TERMS // hs.shape[1])
     for at in range(0, picks.size, step):
         i, b = rows[at : at + step], picks[at : at + step]
@@ -1114,17 +1114,11 @@ def _pass_maxima(orders, rows, picks, before, m, hs: np.ndarray, ks: np.ndarray)
         kept = block_k <= orders[i, None]
         ranks = np.cumsum(kept, axis=1)
         ranks += before[i, b][:, None]
-        terms = np.divide(block_h, block_k)
-        terms -= ranks / m[i]
-        kept &= (terms >= high[i]) | (terms <= low[i])
-        del terms
+        kept &= _passing(block_h, block_k, ranks, orders[i, None], m[i])
         cells = np.nonzero(kept)
         for j, h, k, r in zip(i[cells[0]].tolist(), block_h[cells].tolist(), block_k[cells].tolist(), ranks[cells].tolist()):
-            (dev, _), (mirror, _) = _mirrored(h, k, r, ms[j])
-            dev = max(dev, mirror)
-            if dev * best[j][1] > best[j][0] * k * ms[j]:
-                best[j] = dev, k * ms[j]
-    for n, (dev, den) in zip(ns, best):
+            best[j] = _rechecked(best[j], h, k, r, ms[j])
+    for n, (dev, den, _) in zip(ns, best):
         yield n, dev, den
 
 
@@ -1132,19 +1126,20 @@ def dress_scan_sweep(n_max: int, table: TotientTable | None = None) -> DressSwee
     """Check max_j |F_N(j) - j/|F_N|| <= 1/N for every N <= n_max in one pass.
 
     From `_sweep_maxima`'s integer pairs, the violations (N*dev > den),
-    worst_ratio (max over N of N*dev/den, compared by cross-multiplying and
-    rounded once by the int/int true division) and worst_order (its first
-    order) are exact.  |F_{n_max}| comes from the table (see `_table_for`),
+    worst_ratio (max over N of N*dev/den, compared by `_beats` and rounded
+    once by the int/int true division) and worst_order (its first order) are
+    exact.  |F_{n_max}| comes from the table (see `_table_for`),
     and the half of it in [0, 1/2] must be within SWEEP_MEMBER_BUDGET before
     any buffer exists.
     """
     if n_max < 1:
         raise PreconditionError(f"n_max must be >= 1, got {n_max}")
-    worst_num, worst_den, worst_order = 1, 2, 1  # order 1: terms 1/2 and 0 against the cap 1
+    worst = (1, 2, 1)  # (N*dev, den, N); order 1: terms 1/2 and 0 against the cap 1
     violations = []
     for n, dev, den in _sweep_maxima(n_max, table):
         if n * dev > den:
             violations.append(n)
-        if n * dev * worst_den > worst_num * den:
-            worst_num, worst_den, worst_order = n * dev, den, n
+        if _beats((n * dev, den, n), worst):
+            worst = n * dev, den, n
+    worst_num, worst_den, worst_order = worst
     return DressSweep(n_max, not violations, violations, worst_num / worst_den, worst_order)

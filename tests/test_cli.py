@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import weakref
@@ -345,6 +346,26 @@ class TestExitCodes:
         assert code == 3
         assert out.strip().endswith("among 10 triples")
 
+    def test_a_sweep_past_the_bound_is_falsified(self, monkeypatch, capsys):
+        # order 3 deviates by 1/2 > 1/3
+        monkeypatch.setattr(franel, "_sweep_maxima", lambda n_max, table=None: iter([(2, 1, 4), (3, 1, 2)]))
+        code, out = run_cli(["dress", "--sweep-to", "3"])
+        assert code == 3
+        assert out.splitlines()[-1] == "3,false,1,1.5,3"
+        assert "FALSIFIED: deviation bound violated at orders [3]" in capsys.readouterr().err
+
+    def test_an_order_past_the_bound_is_falsified(self, monkeypatch, capsys):
+        report = franel.DressReport(6, 0.25, 2, False, 0.125)
+        monkeypatch.setattr(cli, "dress_scan", lambda n, table, term_budget: report)
+        code, out = run_cli(["dress", "--order", "6"])
+        assert code == 3
+        assert out.splitlines()[-1] == "6,0.25,2,0.125,false"
+        assert "FALSIFIED: deviation bound violated at order 6" in capsys.readouterr().err
+
+    def test_a_list_with_a_non_integer_is_a_usage_error(self, capsys):
+        assert run_cli(["growth", "--vertex", "0/1", "--i", "4,x"]) == (1, "")
+        assert "expected comma-separated integers, got '4,x'" in capsys.readouterr().err
+
 
 class TestOutOfDomain:
     @pytest.mark.parametrize(
@@ -583,3 +604,12 @@ def test_python_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: farey")
+
+
+def test_the_module_entry_calls_main(monkeypatch, capsys):
+    # `python -m fareysums` in this process: __main__ hands sys.argv to main
+    monkeypatch.setattr(sys, "argv", ["farey", "rank", "--order", "6", "--fraction", "1/2"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("fareysums", run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == "7\n"

@@ -130,6 +130,11 @@ class TestEnumerateWindow:
     def test_budget(self):
         with pytest.raises(BudgetError):
             enumerate_window(10_000, ZERO, ONE, budget=1000)
+        # F_300 holds 27 399 members; its estimate, 30 799, is within 1.25 times
+        # 27 000, so the window is refused at its 27 001st fraction
+        with pytest.raises(BudgetError, match="exceeded budget 27000"):
+            enumerate_window(300, ZERO, ONE, budget=27_000)
+        assert len(enumerate_window(300, ZERO, ONE, budget=27_399).fractions) == 27_399
 
     def test_rejects_bad_range(self):
         with pytest.raises(PreconditionError):

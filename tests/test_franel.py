@@ -10,7 +10,7 @@ from unittest.mock import Mock, patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fareysums import franel
 from fareysums.arith import Fraction, INFINITY, ONE, ZERO
@@ -455,6 +455,14 @@ class TestDress:
         report = dress_scan(sweep.worst_order)
         assert report.max_term * sweep.worst_order == pytest.approx(sweep.worst_ratio, rel=1e-9)
 
+    def test_sweep_reports_every_order_past_the_bound(self, monkeypatch):
+        # orders 3 and 5 deviate past 1/N (3*1 > 2, 5*2 > 5); 5 by the most
+        maxima = [(2, 1, 4), (3, 1, 2), (4, 1, 8), (5, 2, 5)]
+        monkeypatch.setattr(franel, "_sweep_maxima", lambda n_max, table=None: iter(maxima))
+        sweep = dress_scan_sweep(5)
+        assert (sweep.all_ok, sweep.violations) == (False, [3, 5])
+        assert (sweep.worst_ratio, sweep.worst_order) == (2.0, 5)
+
     def test_sweep_maxima_are_the_exact_per_order_maxima(self):
         orders, met_in_lower_half = [], set()
         for n, dev, den in franel._sweep_maxima(200):
@@ -810,10 +818,11 @@ class TestMirroredScans:
         # a chunk's mirrors arrive at descending ranks, before the next chunk's
         # members at lower ranks; no whole-sequence maximum ties below n = 1200
         red = franel._Reduction(1, 10, True)
-        ks = np.ones(2, dtype=np.int64)
-        red._reduce(ks, np.array([3, 3]), 9, -1)
+        red._take(3, 10, 9)
+        red._take(3, 10, 8)
         assert red.best_rank == 8
-        red._reduce(ks, np.array([3, 2]), 4, 1)
+        red._take(3, 10, 4)
+        red._take(2, 10, 5)
         assert (red.best_dev, red.best_den, red.best_rank) == (3, 10, 4)
         # rows hand whole chunks over from the top down: 3/10 at ranks 5 and
         # 6, then again at rank 2
@@ -914,7 +923,7 @@ class TestExactSum:
         red = franel._Reduction(1, scale, False, dense)
         red.dev_bound = (1 << 63) - 1 if folded else 0
         for ks, devs in chunks:
-            red._reduce(np.array(ks, dtype=np.int64), np.array(devs, dtype=np.int64))
+            red._group(np.array(ks, dtype=np.int64), np.array(devs, dtype=np.int64))
         want = sum((Rat(d, k * scale) for ks, devs in chunks for k, d in zip(ks, devs)), start=Rat(0))
         assert red.sum_exact() == want
         assert red.sum_float() == float(want)
@@ -924,11 +933,16 @@ class TestExactSum:
     @pytest.mark.parametrize("chunked", [False, True])
     def test_int64_deviations_summing_past_two_to_the_63(self, chunked, dense):
         # D_3 = 2**64 + 24 would wrap in int64; the D_k must be folded first,
-        # and each later deviation split, so that they stay int64 and exact
-        terms = [(3, 2**62), (7, 2**62 - 1), (3, 2**62 + 5), (3, 11), (3, 2**62 + 1), (3, 2**62 + 7)]
-        chunks = [([k], [d]) for k, d in terms] if chunked else [tuple(zip(*terms))]
-        red, _ = self._fed(chunks, dense=dense)
-        assert red.dev_bound >= 2**63 and red.sums.dtype == np.int64
+        # and each later deviation split, so that they stay int64 and exact.
+        # Split in one chunk, 2**62 = 2**62*1 + 0 twice gives whole parts
+        # whose sum, 2**63, would wrap in int64 too.
+        for terms in (
+            [(3, 2**62), (7, 2**62 - 1), (3, 2**62 + 5), (3, 11), (3, 2**62 + 1), (3, 2**62 + 7)],
+            [(1, 2**62), (1, 2**62)],
+        ):
+            chunks = [([k], [d]) for k, d in terms] if chunked else [tuple(zip(*terms))]
+            red, _ = self._fed(chunks, dense=dense)
+            assert red.dev_bound >= 2**63 and red.sums.dtype == np.int64
 
     @pytest.mark.parametrize("dense", [0, 8])
     def test_int64_sums_up_to_their_edge(self, dense):
@@ -959,11 +973,12 @@ class TestExactSum:
         st.lists(st.tuples(st.integers(1, 2**31 + 100), st.integers(0, 2**62)), min_size=1, max_size=30),
         st.integers(1, 2**62),
     )
+    @example(terms=[(1, 2**62), (1, 2**62)], scale=1)  # folded whole parts summing to 2**63
     def test_a_given_exact_sum_gives_the_digits_float(self, terms, scale):
         # sum_float(exact) is float(exact), with no pass over the D_k: the same
         # bits as the digits give (or the exact sum, for k >= 2**31 or a near tie)
         red = franel._Reduction(1, scale, False)
-        red._reduce(*(np.array(column, dtype=np.int64) for column in zip(*terms)))
+        red._group(*(np.array(column, dtype=np.int64) for column in zip(*terms)))
         exact = red.sum_exact()
         assert exact == sum((Rat(d, k * scale) for k, d in terms), start=Rat(0))
         with patch.object(franel._Reduction, "_remainders", side_effect=AssertionError("read the D_k")):
@@ -1009,7 +1024,7 @@ class TestExactSum:
             group(red, ks, dev)
 
         def spy_merge(red):
-            merged = red.keys.size + red.pending_size
+            merged = red.keys.size + sum(ks.size for ks, _ in red.pending)
             merge(red)
             merges.append((merged, red.keys.size, red.sums.size, len(seen)))
 
@@ -1023,10 +1038,10 @@ class TestExactSum:
         assert sum(grouped) == half and len(grouped) > 700
         assert all(keys == sums == distinct for _, keys, sums, distinct in merges)
         assert merges[-1][1] <= n  # a value slice may stand for h/k by t*h/t*k
-        # a merge waits until the chunks' groups hold as many entries as the
-        # merged ones, so it sorts no more than twice the entries it adds,
-        # not every denominator seen for each chunk of 8
-        assert sum(merged for merged, *_ in merges) <= 3 * sum(grouped)
+        # the chunks' groups wait until the D_k are read and merge once, so
+        # the merge sorts each grouped entry once, not every denominator seen
+        # for each chunk of 8
+        assert len(merges) == 1 and sum(merged for merged, *_ in merges) <= 3 * sum(grouped)
         assert result.sum_exact == stream_deviations(n, ZERO, ONE, 1, m, m)["sum_exact"]
 
     def test_fold_reads_a_dense_state_a_block_at_a_time(self):
