@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .arith import Fraction, INFINITY, ONE, ZERO, det2, gcd_triple, gcd_triples, mediant, shear
-from .errors import BudgetError, FareyError, PreconditionError, TheoremViolation
-from .farey import _size_estimate, _window_pairs, enumerate_window, rank_fast, rank_oracle
+from .errors import BudgetError, FareyError, PreconditionError, TheoremViolation, within_budget
+from .farey import _check_positive_order, _size_estimate, _window_pairs, enumerate_window, rank_fast, rank_oracle
 from .franel import (
     DEFAULT_TERM_BUDGET,
     _prefix_cells,
@@ -207,7 +207,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--vertex", type=_fraction, required=True)
     p.add_argument("--covertex", type=_fraction, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--i", type=int, default=None)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--inverse", action="store_true")
 
@@ -240,12 +239,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _within_budget(work: str, estimate: float, unit: str, budget: int) -> None:
-    """Refuse work whose estimated size is over its budget, before the work starts."""
-    if estimate > budget:
-        raise BudgetError(f"{work} needs about {estimate:.3g} {unit}, over budget {budget}")
-
-
 def _cmd_enumerate(args, config: Config, out: _Output) -> int:
     n = args.order
     pairs = _window_pairs(n, args.lo, args.hi, config.term_budget)
@@ -253,11 +246,11 @@ def _cmd_enumerate(args, config: Config, out: _Output) -> int:
     rows = []
     if first is not None:
         # rank_fast sieves mu and the Mertens sums up to N
-        _within_budget(f"fast rank at order {n}", n, "sieve entries", config.table_limit)
+        within_budget(f"fast rank at order {n}", n, "sieve entries", config.table_limit)
         start = rank_fast(n, Fraction(*first)).rank
         # the rows are streamed, so their count from ranks is checked before the first is written
         count = rank_fast(n, args.hi).rank - start + 1
-        _within_budget(f"window [{args.lo}, {args.hi}] at order {n}", count, "rows", config.term_budget)
+        within_budget(f"window [{args.lo}, {args.hi}] at order {n}", count, "rows", config.term_budget)
         rows = ([start + j, f"{h}/{k}", h, k] for j, (h, k) in enumerate(chain([first], pairs)))
     out.table(["index", "fraction", "num", "den"], rows)
     return 0
@@ -266,13 +259,13 @@ def _cmd_enumerate(args, config: Config, out: _Output) -> int:
 def _cmd_rank(args, config: Config, out: _Output) -> int:
     if args.method == "fast":
         # rank_fast sieves mu and the Mertens sums up to N
-        _within_budget(f"fast rank at order {args.order}", args.order, "sieve entries", config.table_limit)
+        within_budget(f"fast rank at order {args.order}", args.order, "sieve entries", config.table_limit)
         report = rank_fast(args.order, args.fraction)
     else:
         # the oracle takes one gcd per h <= d*x for each d <= N: about x*N(N+1)/2
         n = args.order
         steps = min(float(args.fraction), 1.0) * n * (n + 1) / 2
-        _within_budget(f"oracle rank at order {n}", steps, "gcd steps", config.term_budget)
+        within_budget(f"oracle rank at order {n}", steps, "gcd steps", config.term_budget)
         report = rank_oracle(n, args.fraction)
     out.stream.write(f"{report.rank}\n")
     return 0
@@ -287,7 +280,7 @@ def _cmd_index(args, config: Config, out: _Output) -> int:
             raise BudgetError(f"{work} needs at least 2**{args.imax - 2} rows, over budget {config.term_budget}")
         n = lcm_range(args.imax)
         first = -(-n // args.imax)
-        _within_budget(work, n - first + 1, "rows", config.term_budget)
+        within_budget(work, n - first + 1, "rows", config.term_budget)
         rows = []
         for q in range(first, n + 1):
             exact = exact_index_unit_fraction(args.imax, q, table).value
@@ -312,12 +305,9 @@ def _cmd_index(args, config: Config, out: _Output) -> int:
 
 
 def _cmd_map(args, config: Config, out: _Output) -> int:
-    if args.i is None:
-        params = make_params(args.vertex, args.covertex, args.q, args.order)
-    else:
-        params = MapParams(args.vertex, args.covertex, args.q, args.i, args.order)
+    params = make_params(args.vertex, args.covertex, args.q, args.order)
     # either direction enumerates F_i
-    _within_budget(f"map over F_{params.i}", _size_estimate(params.i, 1.0), "terms", config.term_budget)
+    within_budget(f"map over F_{params.i}", _size_estimate(params.i, 1.0), "terms", config.term_budget)
     if args.inverse:
         window = map_window(params)
         rows = [[str(u), str(inverse_map(params, u))] for u in window.fractions]
@@ -353,7 +343,7 @@ def _cmd_gcd_check(args, config: Config, out: _Output) -> int:
         window = enumerate_window(args.exhaustive, ZERO, ONE, budget=config.term_budget)
         triples += comb(len(window.fractions), 3)
         exhaustive = combinations(window.fractions, 3)
-    _within_budget("gcd check", triples, "triples", config.term_budget)
+    within_budget("gcd check", triples, "triples", config.term_budget)
     checked = bad = 0
     pending = chain(exhaustive, random)
     for batch in iter(lambda: list(islice(pending, _TRIPLES_PER_BATCH)), []):
@@ -370,11 +360,12 @@ def _cmd_gcd_check(args, config: Config, out: _Output) -> int:
 def _cmd_franel(args, config: Config, out: _Output) -> int:
     if args.kanemitsu and (args.lo, args.hi) != (None, None):
         raise _UsageError("--kanemitsu sums the prefix up to 1/4 and takes no --lo or --hi")
+    _check_positive_order(args.order)  # in either mode, before any sieve
     if args.kanemitsu:
         # its per-denominator sums are budgeted in cells, before any sieve; the table is
         # handed over unnamed, so that it is freed once kanemitsu_sum has read |F_N|
-        _within_budget(f"signed prefix sum at order {args.order}", _prefix_cells(args.order), "cells",
-                       config.term_budget)
+        within_budget(f"signed prefix sum at order {args.order}", _prefix_cells(args.order), "cells",
+                      config.term_budget)
         result = kanemitsu_sum(args.order, build_totient_table(args.order, budget=config.table_limit),
                                term_budget=config.term_budget)
     else:
@@ -414,9 +405,10 @@ def _cmd_growth(args, config: Config, out: _Output) -> int:
 
 
 def _cmd_dress(args, config: Config, out: _Output) -> int:
+    _check_positive_order(args.order if args.sweep_to is None else args.sweep_to)  # before any sieve
     if args.sweep_to is not None:
         n = args.sweep_to
-        _within_budget(f"dress sweep to order {n}", _sweep_cells(n), "cells", config.term_budget)
+        within_budget(f"dress sweep to order {n}", _sweep_cells(n), "cells", config.term_budget)
         sweep = dress_scan_sweep(n, build_totient_table(n, budget=config.table_limit))
         out.table(
             ["n_max", "all_ok", "violations", "worst_ratio", "worst_order"],

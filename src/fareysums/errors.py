@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one budget check that raises BudgetError."""
 
 
 class FareyError(Exception):
@@ -11,6 +11,17 @@ class PreconditionError(FareyError, ValueError):
 
 class BudgetError(FareyError):
     """A computation would exceed the configured memory or term budget."""
+
+
+def within_budget(work: str, amount: int | float, unit: str, budget: int) -> None:
+    """Refuse work whose size is over its budget, before the work starts.
+
+    An int amount is counted and printed in full; a float one is an estimate,
+    printed as "about" and 3 significant digits.
+    """
+    if amount > budget:
+        size = amount if isinstance(amount, int) else f"about {amount:.3g}"
+        raise BudgetError(f"{work} needs {size} {unit}, over budget {budget}")
 
 
 class TheoremViolation(FareyError):

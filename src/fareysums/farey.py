@@ -109,9 +109,14 @@ def farey_neighbors(n: int, x: Fraction) -> tuple[Fraction | None, Fraction | No
     return left, (None if x == ONE else next_farey(n, left, x))
 
 
-def _check_window_args(n: int, lo: Fraction, hi: Fraction) -> None:
+def _check_positive_order(n: int) -> None:
+    """Refuse an order below 1, by name, before any work (and so before any sieve)."""
     if n < 1:
         raise PreconditionError(f"order must be >= 1, got {n}")
+
+
+def _check_window_args(n: int, lo: Fraction, hi: Fraction) -> None:
+    _check_positive_order(n)
     _check_unit_interval(lo, "lo")
     _check_unit_interval(hi, "hi")
     if hi < lo:
@@ -169,8 +174,7 @@ def rank_oracle(n: int, x: Fraction) -> RankReport:
     This is the definitional count; it is slow (O(n^2) gcds for central x) and
     exists as the trusted reference for the faster paths.
     """
-    if n < 1:
-        raise PreconditionError(f"order must be >= 1, got {n}")
+    _check_positive_order(n)
     _check_unit_interval(x)
     p, q = x.num, x.den
     count = 1
@@ -287,8 +291,7 @@ def rank_fast(n: int, x: Fraction) -> RankReport:
     in magnitude.  All of it is exact in int64 while (n + 1)(n + 2) < 2^62;
     past that the arrays hold Python ints.  Exact for any denominator q.
     """
-    if n < 1:
-        raise PreconditionError(f"order must be >= 1, got {n}")
+    _check_positive_order(n)
     _check_unit_interval(x)
     p, q = x.num, x.den
     if q > n:

@@ -94,8 +94,8 @@ from math import ceil, gcd, isqrt, log
 import numpy as np
 
 from .arith import Fraction, ONE, ZERO
-from .errors import BudgetError, PreconditionError
-from .farey import _check_window_args, iter_window, rank_fast
+from .errors import BudgetError, PreconditionError, within_budget
+from .farey import _check_positive_order, _check_window_args, iter_window, rank_fast
 from .mapping import MapParams, make_params
 from .totient import (
     THREE_OVER_PI_SQ,
@@ -648,7 +648,8 @@ def _franel_result(n: int, lo: Fraction, hi: Fraction, rank_lo: int, count: int,
 
 
 def _check_order(n: int) -> None:
-    """Refuse orders from _ORDER_CAP, past the int64 domain of the deviation sums, before any table."""
+    """Refuse orders below 1, and from _ORDER_CAP, past the int64 domain of the deviation sums, before any table."""
+    _check_positive_order(n)
     if n >= _ORDER_CAP:
         raise PreconditionError(f"order {n} is past the deviation kernel's int64 domain: it must be below {_ORDER_CAP}")
 
@@ -656,8 +657,9 @@ def _check_order(n: int) -> None:
 def _window(n: int, lo: Fraction, hi: Fraction, table: TotientTable | None, term_budget: int):
     """(rank of lo, term count, |F_n|) of a scan over F_n in [lo, hi], checked before any term.
 
-    The table comes first, so that its budget bounds n before rank_fast
-    sieves mu up to n; then lo must be in F_n, and the count within term_budget.
+    The order comes first (`_check_order`), then the table, so that its
+    budget bounds n before rank_fast sieves mu up to n; then lo must be in
+    F_n, and the count within term_budget.
     """
     _check_order(n)
     m = farey_cardinality(n, _table_for(n, table))
@@ -666,11 +668,7 @@ def _window(n: int, lo: Fraction, hi: Fraction, table: TotientTable | None, term
     _check_window_args(n, lo, hi)
     rank_lo = 1 if lo == ZERO else rank_fast(n, lo).rank
     count = (m if hi == ONE else rank_fast(n, hi).rank) - rank_lo + 1
-    if count > term_budget:
-        raise BudgetError(
-            f"deviation scan over [{lo}, {hi}] at order {n} holds {count} terms, "
-            f"over the term budget {term_budget}"
-        )
+    within_budget(f"deviation scan over [{lo}, {hi}] at order {n}", count, "terms", term_budget)
     return rank_lo, count, m
 
 
@@ -886,11 +884,7 @@ def kanemitsu_sum(
     if n < 4:
         raise PreconditionError(f"the prefix sum needs n >= 4, got {n}")
     _check_order(n)
-    cells = _prefix_cells(n)
-    if cells > term_budget:
-        raise BudgetError(
-            f"signed prefix sum at order {n} needs about {cells:.3g} cells, over the term budget {term_budget}"
-        )
+    within_budget(f"signed prefix sum at order {n}", _prefix_cells(n), "cells", term_budget)
     m = farey_cardinality(n, _table_for(n, table))
     del table  # only |F_n| is read: the sums below do not hold the table
     prefix_rank = rank_fast(n, Fraction(1, 4)).rank
@@ -1058,11 +1052,7 @@ def _sweep_maxima(n_max: int, table: TotientTable | None = None):
     and filtered in gathers of at most _SLICE_TERMS cells (`_pass_maxima`).
     """
     capacity = (farey_cardinality(n_max, _table_for(n_max, table)) + 1) // 2
-    if capacity > SWEEP_MEMBER_BUDGET:
-        raise BudgetError(
-            f"sweep to {n_max} keeps {capacity} members of F_{n_max} in [0, 1/2], "
-            f"over budget {SWEEP_MEMBER_BUDGET}"
-        )
+    within_budget(f"sweep to {n_max}", capacity, f"members of F_{n_max} in [0, 1/2]", SWEEP_MEMBER_BUDGET)
     hs, ks = _half(n_max)
     if hs.size != capacity:
         raise PreconditionError(f"rows gave {hs.size} members of F_{n_max} in [0, 1/2] but the table gives {capacity}")
@@ -1128,12 +1118,11 @@ def dress_scan_sweep(n_max: int, table: TotientTable | None = None) -> DressSwee
     From `_sweep_maxima`'s integer pairs, the violations (N*dev > den),
     worst_ratio (max over N of N*dev/den, compared by `_beats` and rounded
     once by the int/int true division) and worst_order (its first order) are
-    exact.  |F_{n_max}| comes from the table (see `_table_for`),
-    and the half of it in [0, 1/2] must be within SWEEP_MEMBER_BUDGET before
-    any buffer exists.
+    exact.  The order is checked first (`_check_order`); |F_{n_max}| comes
+    from the table (see `_table_for`), and the half of it in [0, 1/2] must be
+    within SWEEP_MEMBER_BUDGET before any buffer exists.
     """
-    if n_max < 1:
-        raise PreconditionError(f"n_max must be >= 1, got {n_max}")
+    _check_order(n_max)
     worst = (1, 2, 1)  # (N*dev, den, N); order 1: terms 1/2 and 0 against the cap 1
     violations = []
     for n, dev, den in _sweep_maxima(n_max, table):

@@ -102,7 +102,8 @@ def asymptotic_index_zero(n: int, q: int) -> float:
 
 
 def asymptotic_index_half(n: int, q: int, cardinality: int) -> float:
-    """Leading asymptotic |F_N|/2 + 3*N^2/(4*pi^2*q) for the rank of (q+1)/(2q+1)."""
-    if q < 1:
-        raise PreconditionError(f"q must be >= 1, got {q}")
-    return cardinality / 2 + THREE_OVER_PI_SQ * n * n / (4 * q)
+    """Leading asymptotic |F_N|/2 + 3*N^2/(4*pi^2*q) for the rank of (q+1)/(2q+1).
+
+    The second term is `asymptotic_index_zero`'s, quartered: a quarter is exact in floats.
+    """
+    return cardinality / 2 + asymptotic_index_zero(n, q) / 4

@@ -14,7 +14,7 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .errors import BudgetError, PreconditionError
+from .errors import PreconditionError, within_budget
 
 DEFAULT_TABLE_LIMIT = 10_000_000
 
@@ -86,15 +86,18 @@ class TotientTable:
         self.phi = phi
         self.phi_sum = phi_sum
 
-    def phi_of(self, k: int) -> int:
+    def check(self, k: int, name: str = "k") -> None:
+        """Refuse k outside the table's range [1, limit], naming it."""
         if not 1 <= k <= self.limit:
-            raise PreconditionError(f"k={k} outside table range [1, {self.limit}]")
+            raise PreconditionError(f"{name}={k} outside table range [1, {self.limit}]")
+
+    def phi_of(self, k: int) -> int:
+        self.check(k)
         return int(self.phi[k])
 
     def summatory(self, k: int) -> int:
         """Phi(k) = sum of phi(j) for j <= k."""
-        if not 1 <= k <= self.limit:
-            raise PreconditionError(f"k={k} outside table range [1, {self.limit}]")
+        self.check(k)
         return int(self.phi_sum[k])
 
 
@@ -108,8 +111,7 @@ def build_totient_table(limit: int, budget: int = DEFAULT_TABLE_LIMIT) -> Totien
     """
     if limit < 1:
         raise PreconditionError(f"limit must be >= 1, got {limit}")
-    if limit > budget:
-        raise BudgetError(f"table limit {limit} exceeds budget {budget}")
+    within_budget("totient table", limit, "entries", budget)
     phi = np.empty(limit + 1, dtype=np.int64)
     phi[:2] = 0, 1
     for lo, hi, p, q in _factor_blocks(limit):
@@ -137,10 +139,7 @@ def scaled_phi_ratio_sum(i: int, n: int, table: TotientTable) -> int:
     Requires n to be a multiple of lcm(2..i) so that every term is an integer;
     each term is then evaluated as (n // j) * phi(j) with no rounding anywhere.
     """
-    if i < 1:
-        raise PreconditionError(f"i must be >= 1, got {i}")
-    if i > table.limit:
-        raise PreconditionError(f"i={i} outside table range [1, {table.limit}]")
+    table.check(i, "i")
     block = lcm(*range(2, i + 1))  # 1 at i = 1
     if n % block:
         raise PreconditionError(
@@ -180,15 +179,13 @@ def _deviations(table: TotientTable, n: int, h_scaled: int) -> tuple[float, floa
 
 def error_terms(n: int, table: TotientTable) -> AsymptoticError:
     """E(n) and H(n), the quadratic and linear summatory deviations at n."""
-    if not 1 <= n <= table.limit:
-        raise PreconditionError(f"n={n} outside table range [1, {table.limit}]")
+    table.check(n, "n")
     return AsymptoticError(n, *_deviations(table, n, sum(_scaled_ratios(table, n))))
 
 
 def error_term_rows(n_max: int, table: TotientTable):
     """Yield (n, phi(n), Phi(n), E(n), H(n)) for n = 1..n_max with one incremental pass."""
-    if not 1 <= n_max <= table.limit:
-        raise PreconditionError(f"n_max={n_max} outside table range [1, {table.limit}]")
+    table.check(n_max, "n_max")
     for n, h_scaled in enumerate(accumulate(_scaled_ratios(table, n_max)), start=1):
         yield n, int(table.phi[n]), table.summatory(n), *_deviations(table, n, h_scaled)
 

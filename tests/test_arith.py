@@ -56,6 +56,12 @@ class TestFractionType:
         assert not INFINITY < INFINITY
         assert Fraction(999999, 1000000) < ONE
 
+    def test_greater_or_equal(self):
+        assert Fraction(1, 2) >= Fraction(1, 3)
+        assert Fraction(1, 2) >= Fraction(2, 4)
+        assert not Fraction(1, 3) >= Fraction(1, 2)
+        assert INFINITY >= ONE
+
     def test_sentinel_above_everything(self):
         for f in reduced_fractions(8):
             if f != INFINITY:
@@ -211,6 +217,11 @@ class TestNeighborGcdCheck:
     def test_rejects_non_adjacent_outer_pair(self):
         with pytest.raises(PreconditionError):
             neighbor_gcd_check(Fraction(1, 5), Fraction(1, 2), Fraction(4, 5))
+
+    def test_rejects_mid_outside_the_pair(self):
+        # 1/2 and 2/3 are adjacent, and 1/1 is not between them
+        with pytest.raises(PreconditionError, match="mid must lie strictly between, got 1/2, 1/1, 2/3"):
+            neighbor_gcd_check(Fraction(1, 2), ONE, Fraction(2, 3))
 
     def test_holds_for_all_small_cases(self):
         fracs = sorted(reduced_fractions(14))

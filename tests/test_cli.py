@@ -52,7 +52,7 @@ class TestSingleValueCommands:
         assert code == 2
         assert out == ""
         err = capsys.readouterr().err
-        assert "1.5e+10 gcd steps" in err and "budget 100000000" in err
+        assert "needs about 1.5e+10 gcd steps, over budget 100000000" in err
 
     def test_index_example(self):
         code, out = run_cli(["index", "--imax", "3", "--q", "6"])
@@ -137,13 +137,13 @@ class TestTables:
         # F_300 has 27 399 members, and its size estimate (about 3.08e4) is within 1.25 budgets:
         # the count from ranks decides, before any output
         assert run_cli(["enumerate", "--order", "300", "--term-budget", "27398"]) == (2, "")
-        assert "2.74e+04 rows, over budget 27398" in capsys.readouterr().err
+        assert "needs 27399 rows, over budget 27398" in capsys.readouterr().err
         code, out = run_cli(["enumerate", "--order", "300", "--term-budget", "27399"])
         assert code == 0 and out.endswith("\n27399,1/1,1,1\n")
 
     def test_map_forward_pairs(self):
         code, out = run_cli(["map", "--vertex", "0/1", "--covertex", "1/0",
-                             "--q", "3", "--i", "2", "--order", "6", "--format", "json"])
+                             "--q", "3", "--order", "6", "--format", "json"])
         assert code == 0
         rows = json.loads(out)["rows"]
         assert [(r["source"], r["image"]) for r in rows] == [
@@ -337,7 +337,8 @@ class TestExitCodes:
     )
     def test_table_limit_bounds_every_table(self, argv, capsys):
         assert run_cli(argv) == (2, "")
-        assert "exceeds budget" in capsys.readouterr().err
+        order = 60 if argv[0] == "growth" else int(argv[2])  # the growth section's N = lcm(2..6)
+        assert f"totient table needs {order} entries, over budget {argv[-1]}" in capsys.readouterr().err
 
     def test_falsified_theorem_exit_code(self, monkeypatch):
         # force the identity check to report unequal gcds to exercise the wiring
@@ -365,6 +366,22 @@ class TestExitCodes:
     def test_a_list_with_a_non_integer_is_a_usage_error(self, capsys):
         assert run_cli(["growth", "--vertex", "0/1", "--i", "4,x"]) == (1, "")
         assert "expected comma-separated integers, got '4,x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["index", "--imax", "5"], "index needs --q or --sweep"),
+            (["growth", "--vertex", "1/2", "--i", "4"], "--covertex is required unless the vertex is 0/1"),
+        ],
+    )
+    def test_a_missing_flag_is_a_usage_error(self, argv, message, capsys):
+        assert run_cli(argv) == (1, "")
+        assert capsys.readouterr().err == f"farey: usage error: {message}\n"
+
+    def test_an_unknown_output_format_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("FAREY_OUTPUT_FORMAT", "xml")
+        assert run_cli(["rank", "--order", "6", "--fraction", "1/2"]) == (1, "")
+        assert capsys.readouterr().err == "farey: usage error: unknown output format 'xml'\n"
 
 
 class TestOutOfDomain:
@@ -430,21 +447,34 @@ class TestWorkBudgets:
     @pytest.mark.parametrize(
         "argv,estimate,limit",
         [
-            (["index", "--imax", "20", "--sweep"], "2.21e+08 rows", "budget 100000000"),
-            (["gcd-check", "--exhaustive", "60"], "2.23e+08 triples", "budget 100000000"),
-            (["dress", "--sweep-to", "600", "--table-limit", "10"], "table limit 600", "budget 10"),
+            # lcm(2..20) - ceil(lcm(2..20)/20) + 1 = 232792560 - 11639628 + 1 rows, counted
+            (["index", "--imax", "20", "--sweep"], "needs 221152933 rows", "budget 100000000"),
+            # C(|F_60|, 3) = C(1103, 3) triples, counted
+            (["gcd-check", "--exhaustive", "60"], "needs 223045351 triples", "budget 100000000"),
+            (["dress", "--sweep-to", "600", "--table-limit", "10"], "totient table needs 600 entries", "budget 10"),
             # about 5.47e4 members of F_600 in [0, 1/2] in 365 blocks of 150, and 4 passes
             # over batches of 179 orders by all blocks
-            (["dress", "--sweep-to", "600", "--term-budget", "10"], "3.16e+05 cells", "budget 10"),
-            (["gcd-check", "--random", "1000", "--term-budget", "999"], "1e+03 triples", "budget 999"),
+            (["dress", "--sweep-to", "600", "--term-budget", "10"], "needs about 3.16e+05 cells", "budget 10"),
+            (["gcd-check", "--random", "1000", "--term-budget", "999"], "needs 1000 triples", "budget 999"),
             # F_400 holds about 4.9e4 members, about 5.34e4 by the density estimate
             (["map", "--vertex", "0/1", "--covertex", "1/0", "--q", "401", "--order", "160400",
-              "--term-budget", "10"], "5.34e+04 terms", "budget 10"),
+              "--term-budget", "10"], "needs about 5.34e+04 terms", "budget 10"),
             (["map", "--vertex", "0/1", "--covertex", "1/0", "--q", "401", "--order", "160400",
-              "--term-budget", "10", "--inverse"], "5.34e+04 terms", "budget 10"),
+              "--term-budget", "10", "--inverse"], "needs about 5.34e+04 terms", "budget 10"),
             # ranking the window's first member would sieve mu to N
             (["enumerate", "--order", "3000000", "--lo", "1/3", "--hi", "1/3", "--table-limit", "1000"],
-             "3e+06 sieve entries", "budget 1000"),
+             "needs 3000000 sieve entries", "budget 1000"),
+        ],
+        # each id gives the refused amount to 3 significant digits, and argv2's the table limit
+        ids=[
+            "argv0-2.21e+08 rows-budget 100000000",
+            "argv1-2.23e+08 triples-budget 100000000",
+            "argv2-table limit 600-budget 10",
+            "argv3-3.16e+05 cells-budget 10",
+            "argv4-1e+03 triples-budget 999",
+            "argv5-5.34e+04 terms-budget 10",
+            "argv6-5.34e+04 terms-budget 10",
+            "argv7-3e+06 sieve entries-budget 1000",
         ],
     )
     def test_refused_before_the_work_starts(self, argv, estimate, limit, capsys):
@@ -464,7 +494,7 @@ class TestWorkBudgets:
         monkeypatch.setattr(totient, "mobius_upto", bounded)
         argv = ["rank", "--fraction", "1/3", "--table-limit", "1000", "--order"]
         assert run_cli([*argv, "1001"]) == (2, "")
-        assert "1e+03 sieve entries, over budget 1000" in capsys.readouterr().err
+        assert "needs 1001 sieve entries, over budget 1000" in capsys.readouterr().err
         assert run_cli([*argv, "1000"]) == (0, "101401\n")
 
     def test_kanemitsu_at_a_million_within_the_default_budgets(self):
@@ -485,7 +515,7 @@ class TestWorkBudgets:
         assert run_cli(argv) == (2, "")
         err = capsys.readouterr().err
         assert err.startswith("farey: error: ")
-        assert "1.38e+07 cells" in err and "budget 13815510" in err
+        assert "needs about 1.38e+07 cells, over budget 13815510" in err
 
     def test_kanemitsu_frees_the_table_before_its_sums(self, monkeypatch):
         # only |F_N| is read from the table, so nothing holds it while the sums run
@@ -514,7 +544,7 @@ class TestWorkBudgets:
         monkeypatch.setattr(cli, "gcd_triple", refuse)
         # F_12 holds 47 fractions: C(47, 3) = 16215 triples
         assert run_cli(["gcd-check", "--exhaustive", "12", "--term-budget", "16214"]) == (2, "")
-        assert "1.62e+04 triples" in capsys.readouterr().err
+        assert "needs 16215 triples, over budget 16214" in capsys.readouterr().err
 
     @pytest.mark.parametrize("budget", [16215, 16224])
     def test_exhaustive_and_random_triples_are_counted_together(self, budget, monkeypatch, capsys):
@@ -525,7 +555,7 @@ class TestWorkBudgets:
         # C(47, 3) = 16215 exhaustive triples plus 10 random ones
         argv = ["gcd-check", "--exhaustive", "12", "--random", "10", "--term-budget", str(budget)]
         assert run_cli(argv) == (2, "")
-        assert f"1.62e+04 triples, over budget {budget}" in capsys.readouterr().err
+        assert f"needs 16225 triples, over budget {budget}" in capsys.readouterr().err
 
     def test_exhaustive_and_random_triples_within_the_budget(self):
         argv = ["gcd-check", "--exhaustive", "12", "--random", "10", "--term-budget", "16225"]
@@ -564,6 +594,19 @@ class TestSelftest:
         assert "selftest passed" in out
         assert "FAIL" not in out
 
+
+    @pytest.mark.parametrize("broken", ["map_window", "inverse_map"])
+    def test_a_broken_bijection_fails_its_check(self, broken, monkeypatch):
+        fakes = {
+            "map_window": lambda params: Mock(fractions=[]),  # matches no window of F_N
+            "inverse_map": lambda params, u: cli.ZERO,  # round-trips only 0/1
+        }
+        monkeypatch.setattr(cli, broken, fakes[broken])
+        assert cli._bijection_holds() is False
+        code, out = run_cli(["selftest"])
+        assert code == 3
+        assert "FAIL - bijection round trip / window match (eta <= 3)\n" in out
+        assert "selftest passed" not in out
 
     def test_a_failing_check_is_reported_and_the_rest_still_run(self, monkeypatch):
         checks = list(cli._SELFTEST_CHECKS)

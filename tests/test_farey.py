@@ -78,6 +78,10 @@ class TestNextFarey:
         with pytest.raises(PreconditionError):
             next_farey(5, Fraction(1, 5), Fraction(1, 2))
 
+    def test_rejects_a_descending_pair(self):
+        with pytest.raises(PreconditionError, match="need prev < cur, got 1/2, 1/3"):
+            next_farey(5, Fraction(1, 2), Fraction(1, 3))
+
 
 class TestEnumerateWindow:
     @pytest.mark.parametrize(
@@ -434,6 +438,10 @@ class TestWindowCounts:
             got = count_in_window(n, Fraction(lo.numerator, lo.denominator),
                                   Fraction(hi.numerator, hi.denominator))
             assert got == len(brute_window(n, lo, hi))
+
+    def test_rejects_an_empty_range(self):
+        with pytest.raises(PreconditionError, match=r"empty range: lo=1/2 > hi=1/3"):
+            count_in_window(5, Fraction(1, 2), Fraction(1, 3))
 
     def test_density_envelope_at_large_orders(self):
         # |count - (3/pi^2) * width * N^2| <= C * N * log N over seeded random windows

@@ -181,13 +181,13 @@ class TestFullSum:
     def test_term_budget(self, scan, hi):
         count = rank_fast(100, hi).rank
         with patch.object(franel, "_members", side_effect=AssertionError("enumerated")):
-            with pytest.raises(BudgetError, match=f"holds {count} terms, over the term budget 100$"):
+            with pytest.raises(BudgetError, match=f"at order 100 needs {count} terms, over budget 100$"):
                 scan(100, term_budget=100)
 
     def test_table_budget_refuses_the_order_before_any_rank(self):
         n = DEFAULT_TABLE_LIMIT + 1
         with patch.object(franel, "rank_fast", side_effect=AssertionError("ranked")):
-            with pytest.raises(BudgetError, match=f"table limit {n} exceeds budget"):
+            with pytest.raises(BudgetError, match=f"totient table needs {n} entries, over budget {DEFAULT_TABLE_LIMIT}$"):
                 partial_franel_sum_range(n, ZERO, Fraction(1, n))
 
     def test_a_short_table_is_refused_before_any_rank(self):
@@ -241,7 +241,7 @@ class TestPartialSums:
         count = rank_fast(n, hi).rank - rank_fast(n, lo).rank + 1
         limit = count - 1
         with patch.object(franel, "_members", side_effect=AssertionError("enumerated")):
-            with pytest.raises(BudgetError, match=f"holds {count} terms, over the term budget {limit}"):
+            with pytest.raises(BudgetError, match=f"at order {n} needs {count} terms, over budget {limit}$"):
                 partial_franel_sum_range(n, lo, hi, term_budget=limit)
         assert partial_franel_sum_range(n, lo, hi, term_budget=count).term_count == count
 
@@ -416,7 +416,7 @@ class TestKanemitsu:
         with patch.object(franel, "build_totient_table", side_effect=AssertionError("sieved")), \
                 patch.object(franel, "mobius_upto", side_effect=AssertionError("sieved mu")), \
                 patch.object(franel, "rank_fast", side_effect=AssertionError("ranked")):
-            with pytest.raises(BudgetError, match="order 100 needs about 461 cells, over the term budget 460$"):
+            with pytest.raises(BudgetError, match="order 100 needs about 461 cells, over budget 460$"):
                 kanemitsu_sum(100, term_budget=460)
         assert kanemitsu_sum(100, term_budget=461).prefix_rank == rank_fast(100, Fraction(1, 4)).rank
 
@@ -609,7 +609,7 @@ class TestDress:
         monkeypatch.setattr(franel, "SWEEP_MEMBER_BUDGET", 13_700)
         assert dress_scan_sweep(300).all_ok
         monkeypatch.setattr(franel, "SWEEP_MEMBER_BUDGET", 13_699)
-        with pytest.raises(BudgetError, match="keeps 13700 members"):
+        with pytest.raises(BudgetError, match=r"sweep to 300 needs 13700 members of F_300 in \[0, 1/2\], over budget 13699$"):
             dress_scan_sweep(300)
 
     def test_sweep_refuses_a_short_table(self):
@@ -1261,7 +1261,7 @@ class TestInt64Margin:
 
     def test_kanemitsu_sum_refuses_orders_from_the_cap_before_any_sieve(self):
         cap = franel._ORDER_CAP
-        with pytest.raises(BudgetError, match=f"table limit {cap - 1} exceeds budget"):
+        with pytest.raises(BudgetError, match=f"totient table needs {cap - 1} entries, over budget {DEFAULT_TABLE_LIMIT}$"):
             kanemitsu_sum(cap - 1, term_budget=10**12)
         with patch.object(franel, "build_totient_table", side_effect=AssertionError("sieved")), \
                 patch.object(franel, "mobius_upto", side_effect=AssertionError("sieved mu")), \
@@ -1309,7 +1309,7 @@ class TestInt64Margin:
         # below the cap |F_n| <= 1 + n*(n + 1)/2 < 2**62 and a folded D_k < (k + 2)*k < 2**63
         cap = franel._ORDER_CAP
         assert 1 + cap * (cap + 1) // 2 < 2**62 and (cap + 2) * cap < 2**63
-        with pytest.raises(BudgetError, match=f"table limit {cap - 1} exceeds budget"):
+        with pytest.raises(BudgetError, match=f"totient table needs {cap - 1} entries, over budget {DEFAULT_TABLE_LIMIT}$"):
             full_franel_sum(cap - 1)
         with patch.object(franel, "build_totient_table", side_effect=AssertionError("sieved")), \
                 pytest.raises(PreconditionError, match="int64 domain"):

@@ -123,6 +123,11 @@ class TestGeneralEstimate:
         with pytest.raises(PreconditionError):
             general_index_estimate(params, 1)
 
+    def test_rejects_an_order_that_eta_does_not_divide(self):
+        # i = floor(3/(1*2)) = 1, so MapParams accepts N = 3 at eta = 2
+        with pytest.raises(PreconditionError, match="N=3 is not a multiple of eta=2"):
+            general_index_estimate(MapParams(Fraction(1, 2), ONE, 1, 1, 3), 1)
+
     def test_rejects_misaligned_order(self):
         # N/eta = 9 is not a multiple of lcm(2..2) = 2
         params = MapParams(Fraction(1, 2), ONE, 4, 2, 18)
@@ -141,6 +146,12 @@ class TestAsymptotics:
         # at lcm(2..400) the float product overflows to inf; 2**2000 is no float at all
         with pytest.raises(PreconditionError, match="past the float range"):
             asymptotic_index_zero(n, 1)
+
+    def test_both_vertices_refuse_q_below_one(self):
+        with pytest.raises(PreconditionError, match="q must be >= 1, got 0"):
+            asymptotic_index_zero(10, 0)
+        with pytest.raises(PreconditionError, match="q must be >= 1, got 0"):
+            asymptotic_index_half(10, 0, 33)
 
     def test_zero_vertex_envelope(self):
         table = build_totient_table(12)

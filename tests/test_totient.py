@@ -123,6 +123,10 @@ class TestCardinality:
         with pytest.raises(PreconditionError):
             farey_cardinality(table_10k.limit + 1, table_10k)
 
+    def test_phi_of_refuses_outside_the_table(self, table_10k):
+        with pytest.raises(PreconditionError, match=r"k=0 outside table range \[1, 10000\]"):
+            table_10k.phi_of(0)
+
 
 class TestLcmRange:
     @pytest.mark.parametrize("i,expected", [(3, 6), (4, 12), (12, 27720)])
@@ -154,8 +158,23 @@ class TestScaledRatioSum:
         with pytest.raises(PreconditionError):
             scaled_phi_ratio_sum(4, 6, table_10k)  # 6 is not a multiple of lcm(2..4)=12
 
+    def test_index_range(self):
+        table = build_totient_table(5)
+        with pytest.raises(PreconditionError, match=r"i=0 outside table range \[1, 5\]"):
+            scaled_phi_ratio_sum(0, 6, table)
+        with pytest.raises(PreconditionError, match=r"i=6 outside table range \[1, 5\]"):
+            scaled_phi_ratio_sum(6, 60, table)
+
 
 class TestErrorTerms:
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_refused_outside_the_table(self, n):
+        table = build_totient_table(5)
+        with pytest.raises(PreconditionError, match=rf"^n={n} outside table range \[1, 5\]$"):
+            error_terms(n, table)
+        with pytest.raises(PreconditionError, match=rf"^n_max={n} outside table range \[1, 5\]$"):
+            next(error_term_rows(n, table))
+
     def test_spot_values(self, table_10k):
         with localcontext() as ctx:
             ctx.prec = 50
@@ -194,6 +213,10 @@ class TestErrorTerms:
 
 
 class TestMobius:
+    def test_rejects_a_negative_limit(self):
+        with pytest.raises(PreconditionError, match="limit must be >= 0, got -1"):
+            mobius_upto(-1)
+
     def test_spot_values(self):
         mu = mobius_upto(30)
         expected = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 10: 1, 12: 0, 30: -1}
