@@ -24,10 +24,12 @@ import numpy as np
 from . import __version__
 from .arith import Fraction, INFINITY, ONE, ZERO, det2, gcd_triple, gcd_triples, mediant, shear
 from .errors import BudgetError, FareyError, PreconditionError, TheoremViolation, within_budget
-from .farey import _check_positive_order, _size_estimate, _window_pairs, enumerate_window, rank_fast, rank_oracle
+from .farey import _size_estimate, _window_pairs, enumerate_window, rank_fast, rank_oracle
 from .franel import (
     DEFAULT_TERM_BUDGET,
-    _prefix_cells,
+    _check_order,
+    _check_prefix,
+    _check_window,
     _section,
     _sweep_cells,
     dress_scan,
@@ -330,7 +332,7 @@ def _random_triples(count: int, cap: int, seed: int):
 def _cmd_gcd_check(args, config: Config, out: _Output) -> int:
     if args.exhaustive is None and args.random is None:
         raise _UsageError("gcd-check needs --exhaustive and/or --random")
-    exhaustive = random = ()
+    pairs = random = ()
     triples = 0
     if args.random is not None:
         if args.random < 1:
@@ -340,12 +342,15 @@ def _cmd_gcd_check(args, config: Config, out: _Output) -> int:
         triples = args.random
         random = _random_triples(args.random, args.max_value, args.seed)
     if args.exhaustive is not None:
-        window = enumerate_window(args.exhaustive, ZERO, ONE, budget=config.term_budget)
-        triples += comb(len(window.fractions), 3)
-        exhaustive = combinations(window.fractions, 3)
+        n = args.exhaustive
+        pairs = _window_pairs(n, ZERO, ONE, config.term_budget)
+        # |F_N| by rank_fast, which sieves mu and the Mertens sums up to N
+        within_budget(f"fast rank at order {n}", n, "sieve entries", config.table_limit)
+        triples += comb(rank_fast(n, ONE).rank, 3)
     within_budget("gcd check", triples, "triples", config.term_budget)
     checked = bad = 0
-    pending = chain(exhaustive, random)
+    # the members are built only now, once their triples are within the budget
+    pending = chain(combinations([Fraction(h, k) for h, k in pairs], 3), random)
     for batch in iter(lambda: list(islice(pending, _TRIPLES_PER_BATCH)), []):
         fractions = list(chain.from_iterable(batch))
         gcds = gcd_triples([f.num for f in fractions], [f.den for f in fractions])
@@ -360,18 +365,17 @@ def _cmd_gcd_check(args, config: Config, out: _Output) -> int:
 def _cmd_franel(args, config: Config, out: _Output) -> int:
     if args.kanemitsu and (args.lo, args.hi) != (None, None):
         raise _UsageError("--kanemitsu sums the prefix up to 1/4 and takes no --lo or --hi")
-    _check_positive_order(args.order)  # in either mode, before any sieve
     if args.kanemitsu:
-        # its per-denominator sums are budgeted in cells, before any sieve; the table is
-        # handed over unnamed, so that it is freed once kanemitsu_sum has read |F_N|
-        within_budget(f"signed prefix sum at order {args.order}", _prefix_cells(args.order), "cells",
-                      config.term_budget)
+        # checked before any sieve; the table is handed over unnamed, so that it
+        # is freed once kanemitsu_sum has read |F_N|
+        _check_prefix(args.order, config.term_budget)
         result = kanemitsu_sum(args.order, build_totient_table(args.order, budget=config.table_limit),
                                term_budget=config.term_budget)
     else:
-        table = build_totient_table(args.order, budget=config.table_limit)
         lo = ZERO if args.lo is None else args.lo
         hi = ONE if args.hi is None else args.hi
+        _check_window(args.order, lo, hi)  # before any sieve
+        table = build_totient_table(args.order, budget=config.table_limit)
         result = partial_franel_sum_range(args.order, lo, hi, None, table, term_budget=config.term_budget)
     names = [field.name for field in fields(result)]
     out.table([{"term_count": "terms"}.get(name, name) for name in names],
@@ -405,7 +409,7 @@ def _cmd_growth(args, config: Config, out: _Output) -> int:
 
 
 def _cmd_dress(args, config: Config, out: _Output) -> int:
-    _check_positive_order(args.order if args.sweep_to is None else args.sweep_to)  # before any sieve
+    _check_order(args.order if args.sweep_to is None else args.sweep_to)  # before any sieve
     if args.sweep_to is not None:
         n = args.sweep_to
         within_budget(f"dress sweep to order {n}", _sweep_cells(n), "cells", config.term_budget)

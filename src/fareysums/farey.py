@@ -254,8 +254,9 @@ def _reach(n: int) -> int:
     """V: `rank_fast` takes S(v) for v <= V from one prefix sum and runs Euclid's passes above it.
 
     n itself, so no Euclid pass at all, up to `_ALL_PREFIX_ORDER`; past it
-    about n^(2/3), which leaves the passes to the heads e <= n^(1/3).  Any V
-    gives the same rank: this is a cost choice only.
+    about n^(2/3), which leaves the passes to the heads e <= n^(1/3).  Any
+    V >= isqrt(n), which covers the tail, gives the same rank: this is a
+    cost choice only.
     """
     return n if n <= _ALL_PREFIX_ORDER else int(n ** (2 / 3))
 
@@ -298,9 +299,7 @@ def rank_fast(n: int, x: Fraction) -> RankReport:
         p, q = _bracket(n, p, q)[0]
     r, t = _heads_and_tail(n)
     reach = _reach(n)
-    # the heads e <= h have quotients above the reach, and the tail v <= u lies within it
-    h = min(r, n // (reach + 1))
-    u = min(t, reach)
+    h = n // (reach + 1)  # the heads e <= h have quotients above the reach
     mertens = mertens_upto(n)
     quotients = n // np.arange(1, r + 2)  # floor(n/e) for e = 1..r + 1
     ends = mertens[quotients[: t + 1]]
@@ -308,13 +307,9 @@ def rank_fast(n: int, x: Fraction) -> RankReport:
     mu = mertens[1 : r + 1] - mertens[:r]
     dtype = np.int64 if (n + 1) * (n + 2) < 1 << 62 else object
     prefix = np.cumsum(np.arange(1, reach + 1, dtype=dtype) * p // q)  # S(v) at v - 1
-    total = np.dot(tail[:u], prefix[:u]) + np.dot(mu[h:], prefix[quotients[h:r] - 1])
-    vs, weights = quotients[:h], mu[:h]
-    if u < t:
-        vs = np.concatenate((vs, np.arange(u + 1, t + 1)))
-        weights = np.concatenate((weights, tail[u:]))
-    if len(vs):
-        total += np.dot(weights, _floor_sums(vs, p, q))
+    total = np.dot(tail, prefix[:t]) + np.dot(mu[h:], prefix[quotients[h:r] - 1])
+    if h:
+        total += np.dot(mu[:h], _floor_sums(quotients[:h], p, q))
     return RankReport(n, x, 1 + int(total), METHOD_MOEBIUS)
 
 

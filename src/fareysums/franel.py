@@ -231,15 +231,14 @@ def _path(n: int, lo: Fraction, hi: Fraction, count: int) -> str:
     return "stream" if streams else "slices"
 
 
-def _members(n: int, lo: Fraction, hi: Fraction, count: int):
-    """The members of F_n in [lo, hi], as (position, h, k) chunks of at most about _SLICE_TERMS.
+def _members(n: int, lo: Fraction, hi: Fraction, count: int, path: str):
+    """The count members of F_n in [lo, hi] by `_path`'s pick, as (position, h, k) chunks of at most about _SLICE_TERMS.
 
     Each chunk is ascending, and position is its first member's 0-based
     position in the window.  Streams and slices give int64 arrays, chunk
     after chunk from lo up; rows give reduced int32 arrays, chunk after chunk
     from hi down (see `_rows`).
     """
-    path = _path(n, lo, hi, count)
     if path == "rows":
         position = count
         for hs, ks in _rows(n, hi.den):
@@ -617,11 +616,11 @@ def _scan(
     dense = n + 1 if n + 1 <= 8 * count else 0
     red = _Reduction(rank_lo, scale, mirrored, dense)
     top, members = (_HALF, (count + 1) // 2) if mirrored else (hi, count)
-    sliced = _path(n, lo, top, members) == "slices"
-    for position, hs, ks in _members(n, lo, top, members):
+    path = _path(n, lo, top, members)
+    for position, hs, ks in _members(n, lo, top, members, path):
         # rows come as int32, where hs * scale would wrap silently
         red.add(rank_lo + position, hs.astype(np.int64, copy=False), ks.astype(np.int64, copy=False))
-        if sliced:  # the next slice's own arrays take the room of the work arrays
+        if path == "slices":  # the next slice's own arrays take the room of the work arrays
             red.work = []
     if red.terms != count:
         raise PreconditionError(
@@ -654,18 +653,23 @@ def _check_order(n: int) -> None:
         raise PreconditionError(f"order {n} is past the deviation kernel's int64 domain: it must be below {_ORDER_CAP}")
 
 
+def _check_window(n: int, lo: Fraction, hi: Fraction) -> None:
+    """Refuse a scan over F_n in [lo, hi] before any table: the order, then ends in [0/1, 1/1], lo <= hi, lo in F_n."""
+    _check_order(n)
+    _check_window_args(n, lo, hi)
+    if lo.den > n:
+        raise PreconditionError(f"lo={lo} is not in F_{n}")
+
+
 def _window(n: int, lo: Fraction, hi: Fraction, table: TotientTable | None, term_budget: int):
     """(rank of lo, term count, |F_n|) of a scan over F_n in [lo, hi], checked before any term.
 
-    The order comes first (`_check_order`), then the table, so that its
-    budget bounds n before rank_fast sieves mu up to n; then lo must be in
-    F_n, and the count within term_budget.
+    `_check_window` comes first, then the table, so that its budget bounds n
+    before rank_fast sieves mu up to n; then the count must be within
+    term_budget.
     """
-    _check_order(n)
+    _check_window(n, lo, hi)
     m = farey_cardinality(n, _table_for(n, table))
-    if lo.den > n:
-        raise PreconditionError(f"lo={lo} is not in F_{n}")
-    _check_window_args(n, lo, hi)
     rank_lo = 1 if lo == ZERO else rank_fast(n, lo).rank
     count = (m if hi == ONE else rank_fast(n, hi).rank) - rank_lo + 1
     within_budget(f"deviation scan over [{lo}, {hi}] at order {n}", count, "terms", term_budget)
@@ -811,11 +815,6 @@ class KanemitsuResult:
     sum_float: float
 
 
-def _prefix_cells(n: int) -> float:
-    """About n*ln(n), the cells of `_prefix_sums(n)`: n/e for each squarefree e <= n."""
-    return n * log(max(n, 1))
-
-
 def _prefix_sums(n: int) -> np.ndarray:
     """A_k, the sum of the h coprime to k with h/k <= 1/4, for k = 0..n as int64 (A_0 = 0).
 
@@ -869,6 +868,17 @@ def _signed_fold(sums: np.ndarray, m: int, prefix_rank: int) -> _Reduction:
     return red
 
 
+def _check_prefix(n: int, term_budget: int) -> None:
+    """Refuse a signed prefix sum before any table: the order, then n >= 4, then the about n*ln(n) cells of `_prefix_sums`.
+
+    Those are n/e cells for each squarefree e <= n, checked against term_budget.
+    """
+    _check_order(n)
+    if n < 4:
+        raise PreconditionError(f"the prefix sum needs n >= 4, got {n}")
+    within_budget(f"signed prefix sum at order {n}", n * log(n), "cells", term_budget)
+
+
 def kanemitsu_sum(
     n: int, table: TotientTable | None = None, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> KanemitsuResult:
@@ -877,14 +887,10 @@ def kanemitsu_sum(
     No member is enumerated: `_prefix_sums` gives the numerators' sum A_k of
     each denominator, `rank_fast` the rank R of 1/4, and `_signed_fold` the
     folded D_k that a scan's reduction would hold, so sum_exact and sum_float
-    mean what they mean for a scan.  Orders from _ORDER_CAP are refused, then
-    the about n*ln(n) cells are checked against term_budget, all before the
-    table (see `_table_for`) and mu are sieved.
+    mean what they mean for a scan.  `_check_prefix` comes before the table
+    (see `_table_for`) and mu are sieved.
     """
-    if n < 4:
-        raise PreconditionError(f"the prefix sum needs n >= 4, got {n}")
-    _check_order(n)
-    within_budget(f"signed prefix sum at order {n}", _prefix_cells(n), "cells", term_budget)
+    _check_prefix(n, term_budget)
     m = farey_cardinality(n, _table_for(n, table))
     del table  # only |F_n| is read: the sums below do not hold the table
     prefix_rank = rank_fast(n, Fraction(1, 4)).rank
@@ -956,7 +962,7 @@ def dress_scan(
     _, m, _ = _window(n, ZERO, ONE, table, term_budget)
     half = (m + 1) // 2
     best, enumerated = (0, 1, 1), 0
-    for position, hs, ks in _members(n, ZERO, _HALF, half):
+    for position, hs, ks in _members(n, ZERO, _HALF, half, _path(n, ZERO, _HALF, half)):
         enumerated += hs.size
         ranks = np.arange(position + 1, position + 1 + hs.size)
         for i in np.flatnonzero(_passing(hs, ks, ranks, n, m)).tolist():

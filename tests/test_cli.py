@@ -13,7 +13,7 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
-from fareysums import cli, franel, index, totient
+from fareysums import cli, farey, franel, index, totient
 
 
 def run_cli(argv):
@@ -537,21 +537,25 @@ class TestWorkBudgets:
         assert code == 0 and "sum_float" in out
         assert alive == [False]
 
-    def test_exhaustive_triples_are_counted_after_the_window(self, monkeypatch, capsys):
-        def refuse(*triple):
-            raise AssertionError("a triple was checked over the budget")
+    @staticmethod
+    def _refuse_triples(monkeypatch):
+        """Make gcd-check fail on the first member it enumerates or the first triples it checks."""
+        def refuse(*args):
+            raise AssertionError("worked over the budget")
 
-        monkeypatch.setattr(cli, "gcd_triple", refuse)
+        window = farey.iter_window  # the stream of members under _window_pairs and enumerate_window
+        monkeypatch.setattr(farey, "iter_window", lambda *args: map(refuse, window(*args)))
+        monkeypatch.setattr(cli, "gcd_triples", refuse)
+
+    def test_exhaustive_triples_are_counted_before_any_member(self, monkeypatch, capsys):
+        self._refuse_triples(monkeypatch)
         # F_12 holds 47 fractions: C(47, 3) = 16215 triples
         assert run_cli(["gcd-check", "--exhaustive", "12", "--term-budget", "16214"]) == (2, "")
         assert "needs 16215 triples, over budget 16214" in capsys.readouterr().err
 
     @pytest.mark.parametrize("budget", [16215, 16224])
     def test_exhaustive_and_random_triples_are_counted_together(self, budget, monkeypatch, capsys):
-        def refuse(*triple):
-            raise AssertionError("a triple was checked over the budget")
-
-        monkeypatch.setattr(cli, "gcd_triple", refuse)
+        self._refuse_triples(monkeypatch)
         # C(47, 3) = 16215 exhaustive triples plus 10 random ones
         argv = ["gcd-check", "--exhaustive", "12", "--random", "10", "--term-budget", str(budget)]
         assert run_cli(argv) == (2, "")

@@ -1,4 +1,4 @@
-"""Refusals: one budget message shape, and the order checked before any sieve."""
+"""Refusals: one budget message shape, and whatever needs no table refused before any sieve."""
 
 import io
 from unittest.mock import Mock
@@ -97,6 +97,7 @@ _ORDER_ENTRIES = [
     pytest.param(lambda n: partial_franel_sum_range(n, Fraction(1, 3), Fraction(1, 2)), id="partial-window"),
     pytest.param(lambda n: dress_scan(n), id="dress_scan"),
     pytest.param(lambda n: dress_scan_sweep(n), id="dress_scan_sweep"),
+    pytest.param(lambda n: kanemitsu_sum(n), id="kanemitsu_sum"),
 ]
 
 
@@ -118,3 +119,41 @@ def test_the_cli_refuses_a_non_positive_order_before_any_sieve(argv, n, monkeypa
     _no_sieve(monkeypatch)
     assert cli.run([*argv, n], stream=io.StringIO()) == 2
     assert capsys.readouterr().err == f"farey: error: order must be >= 1, got {n}\n"
+
+
+# Windows refused by their ends alone, at an order whose table would take about 180 MB
+_BAD_WINDOWS = [
+    pytest.param("1/2", "1/3", "empty range: lo=1/2 > hi=1/3", id="empty"),
+    pytest.param("3/2", "1/1", "lo=3/2 is outside [0/1, 1/1]", id="outside"),
+    pytest.param("1/20000001", "1/2", "lo=1/20000001 is not in F_10000000", id="not-a-member"),
+]
+
+
+@pytest.mark.parametrize("lo,hi,message", _BAD_WINDOWS)
+def test_a_bad_window_is_refused_before_any_sieve(lo, hi, message, monkeypatch):
+    _no_sieve(monkeypatch)
+    with pytest.raises(PreconditionError) as refusal:
+        partial_franel_sum_range(10_000_000, Fraction.parse(lo), Fraction.parse(hi))
+    assert str(refusal.value) == message
+
+
+_PAST_THE_CAP = "order 3000000000 is past the deviation kernel's int64 domain: it must be below 3000000000"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        *(pytest.param(["franel", "--order", "10000000", "--lo", lo, "--hi", hi], message, id=f"franel-{window.id}")
+          for window in _BAD_WINDOWS for lo, hi, message in [window.values]),
+        pytest.param(["franel", "--order", "3", "--kanemitsu"], "the prefix sum needs n >= 4, got 3",
+                     id="franel-kanemitsu-below-4"),
+        pytest.param(["franel", "--order", "3000000000", "--table-limit", "3000000000"], _PAST_THE_CAP,
+                     id="franel-past-the-cap"),
+        pytest.param(["dress", "--order", "3000000000", "--table-limit", "3000000000"], _PAST_THE_CAP,
+                     id="dress-past-the-cap"),
+    ],
+)
+def test_the_cli_refuses_what_needs_no_table_before_any_sieve(argv, message, monkeypatch, capsys):
+    _no_sieve(monkeypatch)
+    assert cli.run(argv, stream=io.StringIO()) == 2
+    assert capsys.readouterr().err == f"farey: error: {message}\n"

@@ -1,7 +1,7 @@
 from bisect import bisect_right
 from fractions import Fraction as Rat
 from functools import lru_cache
-from math import gcd, log
+from math import gcd, isqrt, log
 from random import Random
 from unittest import mock
 
@@ -283,7 +283,7 @@ class TestRank:
         expected = rank_oracle(n, x).rank
         assert rank_fast(n, x).rank == expected
         for patch in (
-            mock.patch.object(farey, "_reach", lambda order: 0),  # every quotient through Euclid
+            mock.patch.object(farey, "_reach", isqrt),  # the least reach: every quotient above isqrt(n) through Euclid
             mock.patch.object(farey, "_reach", lambda order: order),  # every quotient from the prefix sum
             mock.patch.object(farey, "_ALL_PREFIX_ORDER", 0),  # the split that large orders take
         ):

@@ -787,9 +787,9 @@ class TestMirroredScans:
         asked, enumerated = [], []
         members = franel._members
 
-        def spy(order, lo, hi, count):
+        def spy(order, lo, hi, count, path):
             asked.append((lo, hi, count))
-            for position, hs, ks in members(order, lo, hi, count):
+            for position, hs, ks in members(order, lo, hi, count, path):
                 enumerated.append(hs.size)
                 yield position, hs, ks
 
@@ -1098,7 +1098,7 @@ class TestRows:
         # each band compressed by the cost model's choice, by its mask, or by flat indices
         for by_mask in (franel._by_mask, lambda kept: True, lambda kept: False):
             with _enumeration("rows", size), patch.object(franel, "_by_mask", by_mask):
-                chunks = list(franel._members(n, ZERO, hi, len(want)))
+                chunks = list(franel._members(n, ZERO, hi, len(want), "rows"))
             # from hi down, each chunk ascending and right below the one before
             end = len(want)
             for position, hs, ks in chunks:
@@ -1211,6 +1211,17 @@ class TestEnumerationChoice:
         assert franel._path((1 << 30) + 1, ZERO, hi, 5 * 10**9) == "stream"
         # whole scans at small orders still stream: full_franel_sum(12) makes one iter_window call
         assert franel._path(12, ZERO, Fraction(1, 2), 24) == "stream"
+
+    @pytest.mark.parametrize("scan", [
+        lambda: full_franel_sum(300),
+        lambda: partial_franel_sum_range(300, Fraction(1, 5), Fraction(1, 2)),
+        lambda: dress_scan(300),
+    ], ids=["full", "partial", "dress"])
+    def test_each_scan_picks_its_enumeration_once(self, scan, monkeypatch):
+        path = Mock(wraps=franel._path)
+        monkeypatch.setattr(franel, "_path", path)
+        scan()
+        assert path.call_count == 1
 
     def test_sliced_orders_stay_below_two_to_the_twenty(self):
         # the slices' float sort key is exact only there
